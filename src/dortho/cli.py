@@ -48,6 +48,17 @@ def _default_bound() -> int:
     return DEFAULT_N
 
 
+def _probe_bounds(args) -> tuple:
+    """(N, M) from the flags or their defaults, both required >= 0."""
+    N = args.N if args.N is not None else _default_bound()
+    M = args.M if args.M is not None else DEFAULT_M
+    if N < 0:
+        raise InputError("N must be >= 0")
+    if M < 0:
+        raise InputError("M must be >= 0")
+    return N, M
+
+
 def _emit(obj: dict, out_path) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if out_path:
@@ -161,8 +172,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    N = args.N if args.N is not None else _default_bound()
-    M = args.M if args.M is not None else DEFAULT_M
+    N, M = _probe_bounds(args)
 
     if args.operator and args.family:
         raise InputError("give either --operator or --family, not both")
@@ -237,13 +247,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_duals(args) -> int:
-    N = args.N if args.N is not None else _default_bound()
-    M = args.M if args.M is not None else DEFAULT_M
+    N, M = _probe_bounds(args)
     if args.tables:
         try:
             with open(args.tables) as fh:
                 rt = seqkit.RecurrenceTable.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad tables file: {exc}")
         d = rt.d
     elif args.family:

@@ -2,15 +2,28 @@
 
 Covers sequence generation, expansion of arbitrary polynomials in the
 monic basis, structure-coefficient extraction, canonical dual-functional
-moments, and the finite d-orthogonality probe.  The pairing <u_i, q> is
-always read off as the i-th basis coefficient of q, which is exact by
-the delta-duality definition of the dual sequence.
+moments, and the finite d-orthogonality probe.
+
+Moments and pairings come from the sequence's own x-multiplication rows,
+x*P_k = P_(k+1) + sum_j c_(k,j) P_j, read once per sequence by
+structure_coeffs and kept sparse.  The dual moments follow by applying
+the rows to the basis expansion of x**n.  The pairings
+sigma_nu(m, n) = <u_nu, P_m P_n> follow from the mixed-moment recurrence
+(Gautschi's modified Chebyshev algorithm)
+
+    sigma_nu(0, n)   = delta_(nu, n)
+    sigma_nu(m+1, n) = sigma_nu(m, n+1) + sum_j c_(n,j) sigma_nu(m, j)
+                                        - sum_k c_(m,k) sigma_nu(k, n),
+
+which is exact by the delta-duality definition of the dual sequence and
+forms no polynomial product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -171,6 +184,21 @@ class MonicSequence:
     def to_json(self) -> list:
         return [p.to_json() for p in self.polys]
 
+    @cached_property
+    def x_rows(self) -> tuple:
+        """Row k (k < N) lists the nonzero (j, c_(k,j)) with
+        x*P_k = P_(k+1) + sum_j c_(k,j) P_j, read from structure_coeffs."""
+        if self.N < 1:
+            return ()
+        sc = structure_coeffs(self)
+        rows = []
+        for k, b in enumerate(sc.beta):
+            lower = sc.chi[k - 1] if k else ()
+            rows.append(
+                tuple((j, c) for j, c in enumerate((*lower, b)) if c)
+            )
+        return tuple(rows)
+
 
 @dataclass(frozen=True)
 class BasisExpansion:
@@ -298,26 +326,60 @@ def structure_coeffs(seq: MonicSequence) -> StructureCoeffs:
 
 
 def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
-    """Moments (u_i)_n = coefficient of P_i in the expansion of x**n."""
+    """Moments (u_i)_n = coefficient of P_i in the expansion of x**n.
+
+    The expansion of x**(n+1) is x times that of x**n, with each x*P_j
+    replaced by its x-multiplication row.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
+    x_rows = seq.x_rows
     rows = [[] for _ in range(d)]
+    exp = [Fraction(1)]
     for n in range(seq.N + 1):
-        exp = expand_in_basis(Poly.monomial(n), seq)
+        if n:
+            nxt = [Fraction(0)] * (n + 1)
+            for j, a in enumerate(exp):
+                if a:
+                    nxt[j + 1] += a
+                    for k, c in x_rows[j]:
+                        nxt[k] += a * c
+            exp = nxt
         for i in range(d):
-            rows[i].append(exp.coeff(i))
+            rows[i].append(exp[i] if i <= n else Fraction(0))
     return DualMoments(rows)
+
+
+def _mixed_moments(seq: MonicSequence, nu: int, M: int) -> list:
+    """sigma[m][n] = <u_nu, P_m P_n> for m <= M and n <= seq.N - m."""
+    N = seq.N
+    rows = seq.x_rows if M > 0 else ()
+    sigma = [[Fraction(int(n == nu)) for n in range(N + 1)]]
+    for m in range(M):
+        cur = sigma[m]
+        nxt = []
+        for n in range(N - m):
+            v = cur[n + 1]
+            for j, c in rows[n]:
+                if cur[j]:
+                    v += c * cur[j]
+            for k, c in rows[m]:
+                if sigma[k][n]:
+                    v -= c * sigma[k][n]
+            nxt.append(v)
+        sigma.append(nxt)
+    return sigma
 
 
 def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationReport:
     """Probe the d-orthogonality and regularity conditions up to row M.
 
-    For every nu < d and m <= M the pairing <u_nu, P_m P_n> (the nu-th
-    basis coefficient of the product) must vanish for n >= m*d + nu + 1
-    and be nonzero at n = m*d + nu.  Certification is finite: n ranges
-    as far as the generated basis allows.
+    For every nu < d and m <= M the pairing <u_nu, P_m P_n> must vanish
+    for n >= m*d + nu + 1 and be nonzero at n = m*d + nu.  The pairings
+    come from the mixed-moment recurrence over the sequence's
+    x-multiplication rows (see the module docstring).  Certification is
+    finite: n ranges as far as the generated basis allows.
     """
-    report = VerificationReport()
     for m in range(M + 1):
         for nu in range(d):
             n0 = m * d + nu
@@ -325,8 +387,13 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
                 raise InsufficientDegree(
                     f"need degree {m + n0} products; sequence stops at {seq.N}"
                 )
-            pm = seq[m]
-            val = expand_in_basis(pm * seq[n0], seq).coeff(nu)
+    sigmas = [_mixed_moments(seq, nu, M) for nu in range(d)]
+    report = VerificationReport()
+    for m in range(M + 1):
+        for nu in range(d):
+            row = sigmas[nu][m]
+            n0 = m * d + nu
+            val = row[n0]
             report.record(
                 "regularity",
                 (m, nu, n0),
@@ -334,7 +401,7 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
                 witness=None if val != 0 else {"value": "0"},
             )
             for n in range(n0 + 1, seq.N - m + 1):
-                val = expand_in_basis(pm * seq[n], seq).coeff(nu)
+                val = row[n]
                 report.record(
                     "orthogonality",
                     (m, nu, n),

@@ -91,6 +91,36 @@ class TestDuals:
         assert b"(2, 0, 4)" in r.stderr
 
 
+class TestBadRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--family", "corollary42", "-N", "-1"),
+            ("verify", "--operator", "corollary_operator.json", "-N", "-2"),
+            ("verify", "--family", "corollary42", "-M", "-1"),
+            ("duals", "--family", "corollary42", "-N", "-1"),
+            ("duals", "--family", "corollary42", "-M", "-1"),
+        ],
+    )
+    def test_negative_bound_is_input_error(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr.startswith(b"input error: ")
+        assert r.stdout == b""
+
+    def test_negative_env_bound_is_input_error(self):
+        r = run_cli("verify", "--family", "corollary42", DORTHO_PROBE_BOUND="-3")
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr == b"input error: N must be >= 0\n"
+
+    def test_scalar_beta_in_tables_is_input_error(self, tmp_path):
+        tables = tmp_path / "tables.json"
+        tables.write_text('{"d": 2, "beta": 5, "alpha": [1], "gamma": [1]}')
+        r = run_cli("duals", "--tables", str(tables), "-M", "1")
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr.startswith(b"input error: bad tables file: ")
+
+
 class TestOutFlag:
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "eigen.json"

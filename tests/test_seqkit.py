@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dortho import (
+    MonicSequence,
     Poly,
     RecurrenceTable,
     check_d_orthogonality,
@@ -12,15 +15,124 @@ from dortho import (
     expand_in_basis,
     generate,
     multiply_by_x,
+    seqkit,
     structure_coeffs,
 )
-from dortho.errors import DegreeTooLarge, IndexOutOfRange, MissingCoefficient
+from dortho.errors import (
+    DegreeTooLarge,
+    IndexOutOfRange,
+    InsufficientDegree,
+    MissingCoefficient,
+)
+from dortho.polycore import rational_to_str
+from dortho.report import VerificationReport
 
 from conftest import rand_poly
 
 
 def zero_tables(N):
     return RecurrenceTable.two_orthogonal([0] * (N + 1), [0] * N, [0] * N)
+
+
+# Reference oracle: each pairing <u_nu, q> read off as the nu-th basis
+# coefficient of q, with q = P_m * P_n formed and expanded in full.  Slow,
+# but independent of the x-multiplication rows the library uses.
+
+
+def reference_d_orthogonality(seq, d, M):
+    report = VerificationReport()
+    for m in range(M + 1):
+        for nu in range(d):
+            n0 = m * d + nu
+            if m + n0 > seq.N:
+                raise InsufficientDegree(
+                    f"need degree {m + n0} products; sequence stops at {seq.N}"
+                )
+            for n in range(n0, seq.N - m + 1):
+                val = expand_in_basis(seq[m] * seq[n], seq).coeff(nu)
+                if n == n0:
+                    report.record(
+                        "regularity",
+                        (m, nu, n),
+                        val != 0,
+                        witness=None if val != 0 else {"value": "0"},
+                    )
+                else:
+                    report.record(
+                        "orthogonality",
+                        (m, nu, n),
+                        val == 0,
+                        witness=None if val == 0 else {"value": rational_to_str(val)},
+                    )
+    return report
+
+
+def reference_dual_moments(seq, d):
+    return [
+        [
+            rational_to_str(expand_in_basis(Poly.monomial(n), seq).coeff(i))
+            for n in range(seq.N + 1)
+        ]
+        for i in range(d)
+    ]
+
+
+def outcome(check, seq, d, M):
+    """The report's JSON, or the InsufficientDegree message it raised."""
+    try:
+        return check(seq, d, M).to_json()
+    except InsufficientDegree as exc:
+        return ("InsufficientDegree", str(exc))
+
+
+def assert_matches_reference(seq, d, M):
+    assert outcome(check_d_orthogonality, seq, d, M) == outcome(
+        reference_d_orthogonality, seq, d, M
+    )
+    for dd in (d, seq.N + 3):
+        assert dual_moments(seq, dd).to_json() == reference_dual_moments(seq, dd)
+
+
+small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
+@st.composite
+def banded_tables(draw):
+    """A random (d+1)-term table, d in {1, 2, 3}, with its lowest level
+    sometimes zeroed, and the degree N it is generated to."""
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 14))
+    beta = draw(st.lists(small_rationals, min_size=N + 1, max_size=N + 1))
+    levels = [
+        draw(st.lists(small_rationals, min_size=N, max_size=N)) for _ in range(d - 1)
+    ]
+    lowest = draw(
+        st.lists(
+            st.one_of(
+                st.fractions(min_value=1, max_value=3, max_denominator=2),
+                st.fractions(min_value=-3, max_value=-1, max_denominator=2),
+            ),
+            min_size=N,
+            max_size=N,
+        )
+    )
+    for i in draw(st.sets(st.integers(0, N - 1), max_size=2)):
+        lowest[i] = Fraction(0)
+    return RecurrenceTable(d, beta, [lowest, *levels]), N
+
+
+@st.composite
+def dense_sequences(draw):
+    """Random monic polynomials P_0..P_N, generated by no short recurrence."""
+    N = draw(st.integers(0, 10))
+    polys = [
+        Poly([*draw(st.lists(small_rationals, min_size=n, max_size=n)), 1])
+        for n in range(N + 1)
+    ]
+    return MonicSequence(polys)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +299,93 @@ class TestDOrthogonality:
         first = rep.first_failure()
         assert first.identity == "regularity"
         assert first.index == (2, 0, 4)
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(banded_tables(), st.integers(0, 4))
+    def test_banded_tables(self, table, M):
+        rt, N = table
+        assert_matches_reference(generate(rt, N), rt.d, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_tables(), st.integers(0, 4))
+    def test_derivative_sequences(self, table, M):
+        rt, N = table
+        assert_matches_reference(derivative_sequence(generate(rt, N)), rt.d, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_sequences(), st.integers(1, 3), st.integers(0, 3))
+    def test_dense_sequences(self, seq, d, M):
+        assert_matches_reference(seq, d, M)
+
+    def test_mutated_table_first_failure(self, coro_rt):
+        gamma = [coro_rt.gamma(n) for n in range(1, 40)]
+        gamma[2] = Fraction(0)
+        rt = RecurrenceTable.two_orthogonal(
+            [coro_rt.beta(n) for n in range(40)],
+            [coro_rt.alpha(n) for n in range(1, 40)],
+            gamma,
+        )
+        assert_matches_reference(generate(rt, 14), 2, 4)
+
+
+class TestEdgeCases:
+    def test_m_zero(self, coro_seq):
+        rep = check_d_orthogonality(coro_seq, 2, 0)
+        assert rep.to_json() == reference_d_orthogonality(coro_seq, 2, 0).to_json()
+        assert len(rep.entries) == 2 * coro_seq.N + 1
+
+    def test_degree_zero_sequence(self):
+        seq = MonicSequence([Poly.one()])
+        rep = check_d_orthogonality(seq, 1, 0)
+        assert [e.to_json() for e in rep.entries] == [
+            {"identity": "regularity", "n": [0, 0, 0], "status": "pass"}
+        ]
+        with pytest.raises(InsufficientDegree):
+            check_d_orthogonality(seq, 2, 0)
+        assert dual_moments(seq, 3).to_json() == [["1"], ["0"], ["0"]]
+
+    def test_degree_one_sequence(self):
+        seq = MonicSequence([Poly.one(), Poly([-2, 1])])
+        assert dual_moments(seq, 2).to_json() == [["1", "2"], ["0", "1"]]
+        for d, M in ((1, 0), (2, 0), (1, 1)):
+            assert outcome(check_d_orthogonality, seq, d, M) == outcome(
+                reference_d_orthogonality, seq, d, M
+            )
+
+    def test_more_duals_than_basis(self, coro_rt):
+        seq = generate(coro_rt, 4)
+        dm = dual_moments(seq, 8)
+        assert dm.to_json() == reference_dual_moments(seq, 8)
+        assert all(dm.moment(i, n) == 0 for i in range(5, 8) for n in range(5))
+
+    def test_insufficient_degree_message(self, coro_rt):
+        seq = generate(coro_rt, 10)
+        with pytest.raises(InsufficientDegree) as info:
+            check_d_orthogonality(seq, 2, 5)
+        # (m, nu) = (4, 0) is the first probe out of reach: degree 4 + 8
+        assert str(info.value) == "need degree 12 products; sequence stops at 10"
+
+    def test_x_rows_read_once(self, coro_rt, monkeypatch):
+        calls = []
+        original = seqkit.structure_coeffs
+        monkeypatch.setattr(
+            seqkit, "structure_coeffs", lambda s: calls.append(s) or original(s)
+        )
+        seq = generate(coro_rt, 12)
+        dual_moments(seq, 2)
+        check_d_orthogonality(seq, 2, 3)
+        assert calls == [seq]
+
+    def test_x_rows_are_sparse(self, coro_seq, coro_rt):
+        # a 2-orthogonal sequence keeps at most beta, alpha and gamma
+        assert all(len(row) <= 3 for row in coro_seq.x_rows)
+        for n in range(10):
+            exp = multiply_by_x(coro_seq, coro_rt, n)
+            assert dict(coro_seq.x_rows[n]) == {
+                j: c for j, c in enumerate(exp.coefficients[: n + 1]) if c
+            }
 
 
 class TestDerivativeSequence:
