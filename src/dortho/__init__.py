@@ -1,7 +1,6 @@
 """Exact-rational calculus of degree-non-increasing differential operators
 and the 2-orthogonal polynomial eigenfamilies they generate."""
 
-from .backend import BACKEND
 from .diffop import (
     DiffOperator,
     EigenvalueTable,
@@ -48,6 +47,9 @@ from .seqkit import (
 )
 
 __version__ = "0.1.0"
+
+# One arithmetic path; kept as a constant because benchmark run records report it.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

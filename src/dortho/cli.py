@@ -33,6 +33,12 @@ EXIT_INPUT = 2
 DEFAULT_N = 15
 DEFAULT_M = 6
 
+# Largest polynomial degree the CLI builds: eigen's n, verify's and duals' N,
+# and the degree (d + 1)M + d - 1 that the d-orthogonality probe to M needs.
+# P_400 of the corollary 4.2 operator takes a few seconds; by P_800 its exact
+# coefficients pass Python's 4300-digit int-to-str limit.
+MAX_DEGREE = 400
+
 
 class InputError(Exception):
     pass
@@ -48,14 +54,19 @@ def _default_bound() -> int:
     return DEFAULT_N
 
 
-def _probe_bounds(args) -> tuple:
-    """(N, M) from the flags or their defaults, both required >= 0."""
+def _probe_bounds(args, d: int = 2) -> tuple:
+    """(N, M) from the flags or their defaults, both required >= 0 and
+    within MAX_DEGREE for a d-orthogonality probe."""
     N = args.N if args.N is not None else _default_bound()
     M = args.M if args.M is not None else DEFAULT_M
     if N < 0:
         raise InputError("N must be >= 0")
     if M < 0:
         raise InputError("M must be >= 0")
+    if N > MAX_DEGREE:
+        raise InputError(f"N must be <= {MAX_DEGREE}")
+    if (d + 1) * M + d - 1 > MAX_DEGREE:
+        raise InputError(f"M must be <= {(MAX_DEGREE - d + 1) // (d + 1)} for d = {d}")
     return N, M
 
 
@@ -155,6 +166,8 @@ def cmd_eigen(args) -> int:
     n = args.n
     if n < 0:
         raise InputError("n must be >= 0")
+    if n > MAX_DEGREE:
+        raise InputError(f"n must be <= {MAX_DEGREE}")
     try:
         p = eigenfam.eigenpoly(J, n)
     except (EigenvalueCollision, NotIsomorphism) as exc:
@@ -247,20 +260,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_duals(args) -> int:
-    N, M = _probe_bounds(args)
     if args.tables:
         try:
             with open(args.tables) as fh:
                 rt = seqkit.RecurrenceTable.from_json(json.load(fh))
         except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad tables file: {exc}")
-        d = rt.d
+        N, M = _probe_bounds(args, rt.d)
     elif args.family:
+        N, M = _probe_bounds(args)
         _, table_factory, _ = _family_setup(args.family, _parse_params(args.params))
         rt = table_factory(max(N, 3 * M + 2))
-        d = 2
     else:
         raise InputError("duals needs --family or --tables")
+    d = rt.d
 
     top = max(N, d * M + (d - 1) + M)
     try:

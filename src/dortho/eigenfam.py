@@ -19,6 +19,7 @@ from .errors import (
     DiscriminantNonzero,
     EigenvalueCollision,
     IndexOutOfRange,
+    MissingCoefficient,
     NotIsomorphism,
     NotTwoOrthogonal,
     ZeroParameter,
@@ -322,20 +323,15 @@ class StepTwoCoeffs:
 
 
 class _Tables:
-    """Index-convention wrapper: alpha/gamma vanish at index <= 0."""
+    """The second-step coefficients A..H over one table and eigenvalue map.
+
+    beta/alpha/gamma are the table's own accessors, which read 0 below the
+    first tabulated index (the P_(-i) = 0 convention).
+    """
 
     def __init__(self, rt: RecurrenceTable, lam):
-        self._rt = rt
+        self.beta, self.alpha, self.gamma = rt.beta, rt.alpha, rt.gamma
         self.lam = lam
-
-    def beta(self, n: int) -> Fraction:
-        return self._rt.beta(n)
-
-    def alpha(self, n: int) -> Fraction:
-        return self._rt.alpha(n) if n >= 1 else Fraction(0)
-
-    def gamma(self, n: int) -> Fraction:
-        return self._rt.gamma(n) if n >= 1 else Fraction(0)
 
     def A(self, n):
         lam = self.lam
@@ -393,7 +389,7 @@ def steptwo_coeffs(lambdas: EigenvalueTable, rt: RecurrenceTable, n: int) -> Ste
         return StepTwoCoeffs(
             A=t.A(n), B=t.B(n), C=t.C(n), D=t.D(n), F=t.F(n), G=t.G(n), H=t.H(n)
         )
-    except Exception as exc:  # table exhausted
+    except MissingCoefficient as exc:  # table exhausted
         raise IndexOutOfRange(str(exc)) from exc
 
 

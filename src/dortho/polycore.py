@@ -3,16 +3,18 @@
 Scalars are arbitrary-precision rationals (`fractions.Fraction`), which
 satisfy the required invariants by construction: always reduced,
 positive denominator, zero stored as 0/1.  Polynomials are immutable
-dense coefficient tuples in ascending degree; the zero polynomial has
-degree -1.
+dense coefficient tuples in ascending degree with no trailing zeros; the
+zero polynomial is the empty tuple and has degree -1.
+
+The dense kernels (add, sub, mul, scale, derivative, evaluation) are the
+methods of `Poly` and work on its coefficient tuples directly; they are
+the package's only polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Union
-
-from . import backend
 
 Rational = Fraction
 
@@ -29,10 +31,22 @@ def rational_to_str(r) -> str:
     return str(Fraction(r))
 
 
+_ZERO = Fraction(0)
+
+
 def _coerce(c: Scalar) -> Fraction:
     if isinstance(c, Fraction):
         return c
     return Fraction(c)
+
+
+def _trim(cs: list) -> list:
+    """Drop trailing zeros in place and return cs."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    del cs[n:]
+    return cs
 
 
 class Poly:
@@ -42,7 +56,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_coerce(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", tuple(backend.normalize(cs)))
+        object.__setattr__(self, "coeffs", tuple(_trim(cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -98,38 +112,63 @@ class Poly:
         return p
 
     def __add__(self, other: "Poly") -> "Poly":
-        return self._wrap(backend.poly_add(list(self.coeffs), list(other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, bi in enumerate(b):
+            out[i] += bi
+        return self._wrap(_trim(out))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self._wrap(backend.poly_sub(list(self.coeffs), list(other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [_ZERO] * (len(b) - len(a))
+        for i, bi in enumerate(b):
+            out[i] -= bi
+        return self._wrap(_trim(out))
 
     def __neg__(self) -> "Poly":
         return self._wrap([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            return self._wrap(backend.poly_mul(list(self.coeffs), list(other.coeffs)))
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self._wrap(())
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return self._wrap(_trim(out))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "Poly":
-        return self._wrap(backend.poly_scale(list(self.coeffs), _coerce(c)))
+        c = _coerce(c)
+        if not c:
+            return self._wrap(())
+        return self._wrap([c * x for x in self.coeffs])
 
     def derivative(self, order: int = 1) -> "Poly":
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        return self._wrap(backend.poly_deriv(list(self.coeffs), order))
+        cs = self.coeffs
+        for _ in range(order):
+            if len(cs) <= 1:
+                return self._wrap(())
+            cs = [cs[i] * i for i in range(1, len(cs))]
+        return self._wrap(cs)
 
     def __call__(self, x0: Scalar) -> Fraction:
-        return backend.poly_eval(list(self.coeffs), _coerce(x0))
-
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero or k == 0:
-            return self
-        return self._wrap((Fraction(0),) * k + self.coeffs)
+        x0 = _coerce(x0)
+        acc = _ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x0 + c
+        return acc
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DegreeTooLarge,
@@ -60,20 +60,6 @@ class RecurrenceTable:
         """d=2 table; alpha[i] is alpha_(i+1), gamma[i] is gamma_(i+1)."""
         return RecurrenceTable(2, beta, [gamma, alpha])
 
-    @staticmethod
-    def from_functions(
-        beta: Callable[[int], object],
-        alpha: Callable[[int], object],
-        gamma: Callable[[int], object],
-        N: int,
-    ) -> "RecurrenceTable":
-        """Materialize a d=2 table from closed-form generators in n."""
-        return RecurrenceTable.two_orthogonal(
-            [beta(n) for n in range(N + 1)],
-            [alpha(n) for n in range(1, N + 1)],
-            [gamma(n) for n in range(1, N + 1)],
-        )
-
     def beta(self, n: int) -> Fraction:
         if n < 0:
             return Fraction(0)
@@ -99,14 +85,6 @@ class RecurrenceTable:
         if self.d != 2:
             raise ValueError("gamma accessor is d=2 only")
         return self.level(0, n)
-
-    @property
-    def beta_count(self) -> int:
-        return len(self._beta)
-
-    @property
-    def gamma_count(self) -> int:
-        return len(self._levels[0])
 
     @property
     def regular(self) -> bool:

@@ -113,6 +113,42 @@ class TestBadRanges:
         assert r.returncode == 2, r.stderr.decode()
         assert r.stderr == b"input error: N must be >= 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eigen", "--operator", "corollary_operator.json", "-n", "800"), b"n must be <= 400"),
+            (
+                ("eigen", "--operator", "corollary_operator.json", "-n", str(10**20)),
+                b"n must be <= 400",
+            ),
+            (("verify", "--family", "corollary42", "-N", "401"), b"N must be <= 400"),
+            (("verify", "--family", "corollary42", "-M", "134"), b"M must be <= 133 for d = 2"),
+            (("duals", "--family", "corollary42", "-N", "401"), b"N must be <= 400"),
+            (("duals", "--family", "corollary42", "-M", "134"), b"M must be <= 133 for d = 2"),
+        ],
+    )
+    def test_degree_above_cap_is_input_error(self, argv, message):
+        r = run_cli(*argv)
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr == b"input error: " + message + b"\n"
+        assert r.stdout == b""
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (("-M", "100"), b"input error: M must be <= 99 for d = 3\n"),
+            (("-M", "99"), b"input error: beta_1 not tabulated\n"),
+            (("-N", "400", "-M", "0"), b"input error: beta_1 not tabulated\n"),
+        ],
+    )
+    def test_degree_cap_counts_the_table_order(self, tmp_path, bounds, message):
+        # values at the cap's edge pass it and fail in generate on this one-entry table
+        tables = tmp_path / "tables.json"
+        tables.write_text('{"d": 3, "beta": [0], "levels": [[1], [1], [1]]}')
+        r = run_cli("duals", "--tables", str(tables), *bounds)
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr == message
+
     def test_scalar_beta_in_tables_is_input_error(self, tmp_path):
         tables = tmp_path / "tables.json"
         tables.write_text('{"d": 2, "beta": 5, "alpha": [1], "gamma": [1]}')

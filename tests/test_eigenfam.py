@@ -7,6 +7,7 @@ from dortho import (
     Case2Params,
     DiffOperator,
     Poly,
+    RecurrenceTable,
     ThirdOrderParams,
     case1_coeffs,
     case2_coeffs,
@@ -24,6 +25,7 @@ from dortho import (
 from dortho.errors import (
     DiscriminantNonzero,
     EigenvalueCollision,
+    IndexOutOfRange,
     NotIsomorphism,
     NotTwoOrthogonal,
     ZeroParameter,
@@ -176,6 +178,17 @@ class TestStepTwo:
                     c = steptwo_coeffs(lam, rt, n + off)
                     rhs = rhs + seq[n + off].scale(pick(c))
             assert lhs == rhs
+
+    def test_exhausted_table_is_index_out_of_range(self):
+        lam = lambda_table(corollary42_operator(1), 0, 40)
+        with pytest.raises(IndexOutOfRange, match=r"gamma\^1_6 not tabulated"):
+            steptwo_coeffs(lam, corollary42_coeffs(5), 5)
+
+    def test_d3_table_is_value_error(self):
+        lam = lambda_table(corollary42_operator(1), 0, 40)
+        rt = RecurrenceTable(3, [1] * 10, [[1] * 10] * 3)
+        with pytest.raises(ValueError, match="d=2 only"):
+            steptwo_coeffs(lam, rt, 5)
 
 
 class TestVerifyExpansions:

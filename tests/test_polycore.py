@@ -37,6 +37,27 @@ class TestArithmetic:
         assert Poly([0, 0, 0]).degree == -1
         assert (P(1, 2) - P(1, 2)).degree == -1
 
+    def test_partial_leading_cancellation_is_trimmed(self):
+        s = P(1, 2, 3) + P(0, 0, -3)
+        assert s == P(1, 2)
+        assert s.coeffs[-1] != 0
+        d = P(1, 2, 3) - P(0, 0, 3)
+        assert d == P(1, 2)
+        assert d.coeffs[-1] != 0
+        d = P(0, 0, 3) - P(1, 2, 3)
+        assert d == P(-1, -2)
+        assert d.coeffs[-1] != 0
+
+    def test_scale_by_zero_is_zero(self):
+        assert P(1, 2, 3).scale(0) == Poly.zero()
+
+    def test_int_built_results_hold_fractions(self):
+        p = P(0, 2, 0, 5)
+        q = P(1, 0, -3)
+        for r in (p.derivative(), p.derivative(2), p.scale(2), p * q, q * p, p + q, p - q, -p):
+            assert r.coeffs
+            assert all(type(c) is Fraction for c in r.coeffs)
+
 
 class TestDerivative:
     def test_first(self):
@@ -59,6 +80,10 @@ class TestEval:
 
     def test_zero_poly(self):
         assert Poly.zero()(Fraction(7, 3)) == 0
+
+    def test_int_point_gives_fraction(self):
+        assert type(P(1, 2, 3)(2)) is Fraction
+        assert type(Poly.zero()(2)) is Fraction
 
 
 class TestRingAxioms:
