@@ -1,7 +1,9 @@
 """Batch CLI with JSON input/output and stable, exact-rational output.
 
 Subcommands: eigen, verify, classify, duals.  Exit codes: 0 on pass,
-1 on verification failure, 2 on input/validation error.  All numbers
+1 on verification failure, 2 on input/validation error, 3 on an internal
+error (an unexpected exception, reported on stderr as
+"internal error: <Type>: <message>").  All numbers
 are emitted as canonical rational strings, never floats, so outputs are
 byte-stable across runs.
 """
@@ -29,14 +31,17 @@ from .report import VerificationReport
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_N = 15
 DEFAULT_M = 6
 
-# Largest polynomial degree the CLI builds: eigen's n, verify's and duals' N,
-# and the degree (d + 1)M + d - 1 that the d-orthogonality probe to M needs.
-# P_400 of the corollary 4.2 operator takes a few seconds; by P_800 its exact
-# coefficients pass Python's 4300-digit int-to-str limit.
+# Cap on the degrees a user asks for: eigen's n, verify's and duals' N, and
+# the degree (d + 1)M + d - 1 that the d-orthogonality probe to M needs.
+# verify builds a few degrees past its N (P_(N+6) from an operator, P_(N+5)
+# of a family), so the largest polynomial degree the CLI builds is
+# MAX_DEGREE + 6.  P_406 of the corollary 4.2 operator takes a few seconds;
+# by P_800 its exact coefficients pass Python's 4300-digit int-to-str limit.
 MAX_DEGREE = 400
 
 
@@ -352,6 +357,9 @@ def main(argv=None) -> int:
     except DegreeViolation as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

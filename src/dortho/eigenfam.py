@@ -9,6 +9,7 @@ operator application, exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -171,37 +172,74 @@ class Case2Params:
 # -- eigen-oracle ----------------------------------------------------------
 
 
+def _eigen_solver(J: DiffOperator, N: int):
+    """Set up the eigen-oracle for degrees up to N; return solve(n) -> P_n.
+
+    The setup runs once: it classifies J (the classification screens the
+    diagonal sum for integer roots, so it settles every degree at once)
+    and tabulates lambda_0..lambda_N and the monomial images J(x**j).
+    solve(n) raises EigenvalueCollision(k, n) for the first k < n with
+    lambda_k = lambda_n; otherwise it back-substitutes row i of
+    J(P) = lambda_n P,
+
+        (lambda_n - lambda_i) c_i = sum_(j > i) [x**i] J(x**j) * c_j,
+
+    over j <= i + order only, since [x**i] J(x**j) = 0 for j > i + order
+    when deg a_v <= v.
+    """
+    cls = classify(J, probe_bound=max(J.order + 1, N + 1))
+    if cls.tag != "isomorphism":
+        raise NotIsomorphism(f"operator classified as {cls.tag}")
+    lam = [lambda_at(J, 0, j) for j in range(N + 1)]
+    first: dict = {}
+    for j, value in enumerate(lam):
+        first.setdefault(value, j)
+    images = [J.apply_monomial(j) for j in range(N + 1)]
+    band = J.order
+
+    def solve(n: int) -> Poly:
+        k = first[lam[n]]
+        if k < n:
+            raise EigenvalueCollision(k, n)
+        coeffs = [Fraction(0)] * (n + 1)
+        coeffs[n] = Fraction(1)
+        for i in range(n - 1, -1, -1):
+            rhs = Fraction(0)
+            for j in range(i + 1, min(n, i + band) + 1):
+                if coeffs[j]:
+                    rhs += images[j].coeff(i) * coeffs[j]
+            coeffs[i] = rhs / (lam[n] - lam[i])
+        return Poly(coeffs)
+
+    return solve
+
+
 def eigenpoly(J: DiffOperator, n: int) -> Poly:
     """The unique monic degree-n polynomial P with J(P) = lambda_n * P.
 
-    Solves the triangular system for the non-leading coefficients from
-    the top down; requires the eigenvalues below n to differ from
-    lambda_n.
+    Classifies J, tabulates lambda_0..lambda_n and the monomial images
+    J(x**j) for j <= n, then solves the triangular system for the
+    non-leading coefficients from the top down.  J does not raise degree,
+    so the system is banded: row i involves only c_(i+1)..c_(i+order).
+    Requires the eigenvalues below n to differ from lambda_n; the first
+    equal one is reported as EigenvalueCollision(k, n).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    cls = classify(J, probe_bound=max(J.order + 1, n + 1))
-    if cls.tag != "isomorphism":
-        raise NotIsomorphism(f"operator classified as {cls.tag}")
-    lam = [lambda_at(J, 0, j) for j in range(n + 1)]
-    for k in range(n):
-        if lam[k] == lam[n]:
-            raise EigenvalueCollision(k, n)
-    images = [J.apply_monomial(j) for j in range(n + 1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    for i in range(n - 1, -1, -1):
-        rhs = Fraction(0)
-        for j in range(i + 1, n + 1):
-            if coeffs[j]:
-                rhs += images[j].coeff(i) * coeffs[j]
-        coeffs[i] = rhs / (lam[n] - lam[i])
-    return Poly(coeffs)
+    return _eigen_solver(J, n)(n)
 
 
 def eigen_sequence(J: DiffOperator, N: int) -> MonicSequence:
+    """P_0..P_N, the monic eigenpolynomials of J.
+
+    The classification, lambda_0..lambda_N and the monomial images J(x**j)
+    are computed once for the whole sequence (N + 1 images in all) and
+    shared by the N + 1 banded solves; the result equals eigenpoly(J, n)
+    for each n, including the first EigenvalueCollision raised.
+    """
+    solve = _eigen_solver(J, N)
     return MonicSequence(
-        [eigenpoly(J, n) for n in range(N + 1)], provenance=("eigen", J)
+        [solve(n) for n in range(N + 1)], provenance=("eigen", J)
     )
 
 
@@ -421,7 +459,7 @@ def verify_expansions(
     branch ("case1" or "corollary42"); by default it is detected from J.
     """
     seq = generate(rt, N + 5)
-    lam = lambda n: lambda_at(J, 0, n)
+    lam = functools.cache(lambda n: lambda_at(J, 0, n))
     t = _Tables(rt, lam)
     report = VerificationReport()
 

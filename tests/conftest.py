@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import dortho
 from dortho import DiffOperator, Poly
@@ -69,6 +70,40 @@ def rand_operator(rng, order=3, lo=-6, hi=6, max_den=4):
                 Poly([rand_rational(rng, lo, hi, max_den) for _ in range(deg + 1)])
             )
     return DiffOperator(coeffs)
+
+
+# Hypothesis counterparts.  Small numerators and denominators make equal
+# eigenvalues and integer roots of the diagonal sum common, so eigenvalue
+# collisions and degenerate operators are drawn often.
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+def polys(max_deg):
+    return st.integers(-1, max_deg).flatmap(
+        lambda deg: st.lists(small_rationals, min_size=deg + 1, max_size=deg + 1)
+    ).map(Poly)
+
+
+@st.composite
+def operators(draw, max_order=4):
+    """A degree-non-increasing operator: deg a_v <= v, order 0..max_order.
+
+    Half of them have a_0 > 0, a_1^[1] > 0 and every other a_v^[v] >= 0, so
+    the diagonal sum lambda_n is positive and increasing in n: an
+    isomorphism with no eigenvalue collision.
+    """
+    order = draw(st.integers(0, max_order))
+    positive = draw(st.booleans())
+    coeffs = [list(draw(polys(nu)).coeffs) for nu in range(order + 1)]
+    if positive:
+        coeffs[0] = [abs(draw(small_rationals)) + 1]
+        if order >= 1:
+            coeffs[1] = [draw(small_rationals), abs(draw(small_rationals)) + 1]
+        for nu, cs in enumerate(coeffs):
+            if len(cs) == nu + 1:
+                cs[-1] = abs(cs[-1])
+    return DiffOperator([Poly(cs) for cs in coeffs])
 
 
 @pytest.fixture

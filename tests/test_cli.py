@@ -2,6 +2,8 @@
 
 import pytest
 
+from dortho import cli, eigenfam
+
 from conftest import GOLDEN, run_cli
 
 
@@ -174,3 +176,29 @@ class TestProbeBoundEnv:
         )
         assert r.returncode == 0
         assert b'"N": 4' in r.stdout
+
+
+class TestInternalError:
+    VERIFY = ["verify", "--operator", str(GOLDEN / "corollary_operator.json"), "-N", "3"]
+
+    @staticmethod
+    def raising(exc):
+        def derive_recurrence(J, N):
+            raise exc
+
+        return derive_recurrence
+
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            eigenfam, "derive_recurrence", self.raising(RuntimeError("boom"))
+        )
+        assert cli.main(self.VERIFY) == cli.EXIT_INTERNAL == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_propagate(self, monkeypatch, exc):
+        monkeypatch.setattr(eigenfam, "derive_recurrence", self.raising(exc()))
+        with pytest.raises(exc):
+            cli.main(self.VERIFY)

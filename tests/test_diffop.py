@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dortho import (
     DiffOperator,
@@ -15,7 +17,7 @@ from dortho import (
 )
 from dortho.errors import DegreeViolation, InvalidProbe
 
-from conftest import rand_operator, rand_poly
+from conftest import operators, polys, rand_operator, rand_poly
 
 X = Poly.x()
 D = DiffOperator([Poly.zero(), Poly.one()])
@@ -82,6 +84,12 @@ class TestFromAction:
             images = [J.apply_monomial(n) for n in range(J.order + 2)]
             assert from_action(images) == J
 
+    @settings(max_examples=100, deadline=None)
+    @given(operators(max_order=4), st.integers(0, 3))
+    def test_round_trip_property(self, J, extra):
+        K = J.order + extra
+        assert from_action([J.apply_monomial(n) for n in range(K + 1)]) == J
+
     def test_degree_violation(self):
         with pytest.raises(DegreeViolation) as ei:
             from_action([Poly.one(), Poly([0, 0, 1])])
@@ -131,6 +139,11 @@ class TestLeibniz:
             f = rand_poly(rng, 10)
             g = rand_poly(rng, 10)
             assert leibniz_expand(J, f, g) == J.apply(f * g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operators(max_order=4), polys(8), polys(8))
+    def test_equals_direct_application_property(self, J, f, g):
+        assert leibniz_expand(J, f, g) == J.apply(f * g)
 
     def test_symmetric(self, rng):
         for _ in range(50):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dortho import (
     Case1Params,
@@ -16,6 +18,8 @@ from dortho import (
     corollary42_operator,
     derivative_sequence,
     derive_recurrence,
+    eigen_sequence,
+    eigenfam,
     eigenpoly,
     generate,
     lambda_table,
@@ -30,6 +34,9 @@ from dortho.errors import (
     NotTwoOrthogonal,
     ZeroParameter,
 )
+from dortho.diffop import classify, lambda_at
+
+from conftest import operators
 
 CASE1 = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
 CORO_PARAMS = Case2Params(
@@ -63,6 +70,119 @@ class TestEigenpoly:
         with pytest.raises(EigenvalueCollision) as ei:
             eigenpoly(J, 3)
         assert (ei.value.k, ei.value.n) == (0, 3)
+
+
+# Reference oracle: the dense per-degree solve, which classifies J and
+# recomputes every eigenvalue and monomial image for each n and sums each
+# row over all j > i.  Slow, but it shares no state and assumes no band.
+
+
+def reference_eigenpoly(J, n):
+    cls = classify(J, probe_bound=max(J.order + 1, n + 1))
+    if cls.tag != "isomorphism":
+        raise NotIsomorphism(f"operator classified as {cls.tag}")
+    lam = [lambda_at(J, 0, j) for j in range(n + 1)]
+    for k in range(n):
+        if lam[k] == lam[n]:
+            raise EigenvalueCollision(k, n)
+    images = [J.apply_monomial(j) for j in range(n + 1)]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    for i in range(n - 1, -1, -1):
+        rhs = Fraction(0)
+        for j in range(i + 1, n + 1):
+            if coeffs[j]:
+                rhs += images[j].coeff(i) * coeffs[j]
+        coeffs[i] = rhs / (lam[n] - lam[i])
+    return Poly(coeffs)
+
+
+def eigen_outcome(make):
+    """make()'s value, or the exception it raised with its (k, n) or message."""
+    try:
+        return make()
+    except EigenvalueCollision as exc:
+        return (EigenvalueCollision, exc.k, exc.n)
+    except NotIsomorphism as exc:
+        return (NotIsomorphism, str(exc))
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(operators(max_order=4), st.integers(0, 12))
+    def test_eigen_sequence(self, J, N):
+        expected = eigen_outcome(
+            lambda: [reference_eigenpoly(J, n) for n in range(N + 1)]
+        )
+        got = eigen_outcome(lambda: list(eigen_sequence(J, N)))
+        assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(operators(max_order=4), st.integers(0, 12))
+    def test_eigenpoly(self, J, n):
+        assert eigen_outcome(lambda: eigenpoly(J, n)) == eigen_outcome(
+            lambda: reference_eigenpoly(J, n)
+        )
+
+    def test_collision_is_reported_at_the_first_degree(self):
+        # lambda_n = 1 + n(3-n)/2: lambda_0 = lambda_3 and lambda_1 = lambda_2
+        J = DiffOperator([Poly.one(), Poly([0, 1]), Poly([0, 0, -1])])
+        with pytest.raises(EigenvalueCollision) as ei:
+            eigen_sequence(J, 6)
+        assert (ei.value.k, ei.value.n) == (1, 2)
+
+    def test_fourth_order_band(self):
+        # a_4 = x**4 reaches four degrees down; lambda_n = 2 + n + C(n, 4)
+        J = DiffOperator(
+            [Poly([2]), Poly([0, 1]), Poly([1]), Poly([0, 1]), Poly([1, 0, 0, 0, 1])]
+        )
+        seq = eigen_sequence(J, 12)
+        assert list(seq) == [reference_eigenpoly(J, n) for n in range(13)]
+
+
+class TestSharedState:
+    """eigen_sequence and verify_expansions compute nothing twice."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_eigen_sequence_classifies_once(self, monkeypatch):
+        J, N = corollary42_operator(1), 30
+        classified = self.count(monkeypatch, eigenfam, "classify")
+        imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
+        lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
+        eigen_sequence(J, N)
+        assert len(classified) == 1
+        assert [n for _, n in imaged] == list(range(N + 1))
+        assert [n for _, _, n in lambdas] == list(range(N + 1))
+
+    def test_derive_recurrence_builds_each_image_once(self, monkeypatch):
+        imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
+        derive_recurrence(CASE1.operator(), 20)
+        assert [n for _, n in imaged] == list(range(22))
+
+    @pytest.mark.parametrize(
+        "J, rt",
+        [
+            (CASE1.operator(), case1_coeffs(CASE1, 30)),
+            (corollary42_operator(1), corollary42_coeffs(30)),
+        ],
+    )
+    def test_verify_expansions_reads_each_lambda_once(self, monkeypatch, J, rt):
+        lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
+        assert verify_expansions(J, rt, 15).passed
+        indices = [n for _, k, n in lambdas if k == 0]
+        assert len(indices) == len(lambdas) > 0
+        assert len(indices) == len(set(indices))
 
 
 class TestDeriveRecurrence:

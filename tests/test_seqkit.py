@@ -125,6 +125,16 @@ def banded_tables(draw):
 
 
 @st.composite
+def two_orthogonal_tables(draw):
+    """A random d = 2 table (zeros allowed anywhere) and a degree N."""
+    N = draw(st.integers(1, 14))
+    beta = draw(st.lists(small_rationals, min_size=N + 1, max_size=N + 1))
+    alpha = draw(st.lists(small_rationals, min_size=N, max_size=N))
+    gamma = draw(st.lists(small_rationals, min_size=N, max_size=N))
+    return RecurrenceTable.two_orthogonal(beta, alpha, gamma), N
+
+
+@st.composite
 def dense_sequences(draw):
     """Random monic polynomials P_0..P_N, generated by no short recurrence."""
     N = draw(st.integers(0, 10))
@@ -244,6 +254,19 @@ class TestStructureCoeffs:
     def test_explicit_family_gamma1(self, coro_seq):
         sc = structure_coeffs(coro_seq)
         assert sc.gamma(1) == -8
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_orthogonal_tables())
+    def test_recovers_random_table(self, table):
+        rt, N = table
+        sc = structure_coeffs(generate(rt, N))
+        # x*P_m is read for m < N: beta_m, alpha_m and gamma_(m-1)
+        assert list(sc.beta) == [rt.beta(m) for m in range(N)]
+        assert [sc.alpha(m) for m in range(1, N)] == [rt.alpha(m) for m in range(1, N)]
+        assert [sc.gamma(m) for m in range(1, N - 1)] == [
+            rt.gamma(m) for m in range(1, N - 1)
+        ]
+        assert all(c == 0 for row in sc.chi for c in row[:-2])
 
 
 class TestDualMoments:
