@@ -36,13 +36,11 @@ from .seqkit import (
     DualMoments,
     MonicSequence,
     RecurrenceTable,
-    StructureCoeffs,
     check_d_orthogonality,
     derivative_sequence,
     dual_moments,
     expand_in_basis,
     generate,
-    multiply_by_x,
     structure_coeffs,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "ReportEntry",
     "SolvabilityResult",
     "StepTwoCoeffs",
-    "StructureCoeffs",
     "ThirdOrderParams",
     "VerificationReport",
     "binomial",
@@ -90,7 +87,6 @@ __all__ = [
     "lambda_poly",
     "lambda_table",
     "leibniz_expand",
-    "multiply_by_x",
     "rational_from_str",
     "rational_to_str",
     "steptwo_coeffs",

@@ -90,7 +90,7 @@ def _load_operator(path: str) -> DiffOperator:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read operator file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"malformed operator JSON: {exc}")
     try:
         return DiffOperator.from_json(data)
@@ -217,10 +217,11 @@ def cmd_verify(args) -> int:
         J, table_factory, family = _family_setup(args.family, _parse_params(args.params))
         probe_deg = max(N + 1, 3 * M + 2)
         rt = table_factory(max(N + 5, probe_deg))
-        report = eigenfam.verify_expansions(J, rt, N, family=family)
+        full = seqkit.generate(rt, max(N + 5, probe_deg))
+        report = eigenfam.verify_expansions(J, rt, N, family=family, seq=full)
 
         # eigen identity + independent oracle recovery of the tables
-        seq = seqkit.generate(rt, probe_deg)
+        seq = seqkit.MonicSequence(full.polys[: probe_deg + 1], full.x_rows[:probe_deg])
         for n in range(N + 1):
             lam = lambda_at(J, 0, n)
             report.check("eigen-identity", n, J.apply(seq[n]), seq[n].scale(lam))
@@ -269,7 +270,7 @@ def cmd_duals(args) -> int:
         try:
             with open(args.tables) as fh:
                 rt = seqkit.RecurrenceTable.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad tables file: {exc}")
         N, M = _probe_bounds(args, rt.d)
     elif args.family:

@@ -196,18 +196,44 @@ def lambda_table(J: DiffOperator, k: int, N: int) -> EigenvalueTable:
 # -- classification --------------------------------------------------------
 
 
-def nonneg_integer_roots(q: Poly, limit: Optional[int] = None) -> list[int]:
-    """All nonnegative integer roots of q (exact; Cauchy bound + trial)."""
+def nonneg_integer_roots(q: Poly) -> list[int]:
+    """All nonnegative integer roots of q, exactly, up to the Cauchy bound.
+
+    q(n) is monotone where its forward difference q(n+1) - q(n) keeps one
+    sign, so the sign runs of q(n) follow from those of its differences by
+    bisection: O(deg**2 * log(bound)) evaluations, however large the bound."""
     if q.is_zero:
         raise ValueError("zero polynomial vanishes everywhere")
     if q.degree == 0:
         return []
     lead = q.leading_coefficient
-    bound = 1 + max(abs(c / lead) for c in q.coeffs)
-    top = math.floor(bound)
-    if limit is not None:
-        top = min(top, limit)
-    return [n for n in range(top + 1) if q(n) == 0]
+    top = math.floor(1 + max(abs(c / lead) for c in q.coeffs))
+    tower = [q]
+    while tower[-1].degree > 0:
+        shifted = Poly.zero()  # tower[-1](n + 1), by Horner
+        for c in reversed(tower[-1].coeffs):
+            shifted = shifted * Poly([1, 1]) + Poly([c])
+        tower.append(shifted - tower[-1])
+    runs = [(0, top, None)]  # (first n, last n, sign) for the constant
+    for p in reversed(tower[:-1]):
+        def sign(n, p=p):
+            v = p(n)
+            return (v > 0) - (v < 0)
+        merged = []
+        for a, e, _ in runs:
+            b = min(e + 1, top)  # p(n) is monotone for a <= n <= b
+            while a <= b:
+                s, lo, hi = sign(a), a, b
+                while lo < hi:  # the last n in [a, b] where sign(n) == s
+                    mid = (lo + hi + 1) // 2
+                    lo, hi = (mid, hi) if sign(mid) == s else (lo, mid - 1)
+                if merged and merged[-1][2] == s:
+                    merged[-1] = (merged[-1][0], lo, s)
+                else:
+                    merged.append((a, lo, s))
+                a = lo + 1
+        runs = merged
+    return [n for a, e, s in runs if s == 0 for n in range(a, e + 1)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .polycore import Poly, Rational
 from .report import VerificationReport
-from .seqkit import MonicSequence, RecurrenceTable, generate, structure_coeffs
+from .seqkit import MonicSequence, RecurrenceTable, generate
 
 
 # -- parameter bundles -----------------------------------------------------
@@ -238,36 +238,33 @@ def eigen_sequence(J: DiffOperator, N: int) -> MonicSequence:
     for each n, including the first EigenvalueCollision raised.
     """
     solve = _eigen_solver(J, N)
-    return MonicSequence(
-        [solve(n) for n in range(N + 1)], provenance=("eigen", J)
-    )
+    return MonicSequence([solve(n) for n in range(N + 1)])
 
 
 def derive_recurrence(J: DiffOperator, N: int):
     """Recover the d=2 recurrence tables from the eigen-oracle sequence.
 
-    Builds P_0..P_(N+1), extracts structure coefficients, and demands
-    the four-term shape: chi_(n,v) = 0 below the gamma diagonal and
-    every gamma nonzero.  Returns (RecurrenceTable, VerificationReport).
+    Builds P_0..P_(N+1) and reads its rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j.
+    Demands the four-term shape, chi_(k-1,j) = c_(k,j) = 0 for j < k - 2, and
+    every gamma_m = c_(m+1,m-1) nonzero; beta_k = c_(k,k), alpha_m = c_(m,m-1).
+    Returns (RecurrenceTable, VerificationReport).
     """
-    seq = eigen_sequence(J, N + 1)
-    sc = structure_coeffs(seq)
+    rows = eigen_sequence(J, N + 1).x_rows
     report = VerificationReport()
-    for n, row in enumerate(sc.chi):
-        for nu in range(len(row) - 2):
-            if row[nu] != 0:
-                raise NotTwoOrthogonal(
-                    f"chi_({n},{nu}) = {row[nu]} != 0", n=n, nu=nu
-                )
-        report.record("four-term-shape", n, True)
-    gammas = [sc.gamma(m) for m in range(1, N)]
+    for k in range(1, N + 1):
+        for j, c in rows[k]:
+            if j < k - 2:
+                raise NotTwoOrthogonal(f"chi_({k - 1},{j}) = {c} != 0", n=k - 1, nu=j)
+        report.record("four-term-shape", k - 1, True)
+    coef = [dict(row) for row in rows]
+    gammas = [coef[m + 1].get(m - 1, 0) for m in range(1, N)]
     for m, g in enumerate(gammas, start=1):
         if g == 0:
             raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
     report.record("gamma-nonvanishing", (1, N - 1), True)
     rt = RecurrenceTable.two_orthogonal(
-        beta=sc.beta,
-        alpha=[sc.alpha(m) for m in range(1, N + 1)],
+        beta=[coef[k].get(k, 0) for k in range(N + 1)],
+        alpha=[coef[m].get(m - 1, 0) for m in range(1, N + 1)],
         gamma=gammas,
     )
     return rt, report
@@ -446,7 +443,8 @@ def _combine(seq: MonicSequence, terms) -> Poly:
 
 
 def verify_expansions(
-    J: DiffOperator, rt: RecurrenceTable, N: int, family: Optional[str] = None
+    J: DiffOperator, rt: RecurrenceTable, N: int, family: Optional[str] = None,
+    seq: Optional[MonicSequence] = None,
 ) -> VerificationReport:
     """Verify the shifted-operator basis expansions against direct action.
 
@@ -457,8 +455,11 @@ def verify_expansions(
     images), and the family-specific differential relations when the
     operator matches a known family.  family may force the extra-checks
     branch ("case1" or "corollary42"); by default it is detected from J.
+    seq is generate(rt, N + 5) unless the caller passes the table's
+    sequence to a degree of at least N + 5.
     """
-    seq = generate(rt, N + 5)
+    if seq is None:
+        seq = generate(rt, N + 5)
     lam = functools.cache(lambda n: lambda_at(J, 0, n))
     t = _Tables(rt, lam)
     report = VerificationReport()

@@ -1,13 +1,13 @@
 """Monic polynomial sequences from higher-order recurrences.
 
 Covers sequence generation, expansion of arbitrary polynomials in the
-monic basis, structure-coefficient extraction, canonical dual-functional
+monic basis, the x-multiplication rows, canonical dual-functional
 moments, and the finite d-orthogonality probe.
 
-Moments and pairings come from the sequence's own x-multiplication rows,
-x*P_k = P_(k+1) + sum_j c_(k,j) P_j, read once per sequence by
-structure_coeffs and kept sparse.  The dual moments follow by applying
-the rows to the basis expansion of x**n.  The pairings
+Moments and pairings come from the sequence's sparse x-multiplication rows
+x*P_k = P_(k+1) + sum_j c_(k,j) P_j: RecurrenceTable.x_row's for a generated
+sequence, else read once by structure_coeffs.  The dual moments follow
+by applying the rows to the basis expansion of x**n.  The pairings
 sigma_nu(m, n) = <u_nu, P_m P_n> follow from the mixed-moment recurrence
 (Gautschi's modified Chebyshev algorithm)
 
@@ -23,12 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
     DegreeTooLarge,
-    IndexOutOfRange,
     InsufficientDegree,
     MissingCoefficient,
 )
@@ -76,6 +74,16 @@ class RecurrenceTable:
             raise MissingCoefficient(f"gamma^{s}_{m} not tabulated")
         return lv[m - 1]
 
+    def x_row(self, k: int) -> tuple:
+        """Nonzero (j, c) of x*P_k = P_(k+1) + sum_j c P_j by ascending j: beta_k
+        at j = k, gamma^(j+d-k)_(j+1) for max(k-d, 0) <= j < k.  Read beta_k
+        first, then by descending j, as the recursion needs them, so the first
+        MissingCoefficient names the entry the recursion stops at."""
+        entries = [(k, self.beta(k))]
+        for j in range(k - 1, max(k - self.d, 0) - 1, -1):
+            entries.append((j, self.level(j + self.d - k, j + 1)))
+        return tuple((j, c) for j, c in reversed(entries) if c)
+
     def alpha(self, n: int) -> Fraction:
         if self.d != 2:
             raise ValueError("alpha accessor is d=2 only")
@@ -119,30 +127,43 @@ class RecurrenceTable:
 
     @staticmethod
     def from_json(data: dict) -> "RecurrenceTable":
-        d = int(data["d"])
+        """Parse a table: an int d (not a bool) and arrays of rationals."""
+        if not isinstance(data, dict):
+            raise ValueError("tables JSON must be an object")
+        d = data.get("d")
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise ValueError(f"d must be an integer, got {d!r}")
         if d == 2:
             return RecurrenceTable.two_orthogonal(
-                [Fraction(str(b)) for b in data["beta"]],
-                [Fraction(str(a)) for a in data["alpha"]],
-                [Fraction(str(g)) for g in data["gamma"]],
+                *(_rationals(data.get(key), key) for key in ("beta", "alpha", "gamma"))
             )
+        levels = data.get("levels")
+        if not isinstance(levels, list):
+            raise ValueError("levels must be an array")
         return RecurrenceTable(
             d,
-            [Fraction(str(b)) for b in data["beta"]],
-            [[Fraction(str(g)) for g in lv] for lv in data["levels"]],
+            _rationals(data.get("beta"), "beta"),
+            [_rationals(lv, f"levels[{s}]") for s, lv in enumerate(levels)],
         )
+
+
+def _rationals(values, name: str) -> list:
+    """A JSON array of rationals as Fractions."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be an array")
+    return [Fraction(str(v)) for v in values]
 
 
 class MonicSequence:
     """P_0..P_N, each monic of exact degree equal to its index."""
 
-    def __init__(self, polys: Sequence[Poly], provenance: object = None):
+    def __init__(self, polys: Sequence[Poly], x_rows: Optional[Sequence] = None):
         ps = tuple(polys)
         for n, p in enumerate(ps):
             if p.degree != n or not p.is_monic:
                 raise ValueError(f"entry {n} is not monic of degree {n}")
         self.polys = ps
-        self.provenance = provenance
+        self._x_rows = None if x_rows is None else tuple(x_rows)
 
     @property
     def N(self) -> int:
@@ -162,20 +183,14 @@ class MonicSequence:
     def to_json(self) -> list:
         return [p.to_json() for p in self.polys]
 
-    @cached_property
+    @property
     def x_rows(self) -> tuple:
         """Row k (k < N) lists the nonzero (j, c_(k,j)) with
-        x*P_k = P_(k+1) + sum_j c_(k,j) P_j, read from structure_coeffs."""
-        if self.N < 1:
-            return ()
-        sc = structure_coeffs(self)
-        rows = []
-        for k, b in enumerate(sc.beta):
-            lower = sc.chi[k - 1] if k else ()
-            rows.append(
-                tuple((j, c) for j, c in enumerate((*lower, b)) if c)
-            )
-        return tuple(rows)
+        x*P_k = P_(k+1) + sum_j c_(k,j) P_j, by ascending j: the x_rows given
+        to the constructor, or else structure_coeffs(self)."""
+        if self._x_rows is None:
+            self._x_rows = structure_coeffs(self)
+        return self._x_rows
 
 
 @dataclass(frozen=True)
@@ -195,26 +210,6 @@ class BasisExpansion:
             if c:
                 out = out + seq[i].scale(c)
         return out
-
-
-@dataclass(frozen=True)
-class StructureCoeffs:
-    """beta_n and the triangular chi table from expanding x*P_(n+1)."""
-
-    beta: tuple
-    chi: tuple  # chi[n] = (chi_(n,0), ..., chi_(n,n))
-
-    def alpha(self, n: int) -> Fraction:
-        """chi_(n-1, n-1), the three-back coefficient alpha_n (n >= 1)."""
-        if n <= 0:
-            return Fraction(0)
-        return self.chi[n - 1][n - 1]
-
-    def gamma(self, n: int) -> Fraction:
-        """chi_(n, n-1), the four-back coefficient gamma_n (n >= 1)."""
-        if n <= 0:
-            return Fraction(0)
-        return self.chi[n][n - 1]
 
 
 class DualMoments:
@@ -238,20 +233,19 @@ class DualMoments:
         return [[rational_to_str(v) for v in row] for row in self._m]
 
 
-def generate(rt: RecurrenceTable, N: int, provenance: object = None) -> MonicSequence:
-    """Run the (d+1)-term recurrence up to degree N."""
+def generate(rt: RecurrenceTable, N: int) -> MonicSequence:
+    """Run the (d+1)-term recurrence P_(k+1) = x*P_k - sum_j c P_j over the
+    table's x-rows up to degree N; the sequence carries those rows."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    x = Poly.x()
     polys = [Poly.one()]
-    for n in range(1, N + 1):
-        p = (x - Poly.constant(rt.beta(n - 1))) * polys[n - 1]
-        for nu in range(min(rt.d - 1, n - 2) + 1):
-            g = rt.level(rt.d - 1 - nu, n - 1 - nu)
-            if g:
-                p = p - polys[n - 2 - nu].scale(g)
+    rows = [rt.x_row(k) for k in range(N)]
+    for k, row in enumerate(rows):
+        p = Poly((0, *polys[k].coeffs))  # x * P_k
+        for j, c in row:
+            p = p - polys[j].scale(c)
         polys.append(p)
-    return MonicSequence(polys, provenance=provenance if provenance is not None else rt)
+    return MonicSequence(polys, x_rows=rows)
 
 
 def expand_in_basis(p: Poly, seq: MonicSequence) -> BasisExpansion:
@@ -271,36 +265,14 @@ def expand_in_basis(p: Poly, seq: MonicSequence) -> BasisExpansion:
     return BasisExpansion(tuple(coeffs))
 
 
-def multiply_by_x(seq: MonicSequence, rt: RecurrenceTable, n: int) -> BasisExpansion:
-    """Expansion of x*P_n from the d=2 table entries."""
-    if rt.d != 2:
-        raise ValueError("multiply_by_x is d=2 only")
-    if n < 0 or n + 1 > seq.N:
-        raise IndexOutOfRange(f"need P_{n + 1} in the sequence")
-    coeffs = [Fraction(0)] * (n + 2)
-    coeffs[n + 1] = Fraction(1)
-    coeffs[n] += rt.beta(n)
-    if n - 1 >= 0:
-        coeffs[n - 1] += rt.alpha(n)
-    if n - 2 >= 0:
-        coeffs[n - 2] += rt.gamma(n - 1)
-    return BasisExpansion(tuple(coeffs))
-
-
-def structure_coeffs(seq: MonicSequence) -> StructureCoeffs:
-    """Extract beta_n and chi_(n,v) by expanding x*P_(n+1) in the basis."""
-    if seq.N < 1:
-        raise ValueError("need at least P_0 and P_1")
-    x = Poly.x()
-    beta = []
-    chi = []
-    for m in range(seq.N):
-        exp = expand_in_basis(x * seq[m], seq)
-        assert exp.coeff(m + 1) == 1
-        beta.append(exp.coeff(m))
-        if m >= 1:
-            chi.append(tuple(exp.coeff(nu) for nu in range(m)))
-    return StructureCoeffs(beta=tuple(beta), chi=tuple(chi))
+def structure_coeffs(seq: MonicSequence) -> tuple:
+    """The x-multiplication rows of seq (see MonicSequence.x_rows), read by
+    expanding each x*P_k, k < N, in the basis."""
+    rows = []
+    for k in range(seq.N):
+        exp = expand_in_basis(Poly((0, *seq[k].coeffs)), seq)  # x * P_k
+        rows.append(tuple((j, c) for j in range(k + 1) if (c := exp.coeff(j))))
+    return tuple(rows)
 
 
 def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
@@ -396,4 +368,4 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
     polys = [
         seq[n + 1].derivative().scale(Fraction(1, n + 1)) for n in range(seq.N)
     ]
-    return MonicSequence(polys, provenance=("derivative", seq.provenance))
+    return MonicSequence(polys)

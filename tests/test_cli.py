@@ -1,6 +1,14 @@
 """Golden-file and exit-code tests for the command-line driver."""
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dortho import cli, eigenfam
 
@@ -158,6 +166,31 @@ class TestBadRanges:
         assert r.returncode == 2, r.stderr.decode()
         assert r.stderr.startswith(b"input error: bad tables file: ")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"d": 2, "beta": ["1/0"], "alpha": [1], "gamma": [1]}',
+                b"Fraction(1, 0)",
+            ),
+            (
+                '{"d": 2.5, "beta": [0, 0, 0, 0], "alpha": [1, 1, 1], "gamma": [1, 1, 1]}',
+                b"d must be an integer, got 2.5",
+            ),
+            ('{"d": true, "beta": [0, 0, 0, 0], "levels": [[1, 1, 1]]}', b"d must be an integer, got True"),
+            ('{"d": 2, "beta": "0000", "alpha": [1, 1, 1], "gamma": [1, 1, 1]}', b"beta must be an array"),
+            ('{"d": 3, "beta": [0], "levels": {"0": [1]}}', b"levels must be an array"),
+            ('{"d": 3, "beta": [0], "levels": [[1], "1", [1]]}', b"levels[1] must be an array"),
+        ],
+    )
+    def test_malformed_tables_file_is_input_error(self, tmp_path, text, message):
+        tables = tmp_path / "tables.json"
+        tables.write_text(text)
+        r = run_cli("duals", "--tables", str(tables), "-N", "2", "-M", "1")
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr == b"input error: bad tables file: " + message + b"\n"
+        assert r.stdout == b""
+
 
 class TestOutFlag:
     def test_out_writes_file(self, tmp_path):
@@ -202,3 +235,118 @@ class TestInternalError:
         monkeypatch.setattr(eigenfam, "derive_recurrence", self.raising(exc()))
         with pytest.raises(exc):
             cli.main(self.VERIFY)
+
+
+# JSON-shaped file contents: every JSON type, rational strings with a zero
+# denominator, ints past Python's 4300-digit parse limit, and floats that
+# json writes as Infinity/NaN.  Sizes stay small so each run is quick.
+# json cannot write an int that long, so the file holds BIG_INT's text in
+# place of BIG_INT.
+BIG_INT = "<10**4400>"
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.sampled_from([10**80, -(10**300)]),
+    st.just(BIG_INT),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/0", "0/0", "1/2", "-3", "2.5", "1e3", "x", "", "0000", "[1]"]),
+    st.text(max_size=3),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=2), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def rational_lists(draw, min_size=4):
+    """Small ints, long enough for the probe below; now and then one entry
+    is any JSON leaf."""
+    values = draw(st.lists(small_ints, min_size=min_size, max_size=6))
+    if values and draw(st.integers(0, 5)) == 5:
+        values[draw(st.integers(0, len(values) - 1))] = draw(json_leaves)
+    return values
+
+
+def spoiled(well_shaped):
+    """A well-shaped object, as it is or with one key dropped or replaced
+    by any JSON value, or any JSON value in its place."""
+
+    @st.composite
+    def draw_one(draw):
+        obj = draw(well_shaped)
+        how = draw(st.sampled_from(["as is", "replace", "drop", "any"]))
+        if how == "any":
+            return draw(json_values)
+        if how != "as is":
+            key = draw(st.sampled_from(sorted(obj)))
+            if how == "drop":
+                del obj[key]
+            else:
+                obj[key] = draw(json_values)
+        return obj
+
+    return draw_one()
+
+
+tables_files = spoiled(
+    st.sampled_from([1, 2, 3]).flatmap(
+        lambda d: st.fixed_dictionaries(
+            {
+                "d": st.just(d),
+                "beta": rational_lists(),
+                "alpha": rational_lists(),
+                "gamma": rational_lists(),
+                "levels": st.lists(rational_lists(), min_size=d, max_size=d),
+            }
+        )
+    )
+)
+# a_v cut to at most v + 1 coefficients is degree-non-increasing
+operator_files = spoiled(
+    st.integers(0, 4).flatmap(
+        lambda order: st.tuples(
+            *[
+                rational_lists(min_size=0).map(lambda cs, v=v: cs[: v + 1])
+                for v in range(order + 1)
+            ]
+        )
+    ).map(lambda coeffs: {"a": list(coeffs)})
+)
+operator_argvs = st.sampled_from(
+    [("eigen", "-n", "2"), ("classify",), ("verify", "-N", "2")]
+)
+
+
+def run_in_process(argv, data):
+    """cli.main(argv) with {file} in argv bound to a file holding data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(data).replace(json.dumps(BIG_INT), "1" + "0" * 4400))
+        argv = [path if a == "{file}" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestFileInputFuzz:
+    """Any JSON in a tables or operator file ends in exit 0, 1 or 2."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tables_files)
+    def test_tables_file(self, data):
+        code, err = run_in_process(["duals", "--tables", "{file}", "-N", "2", "-M", "1"], data)
+        assert code in (0, 1, 2), err
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(operator_files, operator_argvs)
+    def test_operator_file(self, data, argv):
+        code, err = run_in_process([argv[0], "--operator", "{file}", *argv[1:]], data)
+        assert code in (0, 1, 2), err

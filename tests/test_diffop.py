@@ -15,6 +15,7 @@ from dortho import (
     lambda_table,
     leibniz_expand,
 )
+from dortho.diffop import nonneg_integer_roots
 from dortho.errors import DegreeViolation, InvalidProbe
 
 from conftest import operators, polys, rand_operator, rand_poly
@@ -234,6 +235,38 @@ class TestClassify:
                 # degree preserved on a finite probe can still degenerate later;
                 # the closed-form certificate must then name a larger witness
                 assert not c.certified_all_n or c.witness is not None
+
+
+class TestNonnegIntegerRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-4, 12), max_size=3),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=3),
+        st.fractions(min_value=1, max_value=4, max_denominator=3),
+    )
+    def test_matches_trial_below_the_cauchy_bound(self, roots, extra, scale):
+        # q = scale * prod (x - r) * (extra factor), so roots repeat and mix
+        q = Poly([scale])
+        for r in roots:
+            q = q * Poly([-r, 1])
+        q = q * Poly([*extra, 1])
+        if q.degree == 0:
+            assert nonneg_integer_roots(q) == []
+            return
+        lead = q.leading_coefficient
+        top = int(1 + max(abs(c / lead) for c in q.coeffs))
+        assert nonneg_integer_roots(q) == [n for n in range(top + 1) if q(n) == 0]
+
+    def test_huge_cauchy_bound(self):
+        # roots near 10**40 and a tiny leading coefficient: trial up to the
+        # bound would never end
+        a = 10**40
+        assert nonneg_integer_roots(Poly([-a * (a + 7), 2 * a + 7, -1])) == [a, a + 7]
+        assert nonneg_integer_roots(Poly([3, -1, Fraction(1, 10**99)])) == []
+
+    def test_operator_with_huge_coefficients_classifies(self):
+        J = DiffOperator([Poly([10**80]), Poly([0, -3]), Poly([-2, -2, -2])])
+        assert classify(J, 3).tag == "isomorphism"
 
 
 class TestJson:

@@ -422,6 +422,7 @@ class TestHahn:
         seq = generate(corollary42_coeffs(40), 26)
         dseq = derivative_sequence(seq)
         assert check_d_orthogonality(dseq, 2, 6).passed
-        sc = structure_coeffs(dseq)
+        rows = structure_coeffs(dseq)
         for n in range(1, 20):
-            assert sc.gamma(n) != 0
+            # gamma_n is the coefficient of P_(n-1) in x*P_(n+1)
+            assert dict(rows[n + 1]).get(n - 1, 0) != 0

@@ -14,13 +14,11 @@ from dortho import (
     dual_moments,
     expand_in_basis,
     generate,
-    multiply_by_x,
     seqkit,
     structure_coeffs,
 )
 from dortho.errors import (
     DegreeTooLarge,
-    IndexOutOfRange,
     InsufficientDegree,
     MissingCoefficient,
 )
@@ -65,6 +63,23 @@ def reference_d_orthogonality(seq, d, M):
                         witness=None if val == 0 else {"value": rational_to_str(val)},
                     )
     return report
+
+
+def reference_generate(rt, N):
+    """P_0..P_N by the recursion with its own index arithmetic:
+    P_n = (x - beta_(n-1)) P_(n-1) - sum_nu gamma^(d-1-nu)_(n-1-nu) P_(n-2-nu)."""
+    polys = [Poly.one()]
+    for n in range(1, N + 1):
+        p = (Poly.x() - Poly.constant(rt.beta(n - 1))) * polys[n - 1]
+        for nu in range(min(rt.d - 1, n - 2) + 1):
+            p = p - polys[n - 2 - nu].scale(rt.level(rt.d - 1 - nu, n - 1 - nu))
+        polys.append(p)
+    return polys
+
+
+def coeff(rows, k, j):
+    """c_(k,j) of x*P_k = P_(k+1) + sum_j c_(k,j) P_j, from sparse rows."""
+    return dict(rows[k]).get(j, 0)
 
 
 def reference_dual_moments(seq, d):
@@ -183,29 +198,53 @@ class TestGenerate:
         assert coro_seq[-2].is_zero
 
 
-class TestMultiplyByX:
-    def test_n0_lower_terms_vanish(self, coro_seq, coro_rt):
-        exp = multiply_by_x(coro_seq, coro_rt, 0)
-        assert exp.coefficients == (coro_rt.beta(0), Fraction(1))
+def reconstruct_x_times(seq, row, k):
+    """P_(k+1) + sum_j c P_j over one x-row."""
+    out = seq[k + 1]
+    for j, c in row:
+        out = out + seq[j].scale(c)
+    return out
 
-    def test_explicit_family_n2(self, coro_seq, coro_rt):
-        exp = multiply_by_x(coro_seq, coro_rt, 2)
-        assert exp.coefficients == (Fraction(-8), Fraction(24), Fraction(-24), Fraction(1))
+
+class TestXRow:
+    def test_k0_lower_terms_vanish(self, coro_rt):
+        # corollary 4.2 has beta_0 = 0, so x*P_0 = P_1 exactly
+        assert coro_rt.x_row(0) == ()
+        rt = RecurrenceTable.two_orthogonal([5, 1], [2], [3])
+        assert rt.x_row(0) == ((0, Fraction(5)),)
+
+    def test_explicit_family_k2(self, coro_rt):
+        assert coro_rt.x_row(2) == ((0, Fraction(-8)), (1, Fraction(24)), (2, Fraction(-24)))
 
     def test_reconstruction(self, coro_seq, coro_rt):
-        for n in range(12):
-            exp = multiply_by_x(coro_seq, coro_rt, n)
-            assert exp.reconstruct(coro_seq) == Poly.x() * coro_seq[n]
-
-    def test_out_of_range(self, coro_seq, coro_rt):
-        with pytest.raises(IndexOutOfRange):
-            multiply_by_x(coro_seq, coro_rt, coro_seq.N)
+        for k in range(12):
+            assert reconstruct_x_times(coro_seq, coro_rt.x_row(k), k) == Poly.x() * coro_seq[k]
 
     def test_matches_expand(self, coro_seq, coro_rt):
-        for n in range(10):
-            exp = multiply_by_x(coro_seq, coro_rt, n)
-            direct = expand_in_basis(Poly.x() * coro_seq[n], coro_seq)
-            assert exp.coefficients == direct.coefficients
+        for k in range(10):
+            direct = expand_in_basis(Poly.x() * coro_seq[k], coro_seq)
+            assert coro_rt.x_row(k) == tuple(
+                (j, c) for j, c in enumerate(direct.coefficients[: k + 1]) if c
+            )
+
+    def test_d3_positions(self):
+        rt = RecurrenceTable(3, [1, 2, 3, 4, 5], [[6, 7, 8, 9], [10, 11, 12, 13], [14, 15, 16, 17]])
+        # x*P_4 = P_5 + beta_4 P_4 + gamma^2_4 P_3 + gamma^1_3 P_2 + gamma^0_2 P_1
+        assert rt.x_row(4) == tuple(
+            (j, Fraction(c)) for j, c in ((1, 7), (2, 12), (3, 17), (4, 5))
+        )
+        assert rt.x_row(1) == ((0, Fraction(14)), (1, Fraction(2)))
+        seq = generate(rt, 5)
+        for k in range(5):
+            assert reconstruct_x_times(seq, rt.x_row(k), k) == Poly.x() * seq[k]
+
+    def test_missing_coefficient_where_the_recursion_stops(self):
+        # beta_2 and alpha_2 are both absent; generate reads beta_2 first
+        rt = RecurrenceTable.two_orthogonal([0, 0], [1], [1])
+        with pytest.raises(MissingCoefficient, match="^beta_2 not tabulated$"):
+            rt.x_row(2)
+        with pytest.raises(MissingCoefficient, match="^beta_2 not tabulated$"):
+            generate(rt, 3)
 
 
 class TestExpandInBasis:
@@ -233,40 +272,47 @@ class TestExpandInBasis:
 
 class TestStructureCoeffs:
     def test_round_trip(self, coro_seq, coro_rt):
-        sc = structure_coeffs(coro_seq)
+        rows = structure_coeffs(coro_seq)
         for n in range(10):
-            assert sc.beta[n] == coro_rt.beta(n)
+            assert coeff(rows, n, n) == coro_rt.beta(n)
         for n in range(1, 10):
-            assert sc.alpha(n) == coro_rt.alpha(n)
-            assert sc.gamma(n) == coro_rt.gamma(n)
+            assert coeff(rows, n, n - 1) == coro_rt.alpha(n)
+            assert coeff(rows, n + 1, n - 1) == coro_rt.gamma(n)
 
     def test_below_diagonal_vanishes(self, coro_seq):
-        sc = structure_coeffs(coro_seq)
-        for n, row in enumerate(sc.chi):
-            for nu in range(len(row) - 2):
-                assert row[nu] == 0
+        for k, row in enumerate(structure_coeffs(coro_seq)):
+            assert all(j >= k - 2 for j, _ in row)
 
     def test_monomials_all_zero(self):
-        sc = structure_coeffs(generate(zero_tables(8), 8))
-        assert all(b == 0 for b in sc.beta)
-        assert all(all(c == 0 for c in row) for row in sc.chi)
+        assert structure_coeffs(generate(zero_tables(8), 8)) == ((),) * 8
 
     def test_explicit_family_gamma1(self, coro_seq):
-        sc = structure_coeffs(coro_seq)
-        assert sc.gamma(1) == -8
+        assert coeff(structure_coeffs(coro_seq), 2, 0) == -8
 
     @settings(max_examples=100, deadline=None)
     @given(two_orthogonal_tables())
     def test_recovers_random_table(self, table):
         rt, N = table
-        sc = structure_coeffs(generate(rt, N))
+        rows = structure_coeffs(generate(rt, N))
         # x*P_m is read for m < N: beta_m, alpha_m and gamma_(m-1)
-        assert list(sc.beta) == [rt.beta(m) for m in range(N)]
-        assert [sc.alpha(m) for m in range(1, N)] == [rt.alpha(m) for m in range(1, N)]
-        assert [sc.gamma(m) for m in range(1, N - 1)] == [
+        assert [coeff(rows, m, m) for m in range(N)] == [rt.beta(m) for m in range(N)]
+        assert [coeff(rows, m, m - 1) for m in range(1, N)] == [
+            rt.alpha(m) for m in range(1, N)
+        ]
+        assert [coeff(rows, m + 1, m - 1) for m in range(1, N - 1)] == [
             rt.gamma(m) for m in range(1, N - 1)
         ]
-        assert all(c == 0 for row in sc.chi for c in row[:-2])
+        assert all(j >= k - 2 for k, row in enumerate(rows) for j, _ in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(banded_tables())
+    def test_carried_rows_match_expansion_and_table(self, table):
+        rt, N = table
+        seq = generate(rt, N)
+        assert seq.polys == tuple(reference_generate(rt, N))
+        expected = tuple(rt.x_row(k) for k in range(N))
+        assert seq.x_rows == expected
+        assert structure_coeffs(MonicSequence(reference_generate(rt, N))) == expected
 
 
 class TestDualMoments:
@@ -396,16 +442,22 @@ class TestEdgeCases:
         monkeypatch.setattr(
             seqkit, "structure_coeffs", lambda s: calls.append(s) or original(s)
         )
+        # a generated sequence carries its table's rows: no expansion
         seq = generate(coro_rt, 12)
         dual_moments(seq, 2)
         check_d_orthogonality(seq, 2, 3)
-        assert calls == [seq]
+        assert calls == []
+        # a derivative sequence reads its rows once
+        dseq = derivative_sequence(seq)
+        dual_moments(dseq, 2)
+        check_d_orthogonality(dseq, 2, 3)
+        assert calls == [dseq]
 
-    def test_x_rows_are_sparse(self, coro_seq, coro_rt):
+    def test_x_rows_are_sparse(self, coro_seq):
         # a 2-orthogonal sequence keeps at most beta, alpha and gamma
         assert all(len(row) <= 3 for row in coro_seq.x_rows)
         for n in range(10):
-            exp = multiply_by_x(coro_seq, coro_rt, n)
+            exp = expand_in_basis(Poly.x() * coro_seq[n], coro_seq)
             assert dict(coro_seq.x_rows[n]) == {
                 j: c for j, c in enumerate(exp.coefficients[: n + 1]) if c
             }
