@@ -29,7 +29,7 @@ from .eigenfam import (
     steptwo_coeffs,
     verify_expansions,
 )
-from .polycore import Poly, Rational, binomial, rational_from_str, rational_to_str
+from .polycore import Poly, binomial, rational_from_json, rational_to_str
 from .report import ReportEntry, VerificationReport
 from .seqkit import (
     BasisExpansion,
@@ -60,7 +60,6 @@ __all__ = [
     "MonicSequence",
     "OperatorClass",
     "Poly",
-    "Rational",
     "RecurrenceTable",
     "ReportEntry",
     "SolvabilityResult",
@@ -87,7 +86,7 @@ __all__ = [
     "lambda_poly",
     "lambda_table",
     "leibniz_expand",
-    "rational_from_str",
+    "rational_from_json",
     "rational_to_str",
     "steptwo_coeffs",
     "structure_coeffs",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import DegreeViolation, InvalidProbe
-from .polycore import Poly, Rational, binomial
+from .polycore import Poly, binomial, rational_to_str
 
 
 class DiffOperator:
@@ -293,7 +293,7 @@ def classify(J: DiffOperator, probe_bound: int) -> OperatorClass:
         witness = roots0[0] if roots0 else 0
         return OperatorClass(
             tag="degenerate",
-            witness=f"diagonal sum vanishes at n={witness}",
+            witness=f"diagonal sum vanishes at n={rational_to_str(witness)}",
             certified_all_n=True,
         )
     for nu in range(k, J.order + 1):
@@ -311,6 +311,6 @@ def classify(J: DiffOperator, probe_bound: int) -> OperatorClass:
     return OperatorClass(
         tag="degenerate",
         k=k,
-        witness=f"shifted diagonal sum vanishes at n={witness}",
+        witness=f"shifted diagonal sum vanishes at n={rational_to_str(witness)}",
         certified_all_n=True,
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import diffop
 from .diffop import DiffOperator, EigenvalueTable, classify, lambda_at
 from .errors import (
     DiscriminantNonzero,
@@ -25,7 +24,7 @@ from .errors import (
     NotTwoOrthogonal,
     ZeroParameter,
 )
-from .polycore import Poly, Rational
+from .polycore import Poly, rational_to_str
 from .report import VerificationReport
 from .seqkit import MonicSequence, RecurrenceTable, generate
 
@@ -129,7 +128,7 @@ class Case2Params:
         if self.a13 * self.a13 - 4 * self.a23 * self.a03 != 0:
             raise DiscriminantNonzero(
                 f"(a_1^[3])^2 - 4 a_2^[3] a_0^[3] = "
-                f"{self.a13 * self.a13 - 4 * self.a23 * self.a03}"
+                f"{rational_to_str(self.a13 * self.a13 - 4 * self.a23 * self.a03)}"
             )
 
     def operator(self) -> DiffOperator:
@@ -254,7 +253,9 @@ def derive_recurrence(J: DiffOperator, N: int):
     for k in range(1, N + 1):
         for j, c in rows[k]:
             if j < k - 2:
-                raise NotTwoOrthogonal(f"chi_({k - 1},{j}) = {c} != 0", n=k - 1, nu=j)
+                raise NotTwoOrthogonal(
+                    f"chi_({k - 1},{j}) = {rational_to_str(c)} != 0", n=k - 1, nu=j
+                )
         report.record("four-term-shape", k - 1, True)
     coef = [dict(row) for row in rows]
     gammas = [coef[m + 1].get(m - 1, 0) for m in range(1, N)]
@@ -431,20 +432,24 @@ def steptwo_coeffs(lambdas: EigenvalueTable, rt: RecurrenceTable, n: int) -> Ste
 # -- expansion verification ------------------------------------------------
 
 
-def _combine(seq: MonicSequence, terms) -> Poly:
-    """Sum coeff(index)*P_index over basis indices >= 0."""
-    out = Poly.zero()
-    for idx, coeff_fn in terms:
-        if idx >= 0:
-            c = coeff_fn()
-            if c:
-                out = out + seq[idx].scale(c)
-    return out
+def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identities):
+    """Check displayed expansions L(P_(n+s)) = sum_j c_j P_j exactly.
+
+    identities lists (name, L, s, band), where band(n) gives the (j, c_j)
+    of the right-hand side; terms with j < 0 (P_(-i) = 0) or c_j = 0 are
+    left out.  Records one entry per n in ns and identity, n outermost.
+    """
+    for n in ns:
+        for name, L, s, band in identities:
+            rhs = Poly.zero()
+            for j, c in band(n):
+                if j >= 0 and c:
+                    rhs = rhs + seq[j].scale(c)
+            report.check(name, n, L.apply(seq[n + s]), rhs)
 
 
 def verify_expansions(
-    J: DiffOperator, rt: RecurrenceTable, N: int, family: Optional[str] = None,
-    seq: Optional[MonicSequence] = None,
+    J: DiffOperator, rt: RecurrenceTable, N: int, seq: Optional[MonicSequence] = None
 ) -> VerificationReport:
     """Verify the shifted-operator basis expansions against direct action.
 
@@ -452,148 +457,134 @@ def verify_expansions(
     three-term expansion of the once-shifted operator, the seven-term
     expansion of the twice-shifted operator, the ten-term expansion of
     the thrice-shifted operator (plus its two displayed initial
-    images), and the family-specific differential relations when the
-    operator matches a known family.  family may force the extra-checks
-    branch ("case1" or "corollary42"); by default it is detected from J.
-    seq is generate(rt, N + 5) unless the caller passes the table's
-    sequence to a degree of at least N + 5.
+    images), and the differential relations of the family J belongs to,
+    if any.  seq is generate(rt, N + 5) unless the caller passes the
+    table's sequence to a degree of at least N + 5.
     """
     if seq is None:
         seq = generate(rt, N + 5)
     lam = functools.cache(lambda n: lambda_at(J, 0, n))
     t = _Tables(rt, lam)
+
+    def shift1(n):
+        return [
+            (n + 1, lam(n + 1) - lam(n)),
+            (n - 1, t.alpha(n) * (lam(n - 1) - lam(n))),
+            (n - 2, t.gamma(n - 1) * (lam(n - 2) - lam(n))),
+        ]
+
+    def shift2(n):
+        return [
+            (n + 2, t.A(n + 2)),
+            (n + 1, t.B(n + 1)),
+            (n, t.C(n)),
+            (n - 1, t.D(n - 1)),
+            (n - 2, t.F(n - 2)),
+            (n - 3, t.G(n - 3)),
+            (n - 4, t.H(n - 4)),
+        ]
+
+    def shift3(n):  # applied to P_(n+2)
+        return [
+            (n + 5, J.acoef(3, 3)),
+            (
+                n + 4,
+                t.A(n + 4) * t.beta(n + 2)
+                - t.A(n + 4) * t.beta(n + 4)
+                - t.B(n + 3)
+                + t.B(n + 4),
+            ),
+            (
+                n + 3,
+                t.A(n + 3) * t.alpha(n + 2)
+                - t.A(n + 4) * t.alpha(n + 4)
+                + t.B(n + 3) * t.beta(n + 2)
+                - t.B(n + 3) * t.beta(n + 3)
+                - t.C(n + 2)
+                + t.C(n + 3),
+            ),
+            (
+                n + 2,
+                t.A(n + 2) * t.gamma(n + 1)
+                - t.A(n + 4) * t.gamma(n + 3)
+                + t.B(n + 2) * t.alpha(n + 2)
+                - t.B(n + 3) * t.alpha(n + 3)
+                - t.D(n + 1)
+                + t.D(n + 2),
+            ),
+            (
+                n + 1,
+                t.B(n + 1) * t.gamma(n + 1)
+                - t.B(n + 3) * t.gamma(n + 2)
+                + t.C(n + 1) * t.alpha(n + 2)
+                - t.C(n + 2) * t.alpha(n + 2)
+                - t.D(n + 1) * t.beta(n + 1)
+                + t.D(n + 1) * t.beta(n + 2)
+                - t.F(n)
+                + t.F(n + 1),
+            ),
+            (
+                n,
+                t.C(n) * t.gamma(n + 1)
+                - t.C(n + 2) * t.gamma(n + 1)
+                - t.D(n + 1) * t.alpha(n + 1)
+                + t.D(n) * t.alpha(n + 2)
+                - t.F(n) * t.beta(n)
+                + t.F(n) * t.beta(n + 2)
+                - t.G(n - 1)
+                + t.G(n),
+            ),
+            (
+                n - 1,
+                -t.D(n + 1) * t.gamma(n)
+                + t.D(n - 1) * t.gamma(n + 1)
+                - t.F(n) * t.alpha(n)
+                + t.F(n - 1) * t.alpha(n + 2)
+                - t.G(n - 1) * t.beta(n - 1)
+                + t.G(n - 1) * t.beta(n + 2)
+                - t.H(n - 2)
+                + t.H(n - 1),
+            ),
+            (
+                n - 2,
+                -t.F(n) * t.gamma(n - 1)
+                + t.F(n - 2) * t.gamma(n + 1)
+                - t.G(n - 1) * t.alpha(n - 1)
+                + t.G(n - 2) * t.alpha(n + 2)
+                - t.H(n - 2) * t.beta(n - 2)
+                + t.H(n - 2) * t.beta(n + 2),
+            ),
+            (
+                n - 3,
+                -t.G(n - 1) * t.gamma(n - 2)
+                + t.G(n - 3) * t.gamma(n + 1)
+                - t.H(n - 2) * t.alpha(n - 2)
+                + t.H(n - 3) * t.alpha(n + 2),
+            ),
+            (
+                n - 4,
+                t.H(n - 4) * t.gamma(n + 1)
+                - t.H(n - 2) * t.gamma(n - 3),
+            ),
+        ]
+
+    J3 = J.shifted(3)
+    shifts = [
+        ("shift1-expansion", J.shifted(1), 0, shift1),
+        ("shift2-expansion", J.shifted(2), 0, shift2),
+        ("shift3-expansion", J3, 2, shift3),
+    ]
     report = VerificationReport()
-
-    for n in range(N + 1):
-        p = seq[n]
-        # once-shifted
-        lhs = J.shifted(1).apply(p)
-        rhs = _combine(
-            seq,
-            [
-                (n + 1, lambda n=n: lam(n + 1) - lam(n)),
-                (n - 1, lambda n=n: t.alpha(n) * (lam(n - 1) - lam(n))),
-                (n - 2, lambda n=n: t.gamma(n - 1) * (lam(n - 2) - lam(n))),
-            ],
-        )
-        report.check("shift1-expansion", n, lhs, rhs)
-
-        # twice-shifted
-        lhs = J.shifted(2).apply(p)
-        rhs = _combine(
-            seq,
-            [
-                (n + 2, lambda n=n: t.A(n + 2)),
-                (n + 1, lambda n=n: t.B(n + 1)),
-                (n, lambda n=n: t.C(n)),
-                (n - 1, lambda n=n: t.D(n - 1)),
-                (n - 2, lambda n=n: t.F(n - 2)),
-                (n - 3, lambda n=n: t.G(n - 3)),
-                (n - 4, lambda n=n: t.H(n - 4)),
-            ],
-        )
-        report.check("shift2-expansion", n, lhs, rhs)
-
-        # thrice-shifted, applied to P_(n+2)
-        lhs = J.shifted(3).apply(seq[n + 2])
-        rhs = _combine(
-            seq,
-            [
-                (n + 5, lambda n=n: J.acoef(3, 3)),
-                (
-                    n + 4,
-                    lambda n=n: t.A(n + 4) * t.beta(n + 2)
-                    - t.A(n + 4) * t.beta(n + 4)
-                    - t.B(n + 3)
-                    + t.B(n + 4),
-                ),
-                (
-                    n + 3,
-                    lambda n=n: t.A(n + 3) * t.alpha(n + 2)
-                    - t.A(n + 4) * t.alpha(n + 4)
-                    + t.B(n + 3) * t.beta(n + 2)
-                    - t.B(n + 3) * t.beta(n + 3)
-                    - t.C(n + 2)
-                    + t.C(n + 3),
-                ),
-                (
-                    n + 2,
-                    lambda n=n: t.A(n + 2) * t.gamma(n + 1)
-                    - t.A(n + 4) * t.gamma(n + 3)
-                    + t.B(n + 2) * t.alpha(n + 2)
-                    - t.B(n + 3) * t.alpha(n + 3)
-                    - t.D(n + 1)
-                    + t.D(n + 2),
-                ),
-                (
-                    n + 1,
-                    lambda n=n: t.B(n + 1) * t.gamma(n + 1)
-                    - t.B(n + 3) * t.gamma(n + 2)
-                    + t.C(n + 1) * t.alpha(n + 2)
-                    - t.C(n + 2) * t.alpha(n + 2)
-                    - t.D(n + 1) * t.beta(n + 1)
-                    + t.D(n + 1) * t.beta(n + 2)
-                    - t.F(n)
-                    + t.F(n + 1),
-                ),
-                (
-                    n,
-                    lambda n=n: t.C(n) * t.gamma(n + 1)
-                    - t.C(n + 2) * t.gamma(n + 1)
-                    - t.D(n + 1) * t.alpha(n + 1)
-                    + t.D(n) * t.alpha(n + 2)
-                    - t.F(n) * t.beta(n)
-                    + t.F(n) * t.beta(n + 2)
-                    - t.G(n - 1)
-                    + t.G(n),
-                ),
-                (
-                    n - 1,
-                    lambda n=n: -t.D(n + 1) * t.gamma(n)
-                    + t.D(n - 1) * t.gamma(n + 1)
-                    - t.F(n) * t.alpha(n)
-                    + t.F(n - 1) * t.alpha(n + 2)
-                    - t.G(n - 1) * t.beta(n - 1)
-                    + t.G(n - 1) * t.beta(n + 2)
-                    - t.H(n - 2)
-                    + t.H(n - 1),
-                ),
-                (
-                    n - 2,
-                    lambda n=n: -t.F(n) * t.gamma(n - 1)
-                    + t.F(n - 2) * t.gamma(n + 1)
-                    - t.G(n - 1) * t.alpha(n - 1)
-                    + t.G(n - 2) * t.alpha(n + 2)
-                    - t.H(n - 2) * t.beta(n - 2)
-                    + t.H(n - 2) * t.beta(n + 2),
-                ),
-                (
-                    n - 3,
-                    lambda n=n: -t.G(n - 1) * t.gamma(n - 2)
-                    + t.G(n - 3) * t.gamma(n + 1)
-                    - t.H(n - 2) * t.alpha(n - 2)
-                    + t.H(n - 3) * t.alpha(n + 2),
-                ),
-                (
-                    n - 4,
-                    lambda n=n: t.H(n - 4) * t.gamma(n + 1)
-                    - t.H(n - 2) * t.gamma(n - 3),
-                ),
-            ],
-        )
-        report.check("shift3-expansion", n, lhs, rhs)
-
-    _verify_shift3_initial(J, rt, seq, report)
-    fam = family if family is not None else _detect_family(J)
-    if fam == "case1":
-        _verify_case1_extras(J, seq, min(N, seq.N - 1), report)
-    elif fam == "corollary42":
-        _verify_corollary_extras(J, seq, min(N, seq.N - 1), report)
+    check_expansions(report, seq, range(N + 1), shifts)
+    initial = _shift3_initial(J, rt).get
+    check_expansions(report, seq, (0, 1), [("shift3-initial", J3, 0, initial)])
+    check_expansions(report, seq, range(N + 1), _family_identities(J))
     return report
 
 
-def _verify_shift3_initial(J, rt, seq, report):
-    """The two displayed initial images of the thrice-shifted operator."""
+def _shift3_initial(J: DiffOperator, rt: RecurrenceTable) -> dict:
+    """The two displayed initial images of the thrice-shifted operator:
+    n -> the (j, c_j) of J^(3)(P_n) for n = 0, 1."""
     a33, a23, a13, a03 = (
         J.acoef(3, 3),
         J.acoef(2, 3),
@@ -603,136 +594,115 @@ def _verify_shift3_initial(J, rt, seq, report):
     b0, b1, b2, b3 = (rt.beta(0), rt.beta(1), rt.beta(2), rt.beta(3))
     al1, al2, al3 = (rt.alpha(1), rt.alpha(2), rt.alpha(3))
     g1, g2 = (rt.gamma(1), rt.gamma(2))
+    return {
+        0: [
+            (3, a33),
+            (2, (b0 + b1 + b2) * a33 + a23),
+            (
+                1,
+                a33 * (al1 + al2 + b0**2 + b1 * b0 + b1**2) + (b0 + b1) * a23 + a13,
+            ),
+            (
+                0,
+                a33 * (al1 * (2 * b0 + b1) + b0**3 + g1)
+                + al1 * a23
+                + b0 * (b0 * a23 + a13)
+                + a03,
+            ),
+        ],
+        1: [
+            (4, a33),
+            (3, (b1 + b2 + b3) * a33 + a23),
+            (
+                2,
+                a33 * (al1 + al2 + al3 + b1**2 + b2 * b1 + b2**2)
+                + (b1 + b2) * a23
+                + a13,
+            ),
+            (
+                1,
+                a33 * (2 * (al1 + al2) * b1 + al2 * b2 + b1**3 + g1 + g2)
+                + al1 * b0 * a33
+                + (al1 + al2) * a23
+                + b1 * (b1 * a23 + a13)
+                + a03,
+            ),
+            (
+                0,
+                al1
+                * (a33 * (al2 + b0**2 + b1 * b0 + b1**2) + (b0 + b1) * a23 + a13)
+                + al1**2 * a33
+                + g1 * ((b0 + b1 + b2) * a33 + a23),
+            ),
+        ],
+    }
 
-    lhs0 = J.shifted(3).apply(seq[0])
-    rhs0 = (
-        seq[3].scale(a33)
-        + seq[2].scale((b0 + b1 + b2) * a33 + a23)
-        + seq[1].scale(
-            a33 * (al1 + al2 + b0**2 + b1 * b0 + b1**2) + (b0 + b1) * a23 + a13
-        )
-        + seq[0].scale(
-            a33 * (al1 * (2 * b0 + b1) + b0**3 + g1)
-            + al1 * a23
-            + b0 * (b0 * a23 + a13)
-            + a03
-        )
-    )
-    report.check("shift3-initial", 0, lhs0, rhs0)
 
-    lhs1 = J.shifted(3).apply(seq[1])
-    rhs1 = (
-        seq[4].scale(a33)
-        + seq[3].scale((b1 + b2 + b3) * a33 + a23)
-        + seq[2].scale(
-            a33 * (al1 + al2 + al3 + b1**2 + b2 * b1 + b2**2)
-            + (b1 + b2) * a23
-            + a13
-        )
-        + seq[1].scale(
-            a33 * (2 * (al1 + al2) * b1 + al2 * b2 + b1**3 + g1 + g2)
-            + al1 * b0 * a33
-            + (al1 + al2) * a23
-            + b1 * (b1 * a23 + a13)
-            + a03
-        )
-        + seq[0].scale(
-            al1
-            * (a33 * (al2 + b0**2 + b1 * b0 + b1**2) + (b0 + b1) * a23 + a13)
-            + al1**2 * a33
-            + g1 * ((b0 + b1 + b2) * a33 + a23)
-        )
-    )
-    report.check("shift3-initial", 1, lhs1, rhs1)
-
-
-def _detect_family(J: DiffOperator) -> Optional[str]:
+def _family_identities(J: DiffOperator) -> list:
+    """The displayed differential relations of the family J belongs to, if
+    J is corollary 4.2's operator or a case 1 operator (a_1 linear, a_2 and
+    a_3 constant)."""
     if J.order != 3:
-        return None
+        return []
+    if J.a(1).degree == 1 and J.a(2).degree <= 0 and J.a(3).degree == 0:
+        # second-order identity and the plain-derivative lowering relation
+        a11 = J.acoef(1, 1)
+        a02 = J.acoef(0, 2)
+        a03 = J.acoef(0, 3)
+        L = DiffOperator([J.a(1), Poly([a02]), Poly([a03])], relaxed=True)
+        D = DiffOperator([Poly.zero(), Poly.one()])
+
+        def second_order(n):
+            return [
+                (n + 1, a11),
+                (n - 1, Fraction(n, 2) * a02),
+                (n - 2, Fraction((n - 1) * n, 3) * a03),
+            ]
+
+        return [
+            ("case1-second-order", L, 0, second_order),
+            ("case1-appell-derivative", D, 0, lambda n: [(n - 1, n)]),
+        ]
     if J == corollary42_operator(J.acoef(0, 0)):
-        return "corollary42"
-    if (
-        J.a(1).degree == 1
-        and J.a(2).degree <= 0
-        and J.a(3).degree == 0
-        and not J.a(3).is_zero
-    ):
-        return "case1"
-    return None
+        sq = Poly([1, -2, 1])  # (x-1)^2
+        L1 = DiffOperator([Poly([0, Fraction(1, 24)]), Poly.zero(), sq], relaxed=True)
+        L2 = DiffOperator([Poly.zero(), sq], relaxed=True)
 
-
-def _verify_case1_extras(J, seq, N, report):
-    """Second-order identity and the plain-derivative lowering relation."""
-    a11 = J.acoef(1, 1)
-    a02 = J.acoef(0, 2)
-    a03 = J.acoef(0, 3)
-    L = DiffOperator([J.a(1), Poly([a02]), Poly([a03])], relaxed=True)
-    for n in range(N + 1):
-        lhs = L.apply(seq[n])
-        rhs = _combine(
-            seq,
-            [
-                (n + 1, lambda n=n: a11),
-                (n - 1, lambda n=n: Fraction(n, 2) * a02),
-                (n - 2, lambda n=n: Fraction((n - 1) * n, 3) * a03),
-            ],
-        )
-        report.check("case1-second-order", n, lhs, rhs)
-        report.check(
-            "case1-appell-derivative",
-            n,
-            seq[n].derivative(),
-            seq[n - 1].scale(n) if n >= 1 else Poly.zero(),
-        )
-
-
-def _verify_corollary_extras(J, seq, N, report):
-    """The two displayed differential relations of the explicit family."""
-    sq = Poly([1, -2, 1])  # (x-1)^2
-    L1 = DiffOperator([Poly([0, Fraction(1, 24)]), Poly.zero(), sq], relaxed=True)
-    L2 = DiffOperator([Poly.zero(), sq], relaxed=True)
-    for n in range(N + 1):
-        lhs = L1.apply(seq[n])
-        rhs = _combine(
-            seq,
-            [
-                (n + 1, lambda n=n: Fraction(1, 24)),
+        def second_order(n):
+            return [
+                (n + 1, Fraction(1, 24)),
                 (
                     n - 1,
-                    lambda n=n: -Fraction(1, 2) * (3 - 2 * n) ** 2 * (n - 1) * n,
+                    -Fraction(1, 2) * (3 - 2 * n) ** 2 * (n - 1) * n,
                 ),
                 (
                     n - 2,
-                    lambda n=n: Fraction(1, 3)
+                    Fraction(1, 3)
                     * (n - 1)
                     * n
                     * (15 - 16 * n + 4 * n**2) ** 2,
                 ),
-            ],
-        )
-        report.check("corollary-second-order", n, lhs, rhs)
+            ]
 
-        lhs = L2.apply(seq[n])
-        rhs = _combine(
-            seq,
-            [
-                (n + 1, lambda n=n: Fraction(n)),
-                (n, lambda n=n: Fraction(-2 * n * (5 + 4 * n * (2 * n - 3)))),
+        def first_order(n):
+            return [
+                (n + 1, Fraction(n)),
+                (n, Fraction(-2 * n * (5 + 4 * n * (2 * n - 3)))),
                 (
                     n - 1,
-                    lambda n=n: Fraction(
+                    Fraction(
                         (3 - 2 * n) ** 2 * n * (24 * (n - 2) * n + 25)
                     ),
                 ),
                 (
                     n - 2,
-                    lambda n=n: Fraction(
+                    Fraction(
                         -8 * (5 - 2 * n) ** 2 * (n - 1) * n * (2 * n - 3) ** 3
                     ),
                 ),
                 (
                     n - 3,
-                    lambda n=n: Fraction(
+                    Fraction(
                         4
                         * (3 - 2 * n) ** 2
                         * (5 - 2 * n) ** 2
@@ -742,9 +712,13 @@ def _verify_corollary_extras(J, seq, N, report):
                         * n
                     ),
                 ),
-            ],
-        )
-        report.check("corollary-first-order", n, lhs, rhs)
+            ]
+
+        return [
+            ("corollary-second-order", L1, 0, second_order),
+            ("corollary-first-order", L2, 0, first_order),
+        ]
+    return []
 
 
 # -- solvability classification -------------------------------------------
@@ -761,7 +735,7 @@ class SolvabilityResult:
         if self.notes:
             out["notes"] = list(self.notes)
         if self.residues:
-            out["residues"] = {k: str(v) for k, v in self.residues.items()}
+            out["residues"] = {k: rational_to_str(v) for k, v in self.residues.items()}
         return out
 
 

@@ -29,6 +29,10 @@ class IndexOutOfRange(DorthoError):
     """Requested index lies outside the tabulated/generated range."""
 
 
+class OutputTooLarge(DorthoError):
+    """An exact result is too long to write as a decimal string."""
+
+
 class DegreeTooLarge(DorthoError):
     """Polynomial degree exceeds the generated basis."""
 

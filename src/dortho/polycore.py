@@ -13,22 +13,41 @@ the package's only polynomial arithmetic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
+from .errors import OutputTooLarge
 
 Scalar = Union[Fraction, int, str]
 
 
-def rational_from_str(s: str) -> Fraction:
-    """Parse the canonical "p/q" or "p" form (also accepts plain ints)."""
-    return Fraction(s)
+def rational_from_json(v) -> Fraction:
+    """A rational from a JSON value: an int (not a bool), a finite float
+    (read through its str, so 0.5 is 1/2), or a string "p", "p/q" or a
+    decimal.  A string with an exponent is refused: "1e1000000000" would
+    need a 415 MB integer."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f"not a rational: {v!r}")
+    if isinstance(v, str) and "e" in v.lower():
+        raise ValueError(f"rational with an exponent: {v!r}")
+    return Fraction(str(v))  # ValueError for NaN and infinities
 
 
 def rational_to_str(r) -> str:
-    """Canonical string form: "p/q" with q > 1, otherwise "p"."""
-    return str(Fraction(r))
+    """Canonical string form: "p/q" with q > 1, otherwise "p".
+
+    Raises OutputTooLarge when a numerator or denominator passes Python's
+    limit on the digits of an int converted to str.
+    """
+    r = Fraction(r)
+    try:
+        return str(r)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise OutputTooLarge(
+            f"an exact result has more than {limit} digits, the output limit"
+        ) from exc
 
 
 _ZERO = Fraction(0)
@@ -186,7 +205,9 @@ class Poly:
 
     @staticmethod
     def from_json(data: list) -> "Poly":
-        return Poly([Fraction(str(c)) for c in data])
+        if not isinstance(data, list):
+            raise ValueError("a polynomial must be an array of rationals")
+        return Poly([rational_from_json(c) for c in data])
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"

@@ -30,7 +30,7 @@ from .errors import (
     InsufficientDegree,
     MissingCoefficient,
 )
-from .polycore import Poly, Rational, rational_to_str
+from .polycore import Poly, rational_from_json, rational_to_str
 from .report import VerificationReport
 
 
@@ -151,7 +151,7 @@ def _rationals(values, name: str) -> list:
     """A JSON array of rationals as Fractions."""
     if not isinstance(values, list):
         raise ValueError(f"{name} must be an array")
-    return [Fraction(str(v)) for v in values]
+    return [rational_from_json(v) for v in values]
 
 
 class MonicSequence:

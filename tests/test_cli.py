@@ -74,6 +74,22 @@ class TestVerify:
         r = run_cli("verify", "--family", "case1", "--params", '["1"]', "-N", "5")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "params, relations",
+        [
+            # corollary 4.2's operator, given as a case 2 member
+            ('[1, 0, "1/24", 1, -2, 1]', {"corollary-second-order", "corollary-first-order"}),
+            # a_3 constant: a case 1 operator with a_0^[2] = 0
+            ("[1, 0, 2, 3, 0, 0]", {"case1-second-order", "case1-appell-derivative"}),
+        ],
+    )
+    def test_case2_checks_the_relations_of_the_detected_family(self, params, relations):
+        r = run_cli("verify", "--family", "case2", "--params", params, "-N", "6", "-M", "2")
+        assert r.returncode == 0, r.stderr.decode()
+        entries = json.loads(r.stdout)["report"]["entries"]
+        for name in relations:
+            assert [e["n"] for e in entries if e["identity"] == name] == list(range(7))
+
 
 class TestClassify:
     def test_explicit_family(self):
@@ -189,6 +205,68 @@ class TestBadRanges:
         r = run_cli("duals", "--tables", str(tables), "-N", "2", "-M", "1")
         assert r.returncode == 2, r.stderr.decode()
         assert r.stderr == b"input error: bad tables file: " + message + b"\n"
+        assert r.stdout == b""
+
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (
+                '{"a": "12"}',
+                ("eigen", "-n", "1"),
+                b"invalid operator: a polynomial must be an array of rationals",
+            ),
+            (
+                '{"d": 2, "beta": ["1e100000", 0, 0, 0], "alpha": [1, 1, 1], "gamma": [1, 1, 1]}',
+                ("duals", "-N", "2", "-M", "1"),
+                b"bad tables file: rational with an exponent: '1e100000'",
+            ),
+        ],
+    )
+    def test_file_rational_forms(self, tmp_path, text, argv, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        flag = "--operator" if argv[0] == "eigen" else "--tables"
+        r = run_cli(argv[0], flag, str(path), *argv[1:])
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr == b"input error: " + message + b"\n"
+
+    def test_params_exponent_is_input_error(self):
+        r = run_cli("verify", "--family", "case2", "--params", '["1e999999", 0, 1, 1, -2, 1]')
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr == (
+            b"input error: bad rational in params: rational with an exponent: '1e999999'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            # the moments of x**16 reach about 4800 digits
+            (
+                {key: [10**300] * 20 for key in ("beta", "alpha", "gamma")} | {"d": 2},
+                ("duals", "--tables", "{file}", "-N", "2", "-M", "5"),
+            ),
+            # the diagonal sum vanishes at n = 10**4400
+            (
+                {"a": [["-1" + "0" * 2200], ["0", "1/1" + "0" * 2200]]},
+                ("classify", "--operator", "{file}"),
+            ),
+            # the discriminant has 4401 digits
+            (
+                None,
+                ("verify", "--family", "case2", "--params", f'[1, 0, 1, 1, "1{"0" * 2200}", 1]'),
+            ),
+        ],
+    )
+    def test_output_past_the_digit_limit_is_input_error(self, tmp_path, data, argv):
+        path = tmp_path / "input.json"
+        if data is not None:
+            path.write_text(json.dumps(data))
+        r = run_cli(*[str(path) if a == "{file}" else a for a in argv])
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr == (
+            b"input error: an exact result has more than 4300 digits, the output limit\n"
+        )
         assert r.stdout == b""
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dortho import Poly, binomial, rational_from_str, rational_to_str
+from dortho import Poly, binomial, rational_from_json, rational_to_str
+from dortho.errors import OutputTooLarge
 
 from conftest import rand_poly, rand_rational
 
@@ -117,7 +118,41 @@ class TestJson:
     def test_rational_strings(self):
         assert rational_to_str(Fraction(-3, 4)) == "-3/4"
         assert rational_to_str(Fraction(6, 2)) == "3"
-        assert rational_from_str("-3/4") == Fraction(-3, 4)
+        assert rational_from_json("-3/4") == Fraction(-3, 4)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (7, Fraction(7)),
+            (-(10**80), Fraction(-(10**80))),
+            (0.5, Fraction(1, 2)),
+            (0.1, Fraction(1, 10)),
+            (1e-05, Fraction(1, 100000)),
+            ("12", Fraction(12)),
+            ("-3/4", Fraction(-3, 4)),
+            ("2.5", Fraction(5, 2)),
+        ],
+    )
+    def test_rational_from_json_accepts(self, value, expected):
+        assert rational_from_json(value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, None, [1], {"p": 1}, float("inf"), float("nan"), "1e3", "1E100000", "x", ""],
+    )
+    def test_rational_from_json_rejects(self, value):
+        with pytest.raises(ValueError):
+            rational_from_json(value)
+
+    def test_rational_past_the_digit_limit(self):
+        with pytest.raises(OutputTooLarge, match="more than 4300 digits"):
+            rational_to_str(Fraction(10**4300))
+        assert rational_to_str(Fraction(1, 10**4299)) == "1/1" + "0" * 4299
+
+    @pytest.mark.parametrize("data", ["12", 12, {"a": [1]}, None])
+    def test_poly_from_json_needs_an_array(self, data):
+        with pytest.raises(ValueError, match="array"):
+            Poly.from_json(data)
 
     def test_poly_round_trip(self, rng):
         for _ in range(20):
