@@ -219,7 +219,7 @@ def cmd_verify(args) -> int:
         # eigen identity + independent oracle recovery of the tables
         seq = seqkit.MonicSequence(full.polys[: probe_deg + 1], full.x_rows[:probe_deg])
         eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
-        eigenfam.check_expansions(report, seq, range(N + 1), eigen)
+        eigenfam.check_expansions(report, full, range(N + 1), eigen)
         try:
             rt_oracle, _ = eigenfam.derive_recurrence(J, N)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:

@@ -201,11 +201,14 @@ def nonneg_integer_roots(q: Poly) -> list[int]:
 
     q(n) is monotone where its forward difference q(n+1) - q(n) keeps one
     sign, so the sign runs of q(n) follow from those of its differences by
-    bisection: O(deg**2 * log(bound)) evaluations, however large the bound."""
+    bisection: O(deg**2 * log(bound)) evaluations, however large the bound.
+    q is first scaled by the lcm of its denominators, which keeps every sign,
+    so the evaluations run on integers rather than on long fractions."""
     if q.is_zero:
         raise ValueError("zero polynomial vanishes everywhere")
     if q.degree == 0:
         return []
+    q = q.scale(math.lcm(*(c.denominator for c in q.coeffs)))
     lead = q.leading_coefficient
     top = math.floor(1 + max(abs(c / lead) for c in q.coeffs))
     tower = [q]

@@ -3,8 +3,8 @@
 Two independent routes to the same recurrence tables are kept apart on
 purpose: the brute-force eigen-solver (triangular linear solve per
 degree) and the closed-form coefficient families.  Every displayed
-basis expansion of the shifted operators is verified against direct
-operator application, exactly.
+basis expansion of the shifted operators is verified exactly, as a
+column of the operator's matrix in the recurrence basis.
 """
 
 from __future__ import annotations
@@ -359,7 +359,8 @@ class StepTwoCoeffs:
 
 
 class _Tables:
-    """The second-step coefficients A..H over one table and eigenvalue map.
+    """The second-step coefficients A..H over one table and eigenvalue map,
+    each cached per instance: the shift-2 and shift-3 bands read them again.
 
     beta/alpha/gamma are the table's own accessors, which read 0 below the
     first tabulated index (the P_(-i) = 0 convention).
@@ -368,6 +369,8 @@ class _Tables:
     def __init__(self, rt: RecurrenceTable, lam):
         self.beta, self.alpha, self.gamma = rt.beta, rt.alpha, rt.gamma
         self.lam = lam
+        for name in "ABCDFGH":  # each value once per index and instance
+            setattr(self, name, functools.cache(getattr(self, name)))
 
     def A(self, n):
         lam = self.lam
@@ -432,28 +435,87 @@ def steptwo_coeffs(lambdas: EigenvalueTable, rt: RecurrenceTable, n: int) -> Ste
 # -- expansion verification ------------------------------------------------
 
 
+def _times_x(col: dict, rows) -> dict:
+    """X col: each e_j becomes e_(j+1) + sum_((k, c) in row j) c e_k."""
+    out: dict = {}
+    for j, v in col.items():
+        out[j + 1] = out.get(j + 1, 0) + v
+        for k, c in rows[j]:
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> dict:
+    """The nonzero j -> c_j of L(P_n) = sum_j c_j P_j, for the operator L with
+    coefficient polynomials coeffs, from the sequence's x-rows alone.
+
+    Level i of L has coefficients coeffs[i:], so level i of J is J.shifted(i).
+    The rule L^(i)(x p) = L^(i+1)(p) + x L^(i)(p) and the x-row of P_n give
+    each level's matrix column by column,
+
+        column 0      = b_i(X) e_0
+        column n + 1  = X col_n + (column n of level i + 1)
+                        - sum_((k, c) in row n) c col_k,
+
+    where X is multiplication by x and the level past the order is zero.  Columns are cached on the sequence
+    by coefficient tail, so J, J^(1), J^(2) and J^(3) share four levels.
+    """
+    cols = seq.columns.setdefault(coeffs, [])
+    rows = seq.x_rows
+    while len(cols) <= n:
+        m = len(cols)
+        if m == 0:
+            col: dict = {}
+            for c in reversed(coeffs[0].coeffs if coeffs else ()):  # Horner
+                col = _times_x(col, rows)
+                col[0] = col.get(0, 0) + c
+        else:
+            col = _times_x(cols[m - 1], rows)
+            if len(coeffs) > 1:
+                for j, v in operator_column(seq, coeffs[1:], m - 1).items():
+                    col[j] = col.get(j, 0) + v
+            for k, c in rows[m - 1]:
+                for j, v in cols[k].items():
+                    col[j] = col.get(j, 0) - c * v
+        cols.append({j: v for j, v in col.items() if v})
+    return cols[n]
+
+
 def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identities):
     """Check displayed expansions L(P_(n+s)) = sum_j c_j P_j exactly.
 
     identities lists (name, L, s, band), where band(n) gives the (j, c_j)
     of the right-hand side; terms with j < 0 (P_(-i) = 0) or c_j = 0 are
     left out.  Records one entry per n in ns and identity, n outermost.
+
+    Basis expansions are unique, so the identity holds exactly when the
+    band, summed per j, equals column n + s of L's matrix (operator_column),
+    entries outside the band included.  Only a failing column builds
+    L(P_(n+s)) and the right-hand side as polynomials, for the witness.
     """
     for n in ns:
         for name, L, s, band in identities:
+            terms = [(j, c) for j, c in band(n) if j >= 0 and c]
+            expected: dict = {}
+            for j, c in terms:
+                expected[j] = expected.get(j, 0) + c
+            if operator_column(seq, L.coeffs, n + s) == {
+                j: c for j, c in expected.items() if c
+            }:
+                report.record(name, n, True)
+                continue
             rhs = Poly.zero()
-            for j, c in band(n):
-                if j >= 0 and c:
-                    rhs = rhs + seq[j].scale(c)
+            for j, c in terms:
+                rhs = rhs + seq[j].scale(c)
             report.check(name, n, L.apply(seq[n + s]), rhs)
 
 
 def verify_expansions(
     J: DiffOperator, rt: RecurrenceTable, N: int, seq: Optional[MonicSequence] = None
 ) -> VerificationReport:
-    """Verify the shifted-operator basis expansions against direct action.
+    """Verify the shifted-operator basis expansions exactly.
 
-    For each n <= N checks, as exact polynomial identities: the
+    For each n <= N checks, through check_expansions: the
     three-term expansion of the once-shifted operator, the seven-term
     expansion of the twice-shifted operator, the ten-term expansion of
     the thrice-shifted operator (plus its two displayed initial

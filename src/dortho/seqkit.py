@@ -155,7 +155,12 @@ def _rationals(values, name: str) -> list:
 
 
 class MonicSequence:
-    """P_0..P_N, each monic of exact degree equal to its index."""
+    """P_0..P_N, each monic of exact degree equal to its index.
+
+    columns caches operator-matrix columns over this sequence's x-rows,
+    keyed by coefficient tuple (see eigenfam.operator_column); it lives as
+    long as the sequence.
+    """
 
     def __init__(self, polys: Sequence[Poly], x_rows: Optional[Sequence] = None):
         ps = tuple(polys)
@@ -164,14 +169,17 @@ class MonicSequence:
                 raise ValueError(f"entry {n} is not monic of degree {n}")
         self.polys = ps
         self._x_rows = None if x_rows is None else tuple(x_rows)
+        self.columns: dict = {}
 
     @property
     def N(self) -> int:
         return len(self.polys) - 1
 
     def __getitem__(self, n: int) -> Poly:
+        """P_n for 0 <= n <= N.  A negative n raises IndexError: the
+        P_(-i) = 0 rule belongs to the readers of a band (check_expansions)."""
         if n < 0:
-            return Poly.zero()
+            raise IndexError(f"P_{n}: the sequence starts at P_0")
         return self.polys[n]
 
     def __len__(self) -> int:

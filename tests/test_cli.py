@@ -1,6 +1,7 @@
 """Golden-file and exit-code tests for the command-line driver."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -89,6 +90,34 @@ class TestVerify:
         entries = json.loads(r.stdout)["report"]["entries"]
         for name in relations:
             assert [e["n"] for e in entries if e["identity"] == name] == list(range(7))
+
+
+class TestLargeN:
+    """stdout sha256 of verify runs past the goldens' sizes, recorded before
+    the expansions were checked as matrix columns."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--family", "corollary42", "-N", "100", "-M", "2"),
+                "33049402d64f4793cd491024414c8f50de4e935a890641d813089063e2a55bb3",
+            ),
+            (
+                ("--family", "case1", "--params", "[1,0,1,-2,-6]", "-N", "100", "-M", "2"),
+                "f1f566ab8393d325bcb580817581b00971dbfabcab36b81f3571f67508a4d4eb",
+            ),
+            (
+                ("--operator", "corollary_operator.json", "-N", "60"),
+                "e7d610f8d42795f0a7d6d012ca904f80d6bc12d48083bdc79fcac0d6184beaa2",
+            ),
+        ],
+        ids=["corollary42-N100", "case1-N100", "operator-N60"],
+    )
+    def test_stdout_digest(self, argv, digest):
+        r = run_cli("verify", *argv)
+        assert r.returncode == 0, r.stderr.decode()
+        assert hashlib.sha256(r.stdout).hexdigest() == digest
 
 
 class TestClassify:
@@ -255,6 +284,12 @@ class TestBadRanges:
             (
                 None,
                 ("verify", "--family", "case2", "--params", f'[1, 0, 1, 1, "1{"0" * 2200}", 1]'),
+            ),
+            # the diagonal sum vanishes at n = 10**8000; the root screen's
+            # coefficients have about 4000 digits
+            (
+                {"a": [["-1" + "0" * 4000], ["0", "1/1" + "0" * 4000]]},
+                ("classify", "--operator", "{file}"),
             ),
         ],
     )

@@ -193,9 +193,11 @@ class TestGenerate:
         seq = generate(rt, 7)
         assert seq[7] == Poly.monomial(7)
 
-    def test_negative_index_is_zero_poly(self, coro_seq):
-        assert coro_seq[-1].is_zero
-        assert coro_seq[-2].is_zero
+    def test_negative_index_raises(self, coro_seq):
+        # P_(-i) = 0 is the band reader's rule, not an alias of the last entry
+        for n in (-1, -2):
+            with pytest.raises(IndexError):
+                coro_seq[n]
 
 
 def reconstruct_x_times(seq, row, k):
