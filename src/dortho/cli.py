@@ -39,10 +39,11 @@ DEFAULT_M = 6
 
 # Cap on the degrees a user asks for: eigen's n, verify's and duals' N, and
 # the degree (d + 1)M + d - 1 that the d-orthogonality probe to M needs.
-# verify builds a few degrees past its N (P_(N+6) from an operator, P_(N+5)
-# of a family), so the largest polynomial degree the CLI builds is
-# MAX_DEGREE + 6.  P_406 of the corollary 4.2 operator takes a few seconds;
-# by P_800 its exact coefficients pass Python's 4300-digit int-to-str limit.
+# verify reaches a few degrees past its N (P_(N+6) from an operator; a
+# family's P_(N+5), built only for a failing column), so the largest
+# polynomial degree the CLI builds is MAX_DEGREE + 6.  P_406 of the
+# corollary 4.2 operator takes a few seconds; by P_800 its exact
+# coefficients pass Python's 4300-digit int-to-str limit.
 MAX_DEGREE = 400
 
 
@@ -145,23 +146,24 @@ def _family_setup(family: str, params: list):
 
 
 def _tables_match_report(rt_closed, rt_oracle, N: int) -> VerificationReport:
+    """beta_0..beta_N, alpha_1..alpha_N and gamma_1..gamma_(N-1) of the
+    closed-form table against the oracle's; a mismatch carries both values."""
     rep = VerificationReport()
-    for n in range(N + 1):
-        rep.record(
-            "beta-match",
-            n,
-            rt_closed.beta(n) == rt_oracle.beta(n),
-            witness={
-                "closed": rational_to_str(rt_closed.beta(n)),
-                "oracle": rational_to_str(rt_oracle.beta(n)),
-            }
-            if rt_closed.beta(n) != rt_oracle.beta(n)
-            else None,
-        )
-    for n in range(1, N + 1):
-        rep.record("alpha-match", n, rt_closed.alpha(n) == rt_oracle.alpha(n))
-    for n in range(1, N):
-        rep.record("gamma-match", n, rt_closed.gamma(n) == rt_oracle.gamma(n))
+    for name, ns in (
+        ("beta", range(N + 1)),
+        ("alpha", range(1, N + 1)),
+        ("gamma", range(1, N)),
+    ):
+        for n in ns:
+            closed, oracle = getattr(rt_closed, name)(n), getattr(rt_oracle, name)(n)
+            rep.record(
+                f"{name}-match",
+                n,
+                closed == oracle,
+                witness=None
+                if closed == oracle
+                else {"closed": rational_to_str(closed), "oracle": rational_to_str(oracle)},
+            )
     return rep
 
 
@@ -217,7 +219,7 @@ def cmd_verify(args) -> int:
         report = eigenfam.verify_expansions(J, rt, N, seq=full)
 
         # eigen identity + independent oracle recovery of the tables
-        seq = seqkit.MonicSequence(full.polys[: probe_deg + 1], full.x_rows[:probe_deg])
+        seq = seqkit.generate(rt, probe_deg)
         eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
         eigenfam.check_expansions(report, full, range(N + 1), eigen)
         try:

@@ -10,6 +10,7 @@ column of the operator's matrix in the recurrence basis.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -171,15 +172,39 @@ class Case2Params:
 # -- eigen-oracle ----------------------------------------------------------
 
 
+def monomial_band(J: DiffOperator, N: int) -> list:
+    """band[j][i] = [x**i] J(x**j) for max(j - order, 0) <= i < j <= N.
+
+    J(x**j) = sum_v a_v(x) C(j, v) x**(j - v), so with t = j - i
+
+        [x**i] J(x**j) = sum_(v = t)^(min(order, j)) a_v^[v - t] C(j, v),
+
+    read from J's coefficients without forming the image; the terms below
+    the band vanish because deg a_v <= v.
+    """
+    order = J.order
+    terms = {
+        t: [(v, c) for v in range(t, order + 1) if (c := J.acoef(v - t, v))]
+        for t in range(1, order + 1)
+    }
+    return [
+        {
+            j - t: sum((c * math.comb(j, v) for v, c in terms[t]), Fraction(0))
+            for t in range(1, min(order, j) + 1)
+        }
+        for j in range(N + 1)
+    ]
+
+
 def _eigen_solver(J: DiffOperator, N: int):
     """Set up the eigen-oracle for degrees up to N; return solve(n) -> P_n.
 
     The setup runs once: it classifies J (the classification screens the
     diagonal sum for integer roots, so it settles every degree at once)
-    and tabulates lambda_0..lambda_N and the monomial images J(x**j).
-    solve(n) raises EigenvalueCollision(k, n) for the first k < n with
-    lambda_k = lambda_n; otherwise it back-substitutes row i of
-    J(P) = lambda_n P,
+    and tabulates lambda_0..lambda_N and the band of J's matrix on the
+    monomials (monomial_band).  solve(n) raises EigenvalueCollision(k, n)
+    for the first k < n with lambda_k = lambda_n; otherwise it
+    back-substitutes row i of J(P) = lambda_n P,
 
         (lambda_n - lambda_i) c_i = sum_(j > i) [x**i] J(x**j) * c_j,
 
@@ -193,8 +218,8 @@ def _eigen_solver(J: DiffOperator, N: int):
     first: dict = {}
     for j, value in enumerate(lam):
         first.setdefault(value, j)
-    images = [J.apply_monomial(j) for j in range(N + 1)]
-    band = J.order
+    band = monomial_band(J, N)
+    order = J.order
 
     def solve(n: int) -> Poly:
         k = first[lam[n]]
@@ -204,9 +229,9 @@ def _eigen_solver(J: DiffOperator, N: int):
         coeffs[n] = Fraction(1)
         for i in range(n - 1, -1, -1):
             rhs = Fraction(0)
-            for j in range(i + 1, min(n, i + band) + 1):
+            for j in range(i + 1, min(n, i + order) + 1):
                 if coeffs[j]:
-                    rhs += images[j].coeff(i) * coeffs[j]
+                    rhs += band[j][i] * coeffs[j]
             coeffs[i] = rhs / (lam[n] - lam[i])
         return Poly(coeffs)
 
@@ -216,9 +241,9 @@ def _eigen_solver(J: DiffOperator, N: int):
 def eigenpoly(J: DiffOperator, n: int) -> Poly:
     """The unique monic degree-n polynomial P with J(P) = lambda_n * P.
 
-    Classifies J, tabulates lambda_0..lambda_n and the monomial images
-    J(x**j) for j <= n, then solves the triangular system for the
-    non-leading coefficients from the top down.  J does not raise degree,
+    Classifies J, tabulates lambda_0..lambda_n and the band scalars
+    [x**i] J(x**j) for j <= n (monomial_band), then solves the triangular
+    system for the non-leading coefficients from the top down.  J does not raise degree,
     so the system is banded: row i involves only c_(i+1)..c_(i+order).
     Requires the eigenvalues below n to differ from lambda_n; the first
     equal one is reported as EigenvalueCollision(k, n).
@@ -231,9 +256,9 @@ def eigenpoly(J: DiffOperator, n: int) -> Poly:
 def eigen_sequence(J: DiffOperator, N: int) -> MonicSequence:
     """P_0..P_N, the monic eigenpolynomials of J.
 
-    The classification, lambda_0..lambda_N and the monomial images J(x**j)
-    are computed once for the whole sequence (N + 1 images in all) and
-    shared by the N + 1 banded solves; the result equals eigenpoly(J, n)
+    The classification, lambda_0..lambda_N and the band of J's matrix on
+    the monomials are computed once for the whole sequence and shared by
+    the N + 1 banded solves; the result equals eigenpoly(J, n)
     for each n, including the first EigenvalueCollision raised.
     """
     solve = _eigen_solver(J, N)

@@ -2,7 +2,9 @@
 
 Covers sequence generation, expansion of arbitrary polynomials in the
 monic basis, the x-multiplication rows, canonical dual-functional
-moments, and the finite d-orthogonality probe.
+moments, and the finite d-orthogonality probe.  A generated sequence is
+rows first: it holds the table's x-rows and builds each polynomial on its
+first read, so a reader of the rows alone builds none.
 
 Moments and pairings come from the sequence's sparse x-multiplication rows
 x*P_k = P_(k+1) + sum_j c_(k,j) P_j: RecurrenceTable.x_row's for a generated
@@ -157,33 +159,62 @@ def _rationals(values, name: str) -> list:
 class MonicSequence:
     """P_0..P_N, each monic of exact degree equal to its index.
 
+    Built from the polynomials themselves, or rows first (from_x_rows):
+    then P_n, and every P below it, is built on the first read of seq[n]
+    by the recurrence P_(k+1) = x*P_k - sum_j c_(k,j) P_j, and .polys,
+    iteration and to_json build the whole sequence.  N, len and x_rows
+    build nothing.
+
     columns caches operator-matrix columns over this sequence's x-rows,
     keyed by coefficient tuple (see eigenfam.operator_column); it lives as
     long as the sequence.
     """
 
     def __init__(self, polys: Sequence[Poly], x_rows: Optional[Sequence] = None):
-        ps = tuple(polys)
+        ps = list(polys)
         for n, p in enumerate(ps):
             if p.degree != n or not p.is_monic:
                 raise ValueError(f"entry {n} is not monic of degree {n}")
-        self.polys = ps
+        self._polys = ps
+        self._N = len(ps) - 1
         self._x_rows = None if x_rows is None else tuple(x_rows)
         self.columns: dict = {}
 
+    @classmethod
+    def from_x_rows(cls, x_rows: Sequence) -> "MonicSequence":
+        """P_0..P_N with N = len(x_rows), from rows given as in x_rows;
+        no polynomial is built until one is read."""
+        seq = cls([Poly.one()], x_rows)
+        seq._N = len(seq._x_rows)
+        return seq
+
     @property
     def N(self) -> int:
-        return len(self.polys) - 1
+        return self._N
 
     def __getitem__(self, n: int) -> Poly:
         """P_n for 0 <= n <= N.  A negative n raises IndexError: the
         P_(-i) = 0 rule belongs to the readers of a band (check_expansions)."""
         if n < 0:
             raise IndexError(f"P_{n}: the sequence starts at P_0")
-        return self.polys[n]
+        if n > self._N:
+            raise IndexError(f"P_{n}: the sequence stops at P_{self._N}")
+        polys = self._polys
+        while len(polys) <= n:
+            k = len(polys) - 1
+            p = Poly((0, *polys[k].coeffs))  # x * P_k
+            for j, c in self._x_rows[k]:
+                p = p - polys[j].scale(c)
+            polys.append(p)
+        return polys[n]
+
+    @property
+    def polys(self) -> tuple:
+        """P_0..P_N, every one built."""
+        return tuple(self[n] for n in range(len(self)))
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return self._N + 1
 
     def __iter__(self):
         return iter(self.polys)
@@ -242,18 +273,13 @@ class DualMoments:
 
 
 def generate(rt: RecurrenceTable, N: int) -> MonicSequence:
-    """Run the (d+1)-term recurrence P_(k+1) = x*P_k - sum_j c P_j over the
-    table's x-rows up to degree N; the sequence carries those rows."""
+    """The sequence of the (d+1)-term recurrence P_(k+1) = x*P_k - sum_j c P_j
+    over the table's x-rows up to degree N.  The rows are read now, so a
+    short table raises MissingCoefficient here; each P_n is built on its
+    first read (MonicSequence.from_x_rows)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    polys = [Poly.one()]
-    rows = [rt.x_row(k) for k in range(N)]
-    for k, row in enumerate(rows):
-        p = Poly((0, *polys[k].coeffs))  # x * P_k
-        for j, c in row:
-            p = p - polys[j].scale(c)
-        polys.append(p)
-    return MonicSequence(polys, x_rows=rows)
+    return MonicSequence.from_x_rows([rt.x_row(k) for k in range(N)])
 
 
 def expand_in_basis(p: Poly, seq: MonicSequence) -> BasisExpansion:
@@ -287,24 +313,30 @@ def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
     """Moments (u_i)_n = coefficient of P_i in the expansion of x**n.
 
     The expansion of x**(n+1) is x times that of x**n, with each x*P_j
-    replaced by its x-multiplication row.
+    replaced by its x-multiplication row.  A step lowers a basis index by
+    at most w, the rows' widest drop k - j, so an entry above
+    d - 1 + (N - n) w at step n never reaches a moment and is not kept.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    x_rows = seq.x_rows
+    x_rows, top = seq.x_rows, seq.N
+    w = max((k - j for k, row in enumerate(x_rows) for j, _ in row), default=0)
     rows = [[] for _ in range(d)]
     exp = [Fraction(1)]
-    for n in range(seq.N + 1):
+    for n in range(top + 1):
         if n:
-            nxt = [Fraction(0)] * (n + 1)
+            nxt = [Fraction(0)] * (min(n, d - 1 + (top - n) * w) + 1)
+            keep = len(nxt)
             for j, a in enumerate(exp):
                 if a:
-                    nxt[j + 1] += a
+                    if j + 1 < keep:
+                        nxt[j + 1] += a
                     for k, c in x_rows[j]:
-                        nxt[k] += a * c
+                        if k < keep:
+                            nxt[k] += a * c
             exp = nxt
         for i in range(d):
-            rows[i].append(exp[i] if i <= n else Fraction(0))
+            rows[i].append(exp[i] if i < len(exp) else Fraction(0))
     return DualMoments(rows)
 
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dortho import cli, eigenfam
+from dortho import RecurrenceTable, cli, eigenfam
+from dortho.polycore import rational_to_str
 
 from conftest import GOLDEN, run_cli
 
@@ -322,6 +323,38 @@ class TestProbeBoundEnv:
         )
         assert r.returncode == 0
         assert b'"N": 4' in r.stdout
+
+
+class TestTablesMatchWitness:
+    """A closed-form entry that differs from the oracle's is reported with
+    both values, for beta, alpha and gamma alike."""
+
+    @pytest.mark.parametrize("name, n", [("beta", 4), ("alpha", 3), ("gamma", 2)])
+    def test_altered_entry_carries_its_witness(self, monkeypatch, capsys, name, n):
+        original = eigenfam.corollary42_coeffs
+
+        def altered(N):
+            rt = original(N)
+            entries = {
+                "beta": [rt.beta(k) for k in range(N + 1)],
+                "alpha": [rt.alpha(k) for k in range(1, N + 1)],
+                "gamma": [rt.gamma(k) for k in range(1, N + 1)],
+            }
+            entries[name][n if name == "beta" else n - 1] += 1
+            return RecurrenceTable.two_orthogonal(**entries)
+
+        monkeypatch.setattr(eigenfam, "corollary42_coeffs", altered)
+        code = cli.main(["verify", "--family", "corollary42", "-N", "6", "-M", "2"])
+        assert code == cli.EXIT_FAIL
+        entries = json.loads(capsys.readouterr().out)["report"]["entries"]
+        failing = [
+            e for e in entries if e["identity"] == f"{name}-match" and e["status"] == "fail"
+        ]
+        oracle = getattr(original(6), name)(n)
+        witness = {"closed": rational_to_str(oracle + 1), "oracle": rational_to_str(oracle)}
+        assert failing == [
+            {"identity": f"{name}-match", "n": n, "status": "fail", "witness": witness}
+        ]
 
 
 class TestInternalError:

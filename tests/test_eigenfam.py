@@ -156,19 +156,33 @@ class TestSharedState:
         return calls
 
     def test_eigen_sequence_classifies_once(self, monkeypatch):
+        # the solve reads only the band scalars, so no image J(x**j) is built
         J, N = corollary42_operator(1), 30
         classified = self.count(monkeypatch, eigenfam, "classify")
         imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
         lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
         eigen_sequence(J, N)
         assert len(classified) == 1
-        assert [n for _, n in imaged] == list(range(N + 1))
+        assert imaged == []
         assert [n for _, _, n in lambdas] == list(range(N + 1))
 
     def test_derive_recurrence_builds_each_image_once(self, monkeypatch):
+        # no image at all: the band table holds every scalar the solve reads
+        classified = self.count(monkeypatch, eigenfam, "classify")
         imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
         derive_recurrence(CASE1.operator(), 20)
-        assert [n for _, n in imaged] == list(range(22))
+        assert len(classified) == 1
+        assert imaged == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(operators(max_order=4), st.integers(0, 12))
+    def test_monomial_band_matches_images(self, J, N):
+        band = eigenfam.monomial_band(J, N)
+        assert len(band) == N + 1
+        for j, row in enumerate(band):
+            assert sorted(row) == list(range(max(j - J.order, 0), j))
+            image = J.apply_monomial(j)
+            assert [row.get(i, 0) for i in range(j)] == [image.coeff(i) for i in range(j)]
 
     @pytest.mark.parametrize(
         "J, rt",

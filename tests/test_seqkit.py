@@ -115,10 +115,10 @@ small_rationals = st.one_of(
 
 
 @st.composite
-def banded_tables(draw):
-    """A random (d+1)-term table, d in {1, 2, 3}, with its lowest level
+def banded_tables(draw, ds=st.integers(1, 3)):
+    """A random (d+1)-term table, d drawn from ds, with its lowest level
     sometimes zeroed, and the degree N it is generated to."""
-    d = draw(st.integers(1, 3))
+    d = draw(ds)
     N = draw(st.integers(1, 14))
     beta = draw(st.lists(small_rationals, min_size=N + 1, max_size=N + 1))
     levels = [
@@ -198,6 +198,64 @@ class TestGenerate:
         for n in (-1, -2):
             with pytest.raises(IndexError):
                 coro_seq[n]
+
+
+def built(seq):
+    """How many of P_0, P_1, ... a sequence has built so far."""
+    return len(seq._polys)
+
+
+class TestRowsFirst:
+    """generate reads the table's rows now and builds each P_n on first read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(banded_tables(), st.data())
+    def test_entries_match_reference(self, table, data):
+        rt, N = table
+        n = data.draw(st.integers(0, N))
+        assert generate(rt, N)[n] == reference_generate(rt, N)[n]
+
+    @settings(max_examples=60, deadline=None)
+    @given(banded_tables(), st.data())
+    def test_reading_p_k_builds_only_up_to_k(self, table, data):
+        rt, N = table
+        seq = generate(rt, N)
+        k = data.draw(st.integers(0, N))
+        seq[k]
+        assert built(seq) == k + 1
+        seq[data.draw(st.integers(0, k))]
+        assert built(seq) == k + 1
+
+    def test_size_and_rows_build_nothing(self, coro_rt):
+        seq = generate(coro_rt, 20)
+        assert (seq.N, len(seq)) == (20, 21)
+        assert seq.x_rows == tuple(coro_rt.x_row(k) for k in range(20))
+        assert built(seq) == 1
+
+    def test_whole_sequence_reads_build_everything(self, coro_rt):
+        for read in (lambda s: s.polys, list, lambda s: s.to_json()):
+            seq = generate(coro_rt, 12)
+            read(seq)
+            assert built(seq) == 13
+
+    @pytest.mark.parametrize("n", [-1, 21])
+    def test_index_out_of_range(self, coro_rt, n):
+        seq = generate(coro_rt, 20)
+        with pytest.raises(IndexError):
+            seq[n]
+        assert built(seq) == 1
+
+    def test_short_table_fails_before_any_polynomial(self, monkeypatch):
+        calls = []
+        for name in ("__sub__", "__add__", "scale"):
+            original = getattr(Poly, name)
+            monkeypatch.setattr(
+                Poly, name, lambda *a, _f=original: calls.append(a) or _f(*a)
+            )
+        rt = RecurrenceTable.two_orthogonal([0, 0], [1], [1])
+        with pytest.raises(MissingCoefficient, match="^beta_2 not tabulated$"):
+            generate(rt, 6)
+        assert calls == []
 
 
 def reconstruct_x_times(seq, row, k):
@@ -337,6 +395,15 @@ class TestDualMoments:
             exp = expand_in_basis(Poly.monomial(n), coro_seq)
             assert dm.moment(0, n) == exp.coeff(0)
             assert dm.moment(1, n) == exp.coeff(1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(banded_tables(st.integers(1, 4)), st.integers(1, 4))
+    def test_matches_reference_for_any_width(self, table, d):
+        # the kept window of x**n's expansion loses no entry a moment reads
+        rt, N = table
+        seq = generate(rt, N)
+        for dd in (d, rt.d):
+            assert dual_moments(seq, dd).to_json() == reference_dual_moments(seq, dd)
 
 
 class TestDOrthogonality:
