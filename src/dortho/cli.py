@@ -39,9 +39,11 @@ DEFAULT_M = 6
 
 # Cap on the degrees a user asks for: eigen's n, verify's and duals' N, and
 # the degree (d + 1)M + d - 1 that the d-orthogonality probe to M needs.
-# verify reaches a few degrees past its N (P_(N+6) from an operator; a
-# family's P_(N+5), built only for a failing column), so the largest
-# polynomial degree the CLI builds is MAX_DEGREE + 6.  P_406 of the
+# verify reads a few degrees past its N (an operator's table to degree
+# N + 6, a family's sequence to P_(N+5)) but builds those polynomials only
+# when a check fails: derive mode builds P_0..P_n when column n of J fails,
+# family mode a failing column's witness.  So the largest polynomial degree
+# the CLI can build is MAX_DEGREE + 6, on a failure path.  P_406 of the
 # corollary 4.2 operator takes a few seconds; by P_800 its exact
 # coefficients pass Python's 4300-digit int-to-str limit.
 MAX_DEGREE = 400
@@ -200,13 +202,13 @@ def cmd_verify(args) -> int:
         # derive mode: recover the tables from the eigen-oracle first
         J = _load_operator(args.operator)
         try:
-            rt, shape_report = eigenfam.derive_recurrence(J, N + 5)
+            rt, shape_report, seq = eigenfam.derive_recurrence(J, N + 5)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
         report = VerificationReport()
         report.extend(shape_report)
-        report.extend(eigenfam.verify_expansions(J, rt, N))
+        report.extend(eigenfam.verify_expansions(J, rt, N, seq=seq))
         out = {"mode": "derive", "N": N, "tables": rt.to_json()}
         family = None
     else:
@@ -223,7 +225,7 @@ def cmd_verify(args) -> int:
         eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
         eigenfam.check_expansions(report, full, range(N + 1), eigen)
         try:
-            rt_oracle, _ = eigenfam.derive_recurrence(J, N)
+            rt_oracle, _, _ = eigenfam.derive_recurrence(J, N)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL

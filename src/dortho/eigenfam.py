@@ -197,19 +197,22 @@ def monomial_band(J: DiffOperator, N: int) -> list:
 
 
 def _eigen_solver(J: DiffOperator, N: int):
-    """Set up the eigen-oracle for degrees up to N; return solve(n) -> P_n.
+    """Set up the eigen-oracle for degrees up to N; return (solve, lam).
 
     The setup runs once: it classifies J (the classification screens the
     diagonal sum for integer roots, so it settles every degree at once)
-    and tabulates lambda_0..lambda_N and the band of J's matrix on the
-    monomials (monomial_band).  solve(n) raises EigenvalueCollision(k, n)
-    for the first k < n with lambda_k = lambda_n; otherwise it
-    back-substitutes row i of J(P) = lambda_n P,
+    and tabulates lambda_0..lambda_N (returned as lam) and the band of J's
+    matrix on the monomials (monomial_band).  solve(n, depth) raises
+    EigenvalueCollision(k, n) for the first k < n with lambda_k = lambda_n;
+    otherwise it returns [x**(n - m)] P_n for m = 0..min(depth, n), top
+    down (all n + 1 coefficients by default), back-substituting row i of
+    J(P) = lambda_n P,
 
         (lambda_n - lambda_i) c_i = sum_(j > i) [x**i] J(x**j) * c_j,
 
     over j <= i + order only, since [x**i] J(x**j) = 0 for j > i + order
-    when deg a_v <= v.
+    when deg a_v <= v.  Row i reads only the coefficients above it, so the
+    top depth coefficients cost depth rows whatever n is.
     """
     cls = classify(J, probe_bound=max(J.order + 1, N + 1))
     if cls.tag != "isomorphism":
@@ -221,21 +224,21 @@ def _eigen_solver(J: DiffOperator, N: int):
     band = monomial_band(J, N)
     order = J.order
 
-    def solve(n: int) -> Poly:
+    def solve(n: int, depth: Optional[int] = None) -> list:
         k = first[lam[n]]
         if k < n:
             raise EigenvalueCollision(k, n)
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        for i in range(n - 1, -1, -1):
+        top = [Fraction(1)]  # top[m] = [x**(n - m)] P_n
+        for m in range(1, (n if depth is None else min(n, depth)) + 1):
+            i = n - m
             rhs = Fraction(0)
-            for j in range(i + 1, min(n, i + order) + 1):
-                if coeffs[j]:
-                    rhs += band[j][i] * coeffs[j]
-            coeffs[i] = rhs / (lam[n] - lam[i])
-        return Poly(coeffs)
+            for t in range(1, min(m, order) + 1):
+                if top[m - t]:
+                    rhs += band[i + t][i] * top[m - t]
+            top.append(rhs / (lam[n] - lam[i]))
+        return top
 
-    return solve
+    return solve, lam
 
 
 def eigenpoly(J: DiffOperator, n: int) -> Poly:
@@ -250,50 +253,79 @@ def eigenpoly(J: DiffOperator, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _eigen_solver(J, n)(n)
+    solve, _ = _eigen_solver(J, n)
+    return Poly(reversed(solve(n)))
 
 
 def eigen_sequence(J: DiffOperator, N: int) -> MonicSequence:
-    """P_0..P_N, the monic eigenpolynomials of J.
+    """P_0..P_N, the monic eigenpolynomials of J, as polynomials.
 
     The classification, lambda_0..lambda_N and the band of J's matrix on
     the monomials are computed once for the whole sequence and shared by
     the N + 1 banded solves; the result equals eigenpoly(J, n)
     for each n, including the first EigenvalueCollision raised.
+    derive_recurrence does not build it unless its check fails.
     """
-    solve = _eigen_solver(J, N)
-    return MonicSequence([solve(n) for n in range(N + 1)])
+    solve, _ = _eigen_solver(J, N)
+    return MonicSequence([Poly(reversed(solve(n))) for n in range(N + 1)])
 
 
 def derive_recurrence(J: DiffOperator, N: int):
-    """Recover the d=2 recurrence tables from the eigen-oracle sequence.
+    """Recover the d=2 recurrence tables of J's monic eigenpolynomials P_n.
 
-    Builds P_0..P_(N+1) and reads its rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j.
-    Demands the four-term shape, chi_(k-1,j) = c_(k,j) = 0 for j < k - 2, and
-    every gamma_m = c_(m+1,m-1) nonzero; beta_k = c_(k,k), alpha_m = c_(m,m-1).
-    Returns (RecurrenceTable, VerificationReport).
+    The rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j must have the four-term
+    shape, chi_(k-1,j) = c_(k,j) = 0 for j < k - 2, with every
+    gamma_m = c_(m+1,m-1) nonzero; beta_k = c_(k,k), alpha_m = c_(m,m-1).
+
+    No P_n is built unless a check fails.  The solver gives only the top
+    coefficients T_n(m) = [x**(n-m)] P_n, m <= 3 (T_n(m) = 0 for m > n),
+    and comparing x^k, x^(k-1), x^(k-2) in the four-term row gives
+
+        beta_k      = T_k(1) - T_(k+1)(1)
+        alpha_k     = T_k(2) - T_(k+1)(2) - beta_k T_k(1)
+        gamma_(k-1) = T_k(3) - T_(k+1)(3) - beta_k T_k(2) - alpha_k T_(k-1)(1).
+
+    The sequence Q of that table is then proved to be P to degree N + 1:
+    column n of J's matrix in Q's basis (operator_column) must be
+    lambda_n e_n for every n <= N + 1.  The eigenvalues below each lambda_n
+    differ from it (the solver's collision screen), so the monic
+    eigenpolynomial of each degree is unique and Q_n = P_n; Q's rows are
+    P's, four-term by construction.  If column n is the first to fail,
+    Q_k = P_k for k < n, and P_n - Q_n is a nonzero polynomial of degree
+    at most n - 4 (the three coefficients below x^n match), so row n - 1 is
+    the first row of P that is not four-term.  Only then are P_0..P_n built
+    and reduced (eigen_sequence(J, n).x_rows), to name its first nonzero chi.
+
+    Returns (RecurrenceTable, VerificationReport, Q); Q's column cache
+    already holds J's levels, so verify_expansions(..., seq=Q) reuses them.
     """
-    rows = eigen_sequence(J, N + 1).x_rows
+    solve, lam = _eigen_solver(J, N + 1)
+    T = [solve(n, 3) + [Fraction(0)] * (3 - min(n, 3)) for n in range(N + 2)]
+    beta = [T[k][1] - T[k + 1][1] for k in range(N + 1)]
+    alpha = [T[k][2] - T[k + 1][2] - beta[k] * T[k][1] for k in range(1, N + 1)]
+    gamma = [
+        T[k][3] - T[k + 1][3] - beta[k] * T[k][2] - alpha[k - 1] * T[k - 1][1]
+        for k in range(2, N + 1)
+    ]
+    rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
+    seq = generate(rt, N + 1)
+    for n in range(N + 2):
+        if operator_column(seq, J.coeffs, n) != {n: lam[n]}:
+            rows = eigen_sequence(J, n).x_rows
+            k, j, c = next(
+                (k, j, c) for k, row in enumerate(rows) for j, c in row if j < k - 2
+            )
+            raise NotTwoOrthogonal(
+                f"chi_({k - 1},{j}) = {rational_to_str(c)} != 0", n=k - 1, nu=j
+            )
     report = VerificationReport()
-    for k in range(1, N + 1):
-        for j, c in rows[k]:
-            if j < k - 2:
-                raise NotTwoOrthogonal(
-                    f"chi_({k - 1},{j}) = {rational_to_str(c)} != 0", n=k - 1, nu=j
-                )
-        report.record("four-term-shape", k - 1, True)
-    coef = [dict(row) for row in rows]
-    gammas = [coef[m + 1].get(m - 1, 0) for m in range(1, N)]
-    for m, g in enumerate(gammas, start=1):
+    for k in range(N):
+        report.record("four-term-shape", k, True)
+    for m, g in enumerate(gamma, start=1):
         if g == 0:
             raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
     report.record("gamma-nonvanishing", (1, N - 1), True)
-    rt = RecurrenceTable.two_orthogonal(
-        beta=[coef[k].get(k, 0) for k in range(N + 1)],
-        alpha=[coef[m].get(m - 1, 0) for m in range(1, N + 1)],
-        gamma=gammas,
-    )
-    return rt, report
+    return rt, report, seq
 
 
 # -- closed-form families --------------------------------------------------
@@ -546,10 +578,16 @@ def verify_expansions(
     the thrice-shifted operator (plus its two displayed initial
     images), and the differential relations of the family J belongs to,
     if any.  seq is generate(rt, N + 5) unless the caller passes the
-    table's sequence to a degree of at least N + 5.
+    table's sequence to a degree of at least N + 5; a shorter one is a
+    ValueError.
     """
     if seq is None:
         seq = generate(rt, N + 5)
+    elif seq.N < N + 5:
+        raise ValueError(
+            f"verify_expansions to N = {N} needs the sequence to degree {N + 5}; "
+            f"it stops at {seq.N}"
+        )
     lam = functools.cache(lambda n: lambda_at(J, 0, n))
     t = _Tables(rt, lam)
 

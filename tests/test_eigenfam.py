@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dortho import (
@@ -11,9 +12,11 @@ from dortho import (
     Poly,
     RecurrenceTable,
     ThirdOrderParams,
+    VerificationReport,
     case1_coeffs,
     case2_coeffs,
     classify_solvability,
+    cli,
     corollary42_coeffs,
     corollary42_operator,
     derivative_sequence,
@@ -23,7 +26,10 @@ from dortho import (
     eigenpoly,
     generate,
     lambda_table,
+    rational_to_str,
+    seqkit,
     steptwo_coeffs,
+    structure_coeffs,
     verify_expansions,
 )
 from dortho.errors import (
@@ -36,12 +42,20 @@ from dortho.errors import (
 )
 from dortho.diffop import classify, lambda_at
 
-from conftest import operators
+from conftest import operators, small_rationals
 
 CASE1 = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
 CORO_PARAMS = Case2Params(
     Fraction(1), Fraction(0), Fraction(1, 24), Fraction(1), Fraction(-2), Fraction(1)
 )
+# a_1 = 1 + x, a_3 = (x - 1)^2, lambda_n = 1 + n
+CASE2 = Case2Params(
+    Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(-2), Fraction(1)
+)
+# a_3 = x: no 2-orthogonal eigenfamily
+LINEAR_CUBIC = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])])
+# operators whose eigenpolynomials are 2-orthogonal: derive_recurrence passes
+FAMILY_OPERATORS = [CASE1.operator(), CASE2.operator(), corollary42_operator(1)]
 
 
 class TestEigenpoly:
@@ -166,13 +180,60 @@ class TestSharedState:
         assert imaged == []
         assert [n for _, _, n in lambdas] == list(range(N + 1))
 
-    def test_derive_recurrence_builds_each_image_once(self, monkeypatch):
-        # no image at all: the band table holds every scalar the solve reads
+    def test_derive_recurrence_builds_each_image_once(self, monkeypatch, tmp_path):
+        # no image at all: the band table holds every scalar the solve reads.
+        # Derive mode computes each (coefficient tail, n) column once:
+        # verify_expansions reads the levels derive_recurrence's check filled.
         classified = self.count(monkeypatch, eigenfam, "classify")
         imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
-        derive_recurrence(CASE1.operator(), 20)
-        assert len(classified) == 1
-        assert imaged == []
+        computed = []
+        column = eigenfam.operator_column
+
+        def counted_column(seq, coeffs, n):
+            before = len(seq.columns.get(coeffs, ()))
+            out = column(seq, coeffs, n)
+            computed.extend((coeffs, m) for m in range(before, len(seq.columns[coeffs])))
+            return out
+
+        monkeypatch.setattr(eigenfam, "operator_column", counted_column)
+        op = tmp_path / "op.json"
+        argv = ["verify", "--operator", str(op), "-N", "12", "--out", str(tmp_path / "out")]
+        for J in FAMILY_OPERATORS:
+            classified.clear()
+            computed.clear()
+            op.write_text(json.dumps(J.to_json()))
+            assert cli.main(argv) == cli.EXIT_OK
+            assert len(classified) == 1
+            assert imaged == []
+            assert len(computed) == len(set(computed))
+            # derive_recurrence(J, 17) checks J's columns to 18, so J^(1)'s to
+            # 17; verify_expansions alone reads J^(1) only to column 12
+            assert (J.coeffs[1:], 17) in computed
+
+    @pytest.mark.parametrize("J", FAMILY_OPERATORS)
+    def test_derive_recurrence_builds_no_polynomial(self, monkeypatch, J):
+        # the table comes from the solver's top coefficients and is proved by
+        # J's columns; only classify's fixed handful of Poly operations remains
+        routes = [
+            self.count(monkeypatch, eigenfam, "eigen_sequence"),
+            self.count(monkeypatch, seqkit, "structure_coeffs"),
+            self.count(monkeypatch, seqkit, "expand_in_basis"),
+        ]
+        ops = [
+            self.count(monkeypatch, Poly, name)
+            for name in ("__add__", "__sub__", "scale", "__mul__")
+        ]
+
+        def poly_ops(run):
+            for calls in ops:
+                calls.clear()
+            run()
+            return [len(calls) for calls in ops]
+
+        alone = poly_ops(lambda: classify(J, 31))
+        assert poly_ops(lambda: derive_recurrence(J, 10)) == alone
+        assert poly_ops(lambda: derive_recurrence(J, 30)) == alone
+        assert routes == [[], [], []]
 
     @settings(max_examples=150, deadline=None)
     @given(operators(max_order=4), st.integers(0, 12))
@@ -199,9 +260,78 @@ class TestSharedState:
         assert len(indices) == len(set(indices))
 
 
+def reference_derive(J, N):
+    """derive_recurrence's table and report read as the polynomial route does:
+    the rows of structure_coeffs(eigen_sequence(J, N + 1))."""
+    rows = structure_coeffs(eigen_sequence(J, N + 1))
+    report = VerificationReport()
+    for k in range(1, N + 1):
+        for j, c in rows[k]:
+            if j < k - 2:
+                raise NotTwoOrthogonal(
+                    f"chi_({k - 1},{j}) = {rational_to_str(c)} != 0", n=k - 1, nu=j
+                )
+        report.record("four-term-shape", k - 1, True)
+    coef = [dict(row) for row in rows]
+    gammas = [coef[m + 1].get(m - 1, 0) for m in range(1, N)]
+    for m, g in enumerate(gammas, start=1):
+        if g == 0:
+            raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
+    report.record("gamma-nonvanishing", (1, N - 1), True)
+    rt = RecurrenceTable.two_orthogonal(
+        beta=[coef[k].get(k, 0) for k in range(N + 1)],
+        alpha=[coef[m].get(m - 1, 0) for m in range(1, N + 1)],
+        gamma=gammas,
+    )
+    return rt, report
+
+
+def derive_outcome(make):
+    """The table and report JSON of make(), or the exception it raised."""
+
+    def outcome():
+        try:
+            rt, report = make()[:2]
+        except NotTwoOrthogonal as exc:
+            return (NotTwoOrthogonal, str(exc), exc.n, exc.nu)
+        return rt.to_json(), report.to_json()
+
+    return eigen_outcome(outcome)
+
+
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def family_operators(draw):
+    """A case 1, case 2 or corollary 4.2 operator: 2-orthogonal eigenpolynomials
+    whenever it is an isomorphism."""
+    kind = draw(st.sampled_from(["case1", "case2", "corollary42"]))
+    if kind == "corollary42":
+        return corollary42_operator(draw(small_rationals))
+    a00, a01 = draw(small_rationals), draw(small_rationals)
+    a11 = draw(nonzero_rationals)
+    if kind == "case1":
+        return Case1Params(
+            a00, a01, a11, draw(small_rationals), draw(nonzero_rationals)
+        ).operator()
+    s, r = draw(small_rationals), draw(small_rationals)  # a_3 = s (x - r)^2
+    return Case2Params(a00, a01, a11, s * r * r, -2 * s * r, s).operator()
+
+
 class TestDeriveRecurrence:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(operators(max_order=4), family_operators()), st.integers(0, 12))
+    @example(LINEAR_CUBIC, 3)  # rows 0..3 are four-term
+    @example(LINEAR_CUBIC, 4)  # row 4 = row N is not: chi_(3,1) = 1/4
+    def test_matches_polynomial_route(self, J, N):
+        got = derive_outcome(lambda: derive_recurrence(J, N))
+        assert got == derive_outcome(lambda: reference_derive(J, N))
+        if isinstance(got[0], dict):  # passed: the proved sequence is P itself
+            assert list(derive_recurrence(J, N)[2]) == list(eigen_sequence(J, N + 1))
+
     def test_case1_tables(self):
-        rt, rep = derive_recurrence(CASE1.operator(), 26)
+        rt, rep, _ = derive_recurrence(CASE1.operator(), 26)
         assert rep.passed
         for n in range(26):
             assert rt.beta(n) == 0
@@ -211,7 +341,7 @@ class TestDeriveRecurrence:
             assert rt.gamma(n + 1) == (n + 1) * (n + 2)
 
     def test_explicit_family_tables(self):
-        rt, _ = derive_recurrence(corollary42_operator(1), 26)
+        rt, _, _ = derive_recurrence(corollary42_operator(1), 26)
         closed = corollary42_coeffs(26)
         assert all(rt.beta(n) == closed.beta(n) for n in range(27))
         assert all(rt.alpha(n) == closed.alpha(n) for n in range(1, 27))
@@ -341,6 +471,13 @@ class TestVerifyExpansions:
         names = {e.identity for e in rep.entries}
         assert "corollary-second-order" in names
         assert "corollary-first-order" in names
+
+    def test_short_sequence_names_the_degree(self):
+        # the column recursion would run off the sequence's rows (IndexError)
+        rt = case1_coeffs(CASE1, 30)
+        with pytest.raises(ValueError, match="to degree 15; it stops at 8"):
+            verify_expansions(CASE1.operator(), rt, 10, seq=generate(rt, 8))
+        assert verify_expansions(CASE1.operator(), rt, 10, seq=generate(rt, 15)).passed
 
     def test_case1_displayed_identity_n2(self):
         # (x I - 2 D - 3 D^2)(P_2) = x^3 - 5x - 6 = P_3 - 2 P_1 - 4 P_0
