@@ -3,20 +3,17 @@ and the 2-orthogonal polynomial eigenfamilies they generate."""
 
 from .diffop import (
     DiffOperator,
-    EigenvalueTable,
     OperatorClass,
     classify,
     from_action,
     lambda_at,
     lambda_poly,
-    lambda_table,
     leibniz_expand,
 )
 from .eigenfam import (
     Case1Params,
     Case2Params,
     SolvabilityResult,
-    StepTwoCoeffs,
     ThirdOrderParams,
     case1_coeffs,
     case2_coeffs,
@@ -24,9 +21,7 @@ from .eigenfam import (
     corollary42_coeffs,
     corollary42_operator,
     derive_recurrence,
-    eigen_sequence,
     eigenpoly,
-    steptwo_coeffs,
     verify_expansions,
 )
 from .polycore import Poly, binomial, rational_from_json, rational_to_str
@@ -56,14 +51,12 @@ __all__ = [
     "Case2Params",
     "DiffOperator",
     "DualMoments",
-    "EigenvalueTable",
     "MonicSequence",
     "OperatorClass",
     "Poly",
     "RecurrenceTable",
     "ReportEntry",
     "SolvabilityResult",
-    "StepTwoCoeffs",
     "ThirdOrderParams",
     "VerificationReport",
     "binomial",
@@ -77,18 +70,15 @@ __all__ = [
     "derivative_sequence",
     "derive_recurrence",
     "dual_moments",
-    "eigen_sequence",
     "eigenpoly",
     "expand_in_basis",
     "from_action",
     "generate",
     "lambda_at",
     "lambda_poly",
-    "lambda_table",
     "leibniz_expand",
     "rational_from_json",
     "rational_to_str",
-    "steptwo_coeffs",
     "structure_coeffs",
     "verify_expansions",
 ]

@@ -40,12 +40,12 @@ DEFAULT_M = 6
 # Cap on the degrees a user asks for: eigen's n, verify's and duals' N, and
 # the degree (d + 1)M + d - 1 that the d-orthogonality probe to M needs.
 # verify reads a few degrees past its N (an operator's table to degree
-# N + 6, a family's sequence to P_(N+5)) but builds those polynomials only
-# when a check fails: derive mode builds P_0..P_n when column n of J fails,
-# family mode a failing column's witness.  So the largest polynomial degree
-# the CLI can build is MAX_DEGREE + 6, on a failure path.  P_406 of the
-# corollary 4.2 operator takes a few seconds; by P_800 its exact
-# coefficients pass Python's 4300-digit int-to-str limit.
+# N + 6, a family's sequence to P_(N+5)) and checks every identity on x-rows
+# alone.  Only a failing family-mode check builds polynomials, for its
+# witness, so the largest the CLI can build is P_(MAX_DEGREE + 5), on a
+# failure path.  P_405 of the corollary 4.2 family takes about a second to
+# build; by P_800 its exact coefficients pass Python's 4300-digit
+# int-to-str limit.
 MAX_DEGREE = 400
 
 
@@ -235,8 +235,12 @@ def cmd_verify(args) -> int:
         report.extend(seqkit.check_d_orthogonality(seq, 2, M))
         dseq = seqkit.derivative_sequence(seq)
         if family == "case1":
+            same = next((k for k in range(N) if dseq.x_rows[k] != seq.x_rows[k]), N)
             for n in range(N + 1):
-                report.check("appell", n, dseq[n], seq[n])
+                if n <= same:  # Q's rows below n are P's, so Q_n = P_n
+                    report.record("appell", n, True)
+                else:
+                    report.check("appell", n, dseq[n], seq[n])
         else:
             report.extend(seqkit.check_d_orthogonality(dseq, 2, M))
         out = {"mode": "family", "family": family, "N": N, "M": M}

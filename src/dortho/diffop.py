@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DegreeViolation, InvalidProbe
 from .polycore import Poly, binomial, rational_to_str
@@ -170,27 +170,6 @@ def lambda_poly(J: DiffOperator, k: int) -> Poly:
             b = b * Poly((k - t, 1))
         total = total + b.scale(Fraction(c, math.factorial(j + k)))
     return total
-
-
-@dataclass(frozen=True)
-class EigenvalueTable:
-    """Diagonal sums for a fixed shift k; entry n holds lambda_(n+k)^[k]."""
-
-    k: int
-    values: tuple
-    _at: Callable[[int], Fraction]
-
-    def at(self, n: int) -> Fraction:
-        """Value for any integer offset n (polynomial extension)."""
-        return self._at(n)
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-
-def lambda_table(J: DiffOperator, k: int, N: int) -> EigenvalueTable:
-    values = tuple(lambda_at(J, k, n) for n in range(N + 1))
-    return EigenvalueTable(k=k, values=values, _at=lambda n: lambda_at(J, k, n))
 
 
 # -- classification --------------------------------------------------------

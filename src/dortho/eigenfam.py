@@ -15,19 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .diffop import DiffOperator, EigenvalueTable, classify, lambda_at
+from .diffop import DiffOperator, classify, lambda_at
 from .errors import (
     DiscriminantNonzero,
     EigenvalueCollision,
-    IndexOutOfRange,
-    MissingCoefficient,
     NotIsomorphism,
     NotTwoOrthogonal,
     ZeroParameter,
 )
 from .polycore import Poly, rational_to_str
 from .report import VerificationReport
-from .seqkit import MonicSequence, RecurrenceTable, generate
+from .seqkit import MonicSequence, RecurrenceTable, generate, times_x
 
 
 # -- parameter bundles -----------------------------------------------------
@@ -257,19 +255,6 @@ def eigenpoly(J: DiffOperator, n: int) -> Poly:
     return Poly(reversed(solve(n)))
 
 
-def eigen_sequence(J: DiffOperator, N: int) -> MonicSequence:
-    """P_0..P_N, the monic eigenpolynomials of J, as polynomials.
-
-    The classification, lambda_0..lambda_N and the band of J's matrix on
-    the monomials are computed once for the whole sequence and shared by
-    the N + 1 banded solves; the result equals eigenpoly(J, n)
-    for each n, including the first EigenvalueCollision raised.
-    derive_recurrence does not build it unless its check fails.
-    """
-    solve, _ = _eigen_solver(J, N)
-    return MonicSequence([Poly(reversed(solve(n))) for n in range(N + 1)])
-
-
 def derive_recurrence(J: DiffOperator, N: int):
     """Recover the d=2 recurrence tables of J's monic eigenpolynomials P_n.
 
@@ -277,9 +262,10 @@ def derive_recurrence(J: DiffOperator, N: int):
     shape, chi_(k-1,j) = c_(k,j) = 0 for j < k - 2, with every
     gamma_m = c_(m+1,m-1) nonzero; beta_k = c_(k,k), alpha_m = c_(m,m-1).
 
-    No P_n is built unless a check fails.  The solver gives only the top
-    coefficients T_n(m) = [x**(n-m)] P_n, m <= 3 (T_n(m) = 0 for m > n),
-    and comparing x^k, x^(k-1), x^(k-2) in the four-term row gives
+    No P_n is built, whether the checks pass or fail.  The solver gives
+    only the top coefficients T_n(m) = [x**(n-m)] P_n, m <= 3 (T_n(m) = 0
+    for m > n), and comparing x^k, x^(k-1), x^(k-2) in the four-term row
+    gives
 
         beta_k      = T_k(1) - T_(k+1)(1)
         alpha_k     = T_k(2) - T_(k+1)(2) - beta_k T_k(1)
@@ -293,8 +279,10 @@ def derive_recurrence(J: DiffOperator, N: int):
     P's, four-term by construction.  If column n is the first to fail,
     Q_k = P_k for k < n, and P_n - Q_n is a nonzero polynomial of degree
     at most n - 4 (the three coefficients below x^n match), so row n - 1 is
-    the first row of P that is not four-term.  Only then are P_0..P_n built
-    and reduced (eigen_sequence(J, n).x_rows), to name its first nonzero chi.
+    the first row of P that is not four-term.  Write P_n - Q_n = sum_j r_j Q_j;
+    then column n is lambda_n e_n + sum_j r_j (lambda_n - lambda_j) e_j, and
+    lambda_j != lambda_n, so the first nonzero chi, chi_(n-2,j) = -r_j at the
+    smallest such j, is read off the column without building a polynomial.
 
     Returns (RecurrenceTable, VerificationReport, Q); Q's column cache
     already holds J's levels, so verify_expansions(..., seq=Q) reuses them.
@@ -310,13 +298,12 @@ def derive_recurrence(J: DiffOperator, N: int):
     rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
     seq = generate(rt, N + 1)
     for n in range(N + 2):
-        if operator_column(seq, J.coeffs, n) != {n: lam[n]}:
-            rows = eigen_sequence(J, n).x_rows
-            k, j, c = next(
-                (k, j, c) for k, row in enumerate(rows) for j, c in row if j < k - 2
-            )
+        col = operator_column(seq, J.coeffs, n)
+        if col != {n: lam[n]}:
+            j = min(col.keys() - {n})
+            chi = col[j] / (lam[j] - lam[n])
             raise NotTwoOrthogonal(
-                f"chi_({k - 1},{j}) = {rational_to_str(c)} != 0", n=k - 1, nu=j
+                f"chi_({n - 2},{j}) = {rational_to_str(chi)} != 0", n=n - 2, nu=j
             )
     report = VerificationReport()
     for k in range(N):
@@ -402,19 +389,6 @@ def corollary42_coeffs(N: int) -> RecurrenceTable:
 # -- second-step coefficients ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepTwoCoeffs:
-    """The seven expansion coefficients of the twice-shifted operator."""
-
-    A: Fraction
-    B: Fraction
-    C: Fraction
-    D: Fraction
-    F: Fraction
-    G: Fraction
-    H: Fraction
-
-
 class _Tables:
     """The second-step coefficients A..H over one table and eigenvalue map,
     each cached per instance: the shift-2 and shift-3 bands read them again.
@@ -478,28 +452,7 @@ class _Tables:
         )
 
 
-def steptwo_coeffs(lambdas: EigenvalueTable, rt: RecurrenceTable, n: int) -> StepTwoCoeffs:
-    """The seven second-step coefficients at index n."""
-    t = _Tables(rt, lambdas.at)
-    try:
-        return StepTwoCoeffs(
-            A=t.A(n), B=t.B(n), C=t.C(n), D=t.D(n), F=t.F(n), G=t.G(n), H=t.H(n)
-        )
-    except MissingCoefficient as exc:  # table exhausted
-        raise IndexOutOfRange(str(exc)) from exc
-
-
 # -- expansion verification ------------------------------------------------
-
-
-def _times_x(col: dict, rows) -> dict:
-    """X col: each e_j becomes e_(j+1) + sum_((k, c) in row j) c e_k."""
-    out: dict = {}
-    for j, v in col.items():
-        out[j + 1] = out.get(j + 1, 0) + v
-        for k, c in rows[j]:
-            out[k] = out.get(k, 0) + c * v
-    return out
 
 
 def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> dict:
@@ -524,10 +477,10 @@ def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> dict:
         if m == 0:
             col: dict = {}
             for c in reversed(coeffs[0].coeffs if coeffs else ()):  # Horner
-                col = _times_x(col, rows)
+                col = times_x(col, rows)
                 col[0] = col.get(0, 0) + c
         else:
-            col = _times_x(cols[m - 1], rows)
+            col = times_x(cols[m - 1], rows)
             if len(coeffs) > 1:
                 for j, v in operator_column(seq, coeffs[1:], m - 1).items():
                     col[j] = col.get(j, 0) + v

@@ -25,10 +25,6 @@ class MissingCoefficient(DorthoError):
     """A recurrence table entry required by the recursion is absent."""
 
 
-class IndexOutOfRange(DorthoError):
-    """Requested index lies outside the tabulated/generated range."""
-
-
 class OutputTooLarge(DorthoError):
     """An exact result is too long to write as a decimal string."""
 

@@ -1,14 +1,17 @@
 """Monic polynomial sequences from higher-order recurrences.
 
-Covers sequence generation, expansion of arbitrary polynomials in the
-monic basis, the x-multiplication rows, canonical dual-functional
-moments, and the finite d-orthogonality probe.  A generated sequence is
-rows first: it holds the table's x-rows and builds each polynomial on its
-first read, so a reader of the rows alone builds none.
+Covers sequence generation, the x-multiplication rows, the derivative
+sequence, canonical dual-functional moments, and the finite
+d-orthogonality probe.  A generated sequence is rows first: it holds the
+table's x-rows and builds each polynomial on its first read, so a reader
+of the rows alone builds none.  derivative_sequence is rows first too.
 
 Moments and pairings come from the sequence's sparse x-multiplication rows
 x*P_k = P_(k+1) + sum_j c_(k,j) P_j: RecurrenceTable.x_row's for a generated
-sequence, else read once by structure_coeffs.  The dual moments follow
+sequence, derivative_sequence's for a derivative sequence.  Only a sequence
+given as polynomials has its rows read by structure_coeffs, which expands
+each x*P_k in the basis (expand_in_basis); no verify path does that, and the
+tests keep it as the polynomial reference.  The dual moments follow
 by applying the rows to the basis expansion of x**n.  The pairings
 sigma_nu(m, n) = <u_nu, P_m P_n> follow from the mixed-moment recurrence
 (Gautschi's modified Chebyshev algorithm)
@@ -401,11 +404,49 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
     return report
 
 
+def times_x(col: dict, rows) -> dict:
+    """X col over a sequence's x-rows: each e_j becomes
+    e_(j+1) + sum_((k, c) in rows[j]) c e_k."""
+    out: dict = {}
+    for j, v in col.items():
+        out[j + 1] = out.get(j + 1, 0) + v
+        for k, c in rows[j]:
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
 def derivative_sequence(seq: MonicSequence) -> MonicSequence:
-    """Normalized derivative sequence Q_n = P'_(n+1) / (n+1)."""
+    """Normalized derivative sequence Q_n = P'_(n+1) / (n+1), rows first.
+
+    Q's x-rows come from seq's alone.  Differentiating
+    x*P_k = P_(k+1) + sum_j c_(k,j) P_j, with P_k' = k Q_(k-1), gives
+
+        k x Q_(k-1) = (k+1) Q_k + S_k - P_k,   S_k = sum_j j c_(k,j) e_(j-1).
+
+    Write P_k = Q_k + F_k in Q's basis (F_0 = 0).  P's recurrence gives
+    P_k = x Q_(k-1) + A_k with A_k = X F_(k-1) - sum_j c_(k-1,j) P_j, X the
+    multiplication by x over Q's rows 0..k-2.  Equating the two forms of
+    x Q_(k-1) gives row k - 1 of Q and the next F:
+
+        x Q_(k-1) - Q_k = (S_k - A_k) / (k+1),   F_k = (S_k + k A_k) / (k+1).
+    """
     if seq.N < 1:
         raise ValueError("need at least P_1")
-    polys = [
-        seq[n + 1].derivative().scale(Fraction(1, n + 1)) for n in range(seq.N)
-    ]
-    return MonicSequence(polys)
+    rows = seq.x_rows
+    tails = [{}]  # tails[k] = F_k
+    qrows: list = []
+    for k in range(1, seq.N):
+        a = times_x(tails[k - 1], qrows)
+        for j, c in rows[k - 1]:
+            a[j] = a.get(j, 0) - c
+            for i, v in tails[j].items():
+                a[i] = a.get(i, 0) - c * v
+        s = {j - 1: j * c for j, c in rows[k] if j}
+        keys = sorted(a.keys() | s.keys())
+        qrows.append(
+            tuple((j, v) for j in keys if (v := (s.get(j, 0) - a.get(j, 0)) / (k + 1)))
+        )
+        tails.append(
+            {j: v for j in keys if (v := (s.get(j, 0) + k * a.get(j, 0)) / (k + 1))}
+        )
+    return MonicSequence.from_x_rows(qrows)

@@ -6,12 +6,13 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dortho import RecurrenceTable, cli, eigenfam
+from dortho import RecurrenceTable, cli, eigenfam, seqkit
 from dortho.polycore import rational_to_str
 
 from conftest import GOLDEN, run_cli
@@ -355,6 +356,61 @@ class TestTablesMatchWitness:
         assert failing == [
             {"identity": f"{name}-match", "n": n, "status": "fail", "witness": witness}
         ]
+
+
+class TestAppell:
+    """Case 1's appell check reads the derivative sequence's rows: a passing
+    family run reads no polynomial, and a table altered at one entry fails
+    from the first degree where Q_n = P'_(n+1)/(n+1) differs from P_n, with
+    both polynomials as the witness."""
+
+    ARGV = ["verify", "--family", "case1", "--params", '["1","0","1","-2","-6"]']
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ARGV,
+            ["verify", "--family", "case2", "--params", '[1, 0, "1/24", 1, -2, 1]'],
+            ["verify", "--family", "corollary42"],
+        ],
+        ids=["case1", "case2", "corollary42"],
+    )
+    def test_passing_run_reads_no_polynomial(self, monkeypatch, tmp_path, argv):
+        def read(seq, n):
+            raise AssertionError(f"P_{n} was read")
+
+        monkeypatch.setattr(seqkit.MonicSequence, "__getitem__", read)
+        out = str(tmp_path / "out.json")
+        assert cli.main([*argv, "-N", "12", "-M", "3", "--out", out]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("name, n", [("beta", 4), ("alpha", 3), ("gamma", 2)])
+    def test_altered_entry_fails_with_the_polynomials(self, monkeypatch, capsys, name, n):
+        original = eigenfam.case1_coeffs
+
+        def altered(p, N):
+            rt = original(p, N)
+            entries = {
+                "beta": [rt.beta(k) for k in range(N + 1)],
+                "alpha": [rt.alpha(k) for k in range(1, N + 1)],
+                "gamma": [rt.gamma(k) for k in range(1, N + 1)],
+            }
+            entries[name][n if name == "beta" else n - 1] += 1
+            return RecurrenceTable.two_orthogonal(**entries)
+
+        monkeypatch.setattr(eigenfam, "case1_coeffs", altered)
+        assert cli.main([*self.ARGV, "-N", "8", "-M", "2"]) == cli.EXIT_FAIL
+        entries = json.loads(capsys.readouterr().out)["report"]["entries"]
+        params = eigenfam.Case1Params(*map(Fraction, (1, 0, 1, -2, -6)))
+        seq = seqkit.generate(altered(params, 13), 9)  # the CLI's probe sequence
+        expected = []
+        for k in range(9):
+            q, p = seq[k + 1].derivative().scale(Fraction(1, k + 1)), seq[k]
+            entry = {"identity": "appell", "n": k, "status": "pass" if q == p else "fail"}
+            if q != p:
+                entry["witness"] = {"lhs": q.to_json(), "rhs": p.to_json()}
+            expected.append(entry)
+        assert [e for e in entries if e["identity"] == "appell"] == expected
+        assert [e["status"] for e in expected].count("pass") in range(1, 9)
 
 
 class TestInternalError:

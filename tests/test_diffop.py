@@ -12,7 +12,6 @@ from dortho import (
     corollary42_operator,
     from_action,
     lambda_at,
-    lambda_table,
     leibniz_expand,
 )
 from dortho.diffop import nonneg_integer_roots
@@ -171,28 +170,23 @@ class TestLeibniz:
 
 class TestLambdaTable:
     def test_identity_operator(self):
-        t = lambda_table(IDENT, 0, 10)
-        assert all(t[n] == 1 for n in range(11))
+        assert all(lambda_at(IDENT, 0, n) == 1 for n in range(11))
 
     def test_affine_case(self):
         J = DiffOperator([Poly.one(), Poly([0, 1])])
-        t = lambda_table(J, 0, 10)
-        assert [t[n] for n in range(11)] == [n + 1 for n in range(11)]
+        assert [lambda_at(J, 0, n) for n in range(11)] == [n + 1 for n in range(11)]
 
     def test_explicit_family(self):
         J = corollary42_operator(Fraction(1))
-        t = lambda_table(J, 0, 8)
-        assert all(t[n] == Fraction(n, 24) + 1 for n in range(9))
+        assert all(lambda_at(J, 0, n) == Fraction(n, 24) + 1 for n in range(9))
 
     def test_negative_extension(self):
         J = corollary42_operator(Fraction(1))
-        t = lambda_table(J, 0, 2)
-        assert t.at(-3) == Fraction(-3, 24) + 1
+        assert lambda_at(J, 0, -3) == Fraction(-3, 24) + 1
 
     def test_shifted_diagonal(self):
         # for D, lambda_(n+1)^[1] = n + 1
-        t = lambda_table(D, 1, 6)
-        assert [t[n] for n in range(7)] == [n + 1 for n in range(7)]
+        assert [lambda_at(D, 1, n) for n in range(7)] == [n + 1 for n in range(7)]
 
 
 class TestClassify:

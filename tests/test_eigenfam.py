@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -19,23 +20,21 @@ from dortho import (
     cli,
     corollary42_coeffs,
     corollary42_operator,
+    MonicSequence,
     derivative_sequence,
     derive_recurrence,
-    eigen_sequence,
     eigenfam,
     eigenpoly,
     generate,
-    lambda_table,
     rational_to_str,
     seqkit,
-    steptwo_coeffs,
     structure_coeffs,
     verify_expansions,
 )
 from dortho.errors import (
     DiscriminantNonzero,
     EigenvalueCollision,
-    IndexOutOfRange,
+    MissingCoefficient,
     NotIsomorphism,
     NotTwoOrthogonal,
     ZeroParameter,
@@ -54,6 +53,8 @@ CASE2 = Case2Params(
 )
 # a_3 = x: no 2-orthogonal eigenfamily
 LINEAR_CUBIC = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])])
+# a_3 = 1 + x: row 4 of its eigenpolynomials has two nonzero chi, at j = 0 and 1
+TWO_CHI = DiffOperator([Poly.one(), Poly([2, 1]), Poly([0, -2]), Poly([1, 1])])
 # operators whose eigenpolynomials are 2-orthogonal: derive_recurrence passes
 FAMILY_OPERATORS = [CASE1.operator(), CASE2.operator(), corollary42_operator(1)]
 
@@ -121,15 +122,21 @@ def eigen_outcome(make):
         return (NotIsomorphism, str(exc))
 
 
+def solved_sequence(J, N):
+    """P_0..P_N from one eigen-solver setup, as derive_recurrence reads them."""
+    solve, _ = eigenfam._eigen_solver(J, N)
+    return [Poly(reversed(solve(n))) for n in range(N + 1)]
+
+
 class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(operators(max_order=4), st.integers(0, 12))
     def test_eigen_sequence(self, J, N):
+        # one solver setup serves every degree, collisions included
         expected = eigen_outcome(
             lambda: [reference_eigenpoly(J, n) for n in range(N + 1)]
         )
-        got = eigen_outcome(lambda: list(eigen_sequence(J, N)))
-        assert got == expected
+        assert eigen_outcome(lambda: solved_sequence(J, N)) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(operators(max_order=4), st.integers(0, 12))
@@ -142,7 +149,7 @@ class TestAgainstReference:
         # lambda_n = 1 + n(3-n)/2: lambda_0 = lambda_3 and lambda_1 = lambda_2
         J = DiffOperator([Poly.one(), Poly([0, 1]), Poly([0, 0, -1])])
         with pytest.raises(EigenvalueCollision) as ei:
-            eigen_sequence(J, 6)
+            derive_recurrence(J, 5)
         assert (ei.value.k, ei.value.n) == (1, 2)
 
     def test_fourth_order_band(self):
@@ -150,12 +157,11 @@ class TestAgainstReference:
         J = DiffOperator(
             [Poly([2]), Poly([0, 1]), Poly([1]), Poly([0, 1]), Poly([1, 0, 0, 0, 1])]
         )
-        seq = eigen_sequence(J, 12)
-        assert list(seq) == [reference_eigenpoly(J, n) for n in range(13)]
+        assert solved_sequence(J, 12) == [reference_eigenpoly(J, n) for n in range(13)]
 
 
 class TestSharedState:
-    """eigen_sequence and verify_expansions compute nothing twice."""
+    """The eigen-solver and verify_expansions compute nothing twice."""
 
     @staticmethod
     def count(monkeypatch, owner, name):
@@ -175,7 +181,7 @@ class TestSharedState:
         classified = self.count(monkeypatch, eigenfam, "classify")
         imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
         lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
-        eigen_sequence(J, N)
+        solved_sequence(J, N)
         assert len(classified) == 1
         assert imaged == []
         assert [n for _, _, n in lambdas] == list(range(N + 1))
@@ -213,9 +219,10 @@ class TestSharedState:
     @pytest.mark.parametrize("J", FAMILY_OPERATORS)
     def test_derive_recurrence_builds_no_polynomial(self, monkeypatch, J):
         # the table comes from the solver's top coefficients and is proved by
-        # J's columns; only classify's fixed handful of Poly operations remains
+        # J's columns, and a failing column names its chi; only classify's
+        # fixed handful of Poly operations remains, from one classify call
+        classified = self.count(monkeypatch, eigenfam, "classify")
         routes = [
-            self.count(monkeypatch, eigenfam, "eigen_sequence"),
             self.count(monkeypatch, seqkit, "structure_coeffs"),
             self.count(monkeypatch, seqkit, "expand_in_basis"),
         ]
@@ -230,10 +237,21 @@ class TestSharedState:
             run()
             return [len(calls) for calls in ops]
 
-        alone = poly_ops(lambda: classify(J, 31))
-        assert poly_ops(lambda: derive_recurrence(J, 10)) == alone
-        assert poly_ops(lambda: derive_recurrence(J, 30)) == alone
-        assert routes == [[], [], []]
+        def failing(N):
+            with pytest.raises(NotTwoOrthogonal, match=r"^chi_\(3,1\) = 1/4 != 0$"):
+                derive_recurrence(LINEAR_CUBIC, N)
+
+        for op, run in (
+            (J, lambda: derive_recurrence(J, 10)),
+            (J, lambda: derive_recurrence(J, 30)),
+            (LINEAR_CUBIC, lambda: failing(10)),
+            (LINEAR_CUBIC, lambda: failing(30)),
+        ):
+            alone = poly_ops(lambda: classify(op, 31))
+            classified.clear()
+            assert poly_ops(run) == alone
+            assert len(classified) == 1
+        assert routes == [[], []]
 
     @settings(max_examples=150, deadline=None)
     @given(operators(max_order=4), st.integers(0, 12))
@@ -261,9 +279,11 @@ class TestSharedState:
 
 
 def reference_derive(J, N):
-    """derive_recurrence's table and report read as the polynomial route does:
-    the rows of structure_coeffs(eigen_sequence(J, N + 1))."""
-    rows = structure_coeffs(eigen_sequence(J, N + 1))
+    """derive_recurrence's table, report and sequence read as the polynomial
+    route does: the rows of structure_coeffs over P_0..P_(N+1), each solved
+    alone by reference_eigenpoly."""
+    seq = MonicSequence([reference_eigenpoly(J, n) for n in range(N + 2)])
+    rows = structure_coeffs(seq)
     report = VerificationReport()
     for k in range(1, N + 1):
         for j, c in rows[k]:
@@ -283,7 +303,7 @@ def reference_derive(J, N):
         alpha=[coef[m].get(m - 1, 0) for m in range(1, N + 1)],
         gamma=gammas,
     )
-    return rt, report
+    return rt, report, seq
 
 
 def derive_outcome(make):
@@ -324,11 +344,13 @@ class TestDeriveRecurrence:
     @given(st.one_of(operators(max_order=4), family_operators()), st.integers(0, 12))
     @example(LINEAR_CUBIC, 3)  # rows 0..3 are four-term
     @example(LINEAR_CUBIC, 4)  # row 4 = row N is not: chi_(3,1) = 1/4
+    @example(LINEAR_CUBIC, 40)
+    @example(TWO_CHI, 8)  # the smallest j is named: chi_(3,0) = -4/3
     def test_matches_polynomial_route(self, J, N):
         got = derive_outcome(lambda: derive_recurrence(J, N))
         assert got == derive_outcome(lambda: reference_derive(J, N))
         if isinstance(got[0], dict):  # passed: the proved sequence is P itself
-            assert list(derive_recurrence(J, N)[2]) == list(eigen_sequence(J, N + 1))
+            assert list(derive_recurrence(J, N)[2]) == list(reference_derive(J, N)[2])
 
     def test_case1_tables(self):
         rt, rep, _ = derive_recurrence(CASE1.operator(), 26)
@@ -411,48 +433,43 @@ class TestCorollaryCoeffs:
         assert rt.gamma(3) == -10800
 
 
+def steptwo_tables(J, rt):
+    """The second-step coefficients A..H over rt and J's eigenvalues."""
+    return eigenfam._Tables(rt, functools.partial(lambda_at, J, 0))
+
+
 class TestStepTwo:
     def test_affine_lambda_second_difference(self):
-        J = CASE1.operator()
-        rt = case1_coeffs(CASE1, 20)
-        lam = lambda_table(J, 0, 20)
+        t = steptwo_tables(CASE1.operator(), case1_coeffs(CASE1, 20))
         for n in range(10):
-            c = steptwo_coeffs(lam, rt, n)
-            assert c.A == 0
-            assert c.B == 0  # constant beta
+            assert t.A(n) == 0
+            assert t.B(n) == 0  # constant beta
 
     def test_matches_direct_application(self):
         J = corollary42_operator(1)
         rt = corollary42_coeffs(40)
         seq = generate(rt, 20)
-        lam = lambda_table(J, 0, 40)
+        t = steptwo_tables(J, rt)
         for n in range(8):
             lhs = J.shifted(2).apply(seq[n])
             rhs = Poly.zero()
-            for off, pick in [
-                (2, lambda c: c.A),
-                (1, lambda c: c.B),
-                (0, lambda c: c.C),
-                (-1, lambda c: c.D),
-                (-2, lambda c: c.F),
-                (-3, lambda c: c.G),
-                (-4, lambda c: c.H),
+            for off, coeff in [
+                (2, t.A), (1, t.B), (0, t.C), (-1, t.D), (-2, t.F), (-3, t.G), (-4, t.H)
             ]:
                 if n + off >= 0:
-                    c = steptwo_coeffs(lam, rt, n + off)
-                    rhs = rhs + seq[n + off].scale(pick(c))
+                    rhs = rhs + seq[n + off].scale(coeff(n + off))
             assert lhs == rhs
 
     def test_exhausted_table_is_index_out_of_range(self):
-        lam = lambda_table(corollary42_operator(1), 0, 40)
-        with pytest.raises(IndexOutOfRange, match=r"gamma\^1_6 not tabulated"):
-            steptwo_coeffs(lam, corollary42_coeffs(5), 5)
+        # C(5) reads alpha_6 = gamma^1_6, one past a table to N = 5
+        t = steptwo_tables(corollary42_operator(1), corollary42_coeffs(5))
+        with pytest.raises(MissingCoefficient, match=r"gamma\^1_6 not tabulated"):
+            t.C(5)
 
     def test_d3_table_is_value_error(self):
-        lam = lambda_table(corollary42_operator(1), 0, 40)
         rt = RecurrenceTable(3, [1] * 10, [[1] * 10] * 3)
         with pytest.raises(ValueError, match="d=2 only"):
-            steptwo_coeffs(lam, rt, 5)
+            steptwo_tables(corollary42_operator(1), rt).C(5)
 
 
 class TestVerifyExpansions:

@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dortho import (
+    Case1Params,
+    Case2Params,
     MonicSequence,
     Poly,
     RecurrenceTable,
+    case1_coeffs,
+    case2_coeffs,
     check_d_orthogonality,
     corollary42_coeffs,
     derivative_sequence,
@@ -516,11 +520,11 @@ class TestEdgeCases:
         dual_moments(seq, 2)
         check_d_orthogonality(seq, 2, 3)
         assert calls == []
-        # a derivative sequence reads its rows once
+        # a derivative sequence's rows come from its parent's: no expansion
         dseq = derivative_sequence(seq)
         dual_moments(dseq, 2)
         check_d_orthogonality(dseq, 2, 3)
-        assert calls == [dseq]
+        assert calls == []
 
     def test_x_rows_are_sparse(self, coro_seq):
         # a 2-orthogonal sequence keeps at most beta, alpha and gamma
@@ -532,7 +536,39 @@ class TestEdgeCases:
             }
 
 
+def reference_derivative_sequence(seq):
+    """Q_n = P'_(n+1) / (n+1) as polynomials, differentiated one by one."""
+    return MonicSequence(
+        [seq[n + 1].derivative().scale(Fraction(1, n + 1)) for n in range(seq.N)]
+    )
+
+
 class TestDerivativeSequence:
+    @settings(max_examples=60, deadline=None)
+    @given(banded_tables())
+    def test_rows_match_polynomial_route(self, table):
+        # d = 1..3; Q's rows are dense unless the derivatives are d-orthogonal
+        rt, N = table
+        seq = generate(rt, N)
+        dseq = derivative_sequence(seq)
+        assert dseq.N == N - 1
+        assert dseq.x_rows == structure_coeffs(reference_derivative_sequence(seq))
+
+    @pytest.mark.parametrize(
+        "rt",
+        [
+            corollary42_coeffs(40),
+            case1_coeffs(Case1Params(*map(Fraction, (1, 0, 1, -2, -6))), 40),
+            case2_coeffs(Case2Params(*map(Fraction, (1, 0, 1, 1, -2, 1))), 40),
+        ],
+        ids=["corollary42", "case1", "case2"],
+    )
+    def test_family_rows_match_polynomial_route(self, rt):
+        seq = generate(rt, 40)
+        dseq = derivative_sequence(seq)
+        assert dseq.x_rows == structure_coeffs(reference_derivative_sequence(seq))
+        assert all(len(row) <= 3 for row in dseq.x_rows)  # the Hahn property
+
     def test_monomials_fixed(self):
         seq = generate(zero_tables(8), 8)
         dseq = derivative_sequence(seq)
