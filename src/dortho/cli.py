@@ -258,8 +258,7 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     J = _load_operator(args.operator)
-    bound = max(_default_bound(), J.order + 1)
-    cls = classify(J, bound)
+    cls = classify(J)
     out = cls.to_json()
     if cls.tag == "isomorphism" and J.order <= 3:
         sol = eigenfam.classify_solvability(eigenfam.ThirdOrderParams.from_operator(J))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegreeViolation, InvalidProbe
+from .errors import DegreeViolation
 from .polycore import Poly, binomial, rational_to_str
 
 
@@ -225,9 +225,9 @@ class OperatorClass:
     tag is one of "isomorphism", "derivative-like", "degenerate"; k is
     the derivative order for the lowering case.  witness carries the
     first failing index or condition for the degenerate case.
-    certified_all_n is True when the closed-form nonvanishing check on
-    the diagonal-sum polynomial settles every index, not just those up
-    to the probe bound.
+    certified_all_n is True when the root screen of the diagonal-sum
+    polynomial settles the class for every index at once; only the zero
+    operator, which has no diagonal sum, is classified without it.
     """
 
     tag: str
@@ -245,17 +245,12 @@ class OperatorClass:
         return out
 
 
-def classify(J: DiffOperator, probe_bound: int) -> OperatorClass:
+def classify(J: DiffOperator) -> OperatorClass:
     """Decide isomorphism / derivative-like(k) / degenerate.
 
-    The probe bound must reach past the operator order; on top of the
-    finite probe, the diagonal sums (polynomial in n) are screened for
-    nonnegative integer roots, which settles nonvanishing for all n.
+    The diagonal sums (polynomial in n) are screened for nonnegative
+    integer roots, which settles nonvanishing for all n at once.
     """
-    if probe_bound < J.order + 1:
-        raise InvalidProbe(
-            f"probe_bound {probe_bound} < operator order + 1 = {J.order + 1}"
-        )
     if J.order < 0:
         return OperatorClass(tag="degenerate", witness="zero operator")
 

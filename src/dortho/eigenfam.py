@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -78,6 +78,13 @@ class ThirdOrderParams:
         )
 
 
+def _exact_fields(params) -> None:
+    """Hold every field of a frozen parameter bundle as a Fraction, so the
+    tables built from it by / stay exact when the fields are given as ints."""
+    for f in fields(params):
+        object.__setattr__(params, f.name, Fraction(getattr(params, f.name)))
+
+
 @dataclass(frozen=True)
 class Case1Params:
     """Constant-cubic-coefficient family: a_2 constant, a_3 constant nonzero."""
@@ -89,6 +96,7 @@ class Case1Params:
     a03: Fraction
 
     def __post_init__(self):
+        _exact_fields(self)
         if not self.a11:
             raise ZeroParameter("linear coefficient a_1^[1] must be nonzero")
         if not self.a03:
@@ -122,6 +130,7 @@ class Case2Params:
     a23: Fraction
 
     def __post_init__(self):
+        _exact_fields(self)
         if not self.a11:
             raise ZeroParameter("linear coefficient a_1^[1] must be nonzero")
         if self.a13 * self.a13 - 4 * self.a23 * self.a03 != 0:
@@ -212,7 +221,7 @@ def _eigen_solver(J: DiffOperator, N: int):
     when deg a_v <= v.  Row i reads only the coefficients above it, so the
     top depth coefficients cost depth rows whatever n is.
     """
-    cls = classify(J, probe_bound=max(J.order + 1, N + 1))
+    cls = classify(J)
     if cls.tag != "isomorphism":
         raise NotIsomorphism(f"operator classified as {cls.tag}")
     lam = [lambda_at(J, 0, j) for j in range(N + 1)]

@@ -17,10 +17,6 @@ class DegreeViolation(DorthoError):
         )
 
 
-class InvalidProbe(DorthoError):
-    """Probe bound too small to certify a classification."""
-
-
 class MissingCoefficient(DorthoError):
     """A recurrence table entry required by the recursion is absent."""
 

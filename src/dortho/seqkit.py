@@ -2,16 +2,15 @@
 
 Covers sequence generation, the x-multiplication rows, the derivative
 sequence, canonical dual-functional moments, and the finite
-d-orthogonality probe.  A generated sequence is rows first: it holds the
-table's x-rows and builds each polynomial on its first read, so a reader
-of the rows alone builds none.  derivative_sequence is rows first too.
+d-orthogonality probe.  A sequence is its x-rows
+x*P_k = P_(k+1) + sum_j c_(k,j) P_j: RecurrenceTable.x_row's for a
+generated sequence, derivative_sequence's for a derivative sequence.  It
+builds each polynomial on its first read, so a reader of the rows alone
+builds none.  expand_in_basis and structure_coeffs reduce polynomials in a
+basis of polynomials; no command calls them, and the tests keep them as the
+polynomial reference.
 
-Moments and pairings come from the sequence's sparse x-multiplication rows
-x*P_k = P_(k+1) + sum_j c_(k,j) P_j: RecurrenceTable.x_row's for a generated
-sequence, derivative_sequence's for a derivative sequence.  Only a sequence
-given as polynomials has its rows read by structure_coeffs, which expands
-each x*P_k in the basis (expand_in_basis); no verify path does that, and the
-tests keep it as the polynomial reference.  The dual moments follow
+Moments and pairings come from the sparse x-rows.  The dual moments follow
 by applying the rows to the basis expansion of x**n.  The pairings
 sigma_nu(m, n) = <u_nu, P_m P_n> follow from the mixed-moment recurrence
 (Gautschi's modified Chebyshev algorithm)
@@ -160,79 +159,43 @@ def _rationals(values, name: str) -> list:
 
 
 class MonicSequence:
-    """P_0..P_N, each monic of exact degree equal to its index.
+    """P_0..P_N of a monic sequence, given by its x-rows.
 
-    Built from the polynomials themselves, or rows first (from_x_rows):
-    then P_n, and every P below it, is built on the first read of seq[n]
-    by the recurrence P_(k+1) = x*P_k - sum_j c_(k,j) P_j, and .polys,
-    iteration and to_json build the whole sequence.  N, len and x_rows
-    build nothing.
+    Row k (k < N) of x_rows lists the nonzero (j, c_(k,j)) with
+    x*P_k = P_(k+1) + sum_j c_(k,j) P_j, by ascending j, so N = len(x_rows).
+    P_n, and every P below it, is built on the first read of seq[n] by the
+    recurrence P_(k+1) = x*P_k - sum_j c_(k,j) P_j; N, len and x_rows build
+    nothing.
 
     columns caches operator-matrix columns over this sequence's x-rows,
     keyed by coefficient tuple (see eigenfam.operator_column); it lives as
     long as the sequence.
     """
 
-    def __init__(self, polys: Sequence[Poly], x_rows: Optional[Sequence] = None):
-        ps = list(polys)
-        for n, p in enumerate(ps):
-            if p.degree != n or not p.is_monic:
-                raise ValueError(f"entry {n} is not monic of degree {n}")
-        self._polys = ps
-        self._N = len(ps) - 1
-        self._x_rows = None if x_rows is None else tuple(x_rows)
+    def __init__(self, x_rows: Sequence):
+        self.x_rows = tuple(x_rows)
+        self.N = len(self.x_rows)
+        self._polys = [Poly.one()]
         self.columns: dict = {}
-
-    @classmethod
-    def from_x_rows(cls, x_rows: Sequence) -> "MonicSequence":
-        """P_0..P_N with N = len(x_rows), from rows given as in x_rows;
-        no polynomial is built until one is read."""
-        seq = cls([Poly.one()], x_rows)
-        seq._N = len(seq._x_rows)
-        return seq
-
-    @property
-    def N(self) -> int:
-        return self._N
 
     def __getitem__(self, n: int) -> Poly:
         """P_n for 0 <= n <= N.  A negative n raises IndexError: the
         P_(-i) = 0 rule belongs to the readers of a band (check_expansions)."""
         if n < 0:
             raise IndexError(f"P_{n}: the sequence starts at P_0")
-        if n > self._N:
-            raise IndexError(f"P_{n}: the sequence stops at P_{self._N}")
+        if n > self.N:
+            raise IndexError(f"P_{n}: the sequence stops at P_{self.N}")
         polys = self._polys
         while len(polys) <= n:
             k = len(polys) - 1
             p = Poly((0, *polys[k].coeffs))  # x * P_k
-            for j, c in self._x_rows[k]:
+            for j, c in self.x_rows[k]:
                 p = p - polys[j].scale(c)
             polys.append(p)
         return polys[n]
 
-    @property
-    def polys(self) -> tuple:
-        """P_0..P_N, every one built."""
-        return tuple(self[n] for n in range(len(self)))
-
     def __len__(self) -> int:
-        return self._N + 1
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def to_json(self) -> list:
-        return [p.to_json() for p in self.polys]
-
-    @property
-    def x_rows(self) -> tuple:
-        """Row k (k < N) lists the nonzero (j, c_(k,j)) with
-        x*P_k = P_(k+1) + sum_j c_(k,j) P_j, by ascending j: the x_rows given
-        to the constructor, or else structure_coeffs(self)."""
-        if self._x_rows is None:
-            self._x_rows = structure_coeffs(self)
-        return self._x_rows
+        return self.N + 1
 
 
 @dataclass(frozen=True)
@@ -245,13 +208,6 @@ class BasisExpansion:
         if 0 <= i < len(self.coefficients):
             return self.coefficients[i]
         return Fraction(0)
-
-    def reconstruct(self, seq: MonicSequence) -> Poly:
-        out = Poly.zero()
-        for i, c in enumerate(self.coefficients):
-            if c:
-                out = out + seq[i].scale(c)
-        return out
 
 
 class DualMoments:
@@ -279,16 +235,19 @@ def generate(rt: RecurrenceTable, N: int) -> MonicSequence:
     """The sequence of the (d+1)-term recurrence P_(k+1) = x*P_k - sum_j c P_j
     over the table's x-rows up to degree N.  The rows are read now, so a
     short table raises MissingCoefficient here; each P_n is built on its
-    first read (MonicSequence.from_x_rows)."""
+    first read (see MonicSequence)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return MonicSequence.from_x_rows([rt.x_row(k) for k in range(N)])
+    return MonicSequence([rt.x_row(k) for k in range(N)])
 
 
-def expand_in_basis(p: Poly, seq: MonicSequence) -> BasisExpansion:
-    """Unique coefficients of p in the monic basis, by triangular reduction."""
-    if p.degree > seq.N:
-        raise DegreeTooLarge(f"degree {p.degree} exceeds basis top degree {seq.N}")
+def expand_in_basis(p: Poly, basis) -> BasisExpansion:
+    """Unique coefficients of p in a monic basis P_0..P_(len(basis)-1) (a
+    list of Poly or a MonicSequence), by triangular reduction."""
+    if p.degree >= len(basis):
+        raise DegreeTooLarge(
+            f"degree {p.degree} exceeds basis top degree {len(basis) - 1}"
+        )
     if p.is_zero:
         return BasisExpansion(())
     coeffs = [Fraction(0)] * (p.degree + 1)
@@ -297,17 +256,17 @@ def expand_in_basis(p: Poly, seq: MonicSequence) -> BasisExpansion:
         c = rem.coeff(k)
         if c:
             coeffs[k] = c
-            rem = rem - seq[k].scale(c)
+            rem = rem - basis[k].scale(c)
     assert rem.is_zero
     return BasisExpansion(tuple(coeffs))
 
 
-def structure_coeffs(seq: MonicSequence) -> tuple:
-    """The x-multiplication rows of seq (see MonicSequence.x_rows), read by
-    expanding each x*P_k, k < N, in the basis."""
+def structure_coeffs(basis) -> tuple:
+    """The x-rows (see MonicSequence) of a monic basis P_0..P_N given as
+    expand_in_basis takes it, read by expanding each x*P_k, k < N."""
     rows = []
-    for k in range(seq.N):
-        exp = expand_in_basis(Poly((0, *seq[k].coeffs)), seq)  # x * P_k
+    for k in range(len(basis) - 1):
+        exp = expand_in_basis(Poly((0, *basis[k].coeffs)), basis)  # x * P_k
         rows.append(tuple((j, c) for j in range(k + 1) if (c := exp.coeff(j))))
     return tuple(rows)
 
@@ -449,4 +408,4 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
         tails.append(
             {j: v for j in keys if (v := (s.get(j, 0) + k * a.get(j, 0)) / (k + 1))}
         )
-    return MonicSequence.from_x_rows(qrows)
+    return MonicSequence(qrows)

@@ -20,7 +20,6 @@ from dortho import (
     cli,
     corollary42_coeffs,
     corollary42_operator,
-    MonicSequence,
     derivative_sequence,
     derive_recurrence,
     eigenfam,
@@ -93,7 +92,7 @@ class TestEigenpoly:
 
 
 def reference_eigenpoly(J, n):
-    cls = classify(J, probe_bound=max(J.order + 1, n + 1))
+    cls = classify(J)
     if cls.tag != "isomorphism":
         raise NotIsomorphism(f"operator classified as {cls.tag}")
     lam = [lambda_at(J, 0, j) for j in range(n + 1)]
@@ -247,7 +246,7 @@ class TestSharedState:
             (LINEAR_CUBIC, lambda: failing(10)),
             (LINEAR_CUBIC, lambda: failing(30)),
         ):
-            alone = poly_ops(lambda: classify(op, 31))
+            alone = poly_ops(lambda: classify(op))
             classified.clear()
             assert poly_ops(run) == alone
             assert len(classified) == 1
@@ -282,7 +281,7 @@ def reference_derive(J, N):
     """derive_recurrence's table, report and sequence read as the polynomial
     route does: the rows of structure_coeffs over P_0..P_(N+1), each solved
     alone by reference_eigenpoly."""
-    seq = MonicSequence([reference_eigenpoly(J, n) for n in range(N + 2)])
+    seq = [reference_eigenpoly(J, n) for n in range(N + 2)]
     rows = structure_coeffs(seq)
     report = VerificationReport()
     for k in range(1, N + 1):
@@ -421,6 +420,20 @@ class TestCase2Coeffs:
         )
         p1 = Case1Params(Fraction(1), Fraction(2), Fraction(3), Fraction(0), Fraction(-6))
         assert case2_coeffs(p2, 15) == case1_coeffs(p1, 15)
+
+
+@pytest.mark.parametrize(
+    "make, coeffs, values",
+    [
+        (Case1Params, case1_coeffs, (1, 2, 3, -2, -6)),
+        (Case2Params, case2_coeffs, (1, 0, 1, 1, -2, 1)),
+    ],
+    ids=["case1", "case2"],
+)
+def test_int_parameters_give_exact_tables(make, coeffs, values):
+    # with / on int fields, case2's gamma_1 would be a binary float, not -1/3
+    exact = coeffs(make(*map(Fraction, values)), 12)
+    assert coeffs(make(*values), 12) == exact
 
 
 class TestCorollaryCoeffs:
