@@ -202,33 +202,39 @@ def cmd_verify(args) -> int:
         # derive mode: recover the tables from the eigen-oracle first
         J = _load_operator(args.operator)
         try:
-            rt, shape_report, seq = eigenfam.derive_recurrence(J, N + 5)
+            rt, shape_report, seq, lam = eigenfam.derive_recurrence(J, N + 5)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
         report = VerificationReport()
         report.extend(shape_report)
-        report.extend(eigenfam.verify_expansions(J, rt, N, seq=seq))
+        report.extend(eigenfam.verify_expansions(J, rt, N, seq=seq, lambdas=lam))
         out = {"mode": "derive", "N": N, "tables": rt.to_json()}
         family = None
     else:
         if not args.family:
             raise InputError("verify needs --family or --operator")
         J, table_factory, family = _family_setup(args.family, _parse_params(args.params))
-        probe_deg = max(N + 1, 3 * M + 2)
-        rt = table_factory(max(N + 5, probe_deg))
-        full = seqkit.generate(rt, max(N + 5, probe_deg))
-        report = eigenfam.verify_expansions(J, rt, N, seq=full)
-
-        # eigen identity + independent oracle recovery of the tables
-        seq = seqkit.generate(rt, probe_deg)
-        eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
-        eigenfam.check_expansions(report, full, range(N + 1), eigen)
+        # the independent oracle recovers its own table first
         try:
-            rt_oracle, _, _ = eigenfam.derive_recurrence(J, N)
+            rt_oracle, _, oracle_seq, lam = eigenfam.derive_recurrence(J, N)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
+        probe_deg = max(N + 1, 3 * M + 2)
+        rt = table_factory(max(N + 5, probe_deg))
+        full = seqkit.generate(rt, max(N + 5, probe_deg))
+        # A column of the oracle's cache read only the oracle's rows, so when
+        # the closed-form rows start with those rows every cached column is
+        # also full's; if any row differs, full computes all of its own.
+        if full.x_rows[: oracle_seq.N] == oracle_seq.x_rows:
+            full.columns = {key: list(cols) for key, cols in oracle_seq.columns.items()}
+        report = eigenfam.verify_expansions(J, rt, N, seq=full, lambdas=lam)
+
+        # eigen identity + the closed-form table against the oracle's
+        seq = seqkit.generate(rt, probe_deg)
+        eigen = [("eigen-identity", J, 0, lambda n: [(n, lam[n])])]
+        eigenfam.check_expansions(report, full, range(N + 1), eigen)
         report.extend(_tables_match_report(rt, rt_oracle, N))
 
         # d-orthogonality of the family and of its derivative sequence

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .diffop import DiffOperator, classify, lambda_at
 from .errors import (
@@ -293,8 +293,9 @@ def derive_recurrence(J: DiffOperator, N: int):
     lambda_j != lambda_n, so the first nonzero chi, chi_(n-2,j) = -r_j at the
     smallest such j, is read off the column without building a polynomial.
 
-    Returns (RecurrenceTable, VerificationReport, Q); Q's column cache
-    already holds J's levels, so verify_expansions(..., seq=Q) reuses them.
+    Returns (RecurrenceTable, VerificationReport, Q, lam), lam the solver's
+    lambda_0..lambda_(N+1).  Q's column cache already holds J's levels, so
+    verify_expansions(..., seq=Q, lambdas=lam) reuses them and the eigenvalues.
     """
     solve, lam = _eigen_solver(J, N + 1)
     T = [solve(n, 3) + [Fraction(0)] * (3 - min(n, 3)) for n in range(N + 2)]
@@ -321,7 +322,7 @@ def derive_recurrence(J: DiffOperator, N: int):
         if g == 0:
             raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
     report.record("gamma-nonvanishing", (1, N - 1), True)
-    return rt, report, seq
+    return rt, report, seq, lam
 
 
 # -- closed-form families --------------------------------------------------
@@ -530,7 +531,11 @@ def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identit
 
 
 def verify_expansions(
-    J: DiffOperator, rt: RecurrenceTable, N: int, seq: Optional[MonicSequence] = None
+    J: DiffOperator,
+    rt: RecurrenceTable,
+    N: int,
+    seq: Optional[MonicSequence] = None,
+    lambdas: Sequence = (),
 ) -> VerificationReport:
     """Verify the shifted-operator basis expansions exactly.
 
@@ -541,7 +546,10 @@ def verify_expansions(
     images), and the differential relations of the family J belongs to,
     if any.  seq is generate(rt, N + 5) unless the caller passes the
     table's sequence to a degree of at least N + 5; a shorter one is a
-    ValueError.
+    ValueError.  lambdas holds lambda_0, lambda_1, ... of J as the
+    eigen-solver tabulated them (derive_recurrence returns them); the bands
+    read lambda_n for -4 <= n <= N + 4, and each one the list lacks is
+    computed once.
     """
     if seq is None:
         seq = generate(rt, N + 5)
@@ -550,7 +558,11 @@ def verify_expansions(
             f"verify_expansions to N = {N} needs the sequence to degree {N + 5}; "
             f"it stops at {seq.N}"
         )
-    lam = functools.cache(lambda n: lambda_at(J, 0, n))
+    missing = functools.cache(lambda n: lambda_at(J, 0, n))
+
+    def lam(n):  # a negative n takes lambda_at's extension, never lambdas[-1]
+        return lambdas[n] if 0 <= n < len(lambdas) else missing(n)
+
     t = _Tables(rt, lam)
 
     def shift1(n):

@@ -169,7 +169,11 @@ class MonicSequence:
 
     columns caches operator-matrix columns over this sequence's x-rows,
     keyed by coefficient tuple (see eigenfam.operator_column); it lives as
-    long as the sequence.
+    long as the sequence.  Each cached column is computed from x-rows
+    alone, so a sequence whose first rows are all of another sequence's
+    x-rows may start with a copy of that one's cache: a new list per key,
+    holding the same column dicts (operator_column never changes a cached
+    column).
     """
 
     def __init__(self, x_rows: Sequence):

@@ -93,7 +93,7 @@ def test_criterion_03_case1_reproduction():
     with _Budget("criterion 3 (constant-coefficient family)", 10):
         p = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
         J = p.operator()
-        rt, report, _ = derive_recurrence(J, 26)
+        rt, report, _, _ = derive_recurrence(J, 26)
         assert report.passed
         for n in range(26):
             assert rt.beta(n) == 0
@@ -120,7 +120,7 @@ def test_criterion_04_explicit_family_reproduction():
         seq = generate(rt, 25)
         for n in range(26):
             assert J.apply(seq[n]) == seq[n].scale(Fraction(n, 24) + 1)
-        rt_oracle, report, _ = derive_recurrence(J, 26)
+        rt_oracle, report, _, _ = derive_recurrence(J, 26)
         assert report.passed
         assert all(rt_oracle.beta(n) == rt.beta(n) for n in range(27))
         assert all(rt_oracle.alpha(n) == rt.alpha(n) for n in range(1, 27))

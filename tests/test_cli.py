@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dortho import RecurrenceTable, cli, eigenfam, seqkit
+from dortho import RecurrenceTable, cli, eigenfam, lambda_at, seqkit
 from dortho.polycore import rational_to_str
 
 from conftest import GOLDEN, run_cli
@@ -326,25 +326,33 @@ class TestProbeBoundEnv:
         assert b'"N": 4' in r.stdout
 
 
+def alter_table(monkeypatch, coeffs, name, k):
+    """Patch eigenfam's closed-form table function named coeffs so that its
+    tables have 1 added to entry name_k (beta, alpha or gamma); returns the
+    original function."""
+    original = getattr(eigenfam, coeffs)
+
+    def altered(*args):
+        rt, N = original(*args), args[-1]
+        entries = {
+            "beta": [rt.beta(j) for j in range(N + 1)],
+            "alpha": [rt.alpha(j) for j in range(1, N + 1)],
+            "gamma": [rt.gamma(j) for j in range(1, N + 1)],
+        }
+        entries[name][k if name == "beta" else k - 1] += 1
+        return RecurrenceTable.two_orthogonal(**entries)
+
+    monkeypatch.setattr(eigenfam, coeffs, altered)
+    return original
+
+
 class TestTablesMatchWitness:
     """A closed-form entry that differs from the oracle's is reported with
     both values, for beta, alpha and gamma alike."""
 
     @pytest.mark.parametrize("name, n", [("beta", 4), ("alpha", 3), ("gamma", 2)])
     def test_altered_entry_carries_its_witness(self, monkeypatch, capsys, name, n):
-        original = eigenfam.corollary42_coeffs
-
-        def altered(N):
-            rt = original(N)
-            entries = {
-                "beta": [rt.beta(k) for k in range(N + 1)],
-                "alpha": [rt.alpha(k) for k in range(1, N + 1)],
-                "gamma": [rt.gamma(k) for k in range(1, N + 1)],
-            }
-            entries[name][n if name == "beta" else n - 1] += 1
-            return RecurrenceTable.two_orthogonal(**entries)
-
-        monkeypatch.setattr(eigenfam, "corollary42_coeffs", altered)
+        original = alter_table(monkeypatch, "corollary42_coeffs", name, n)
         code = cli.main(["verify", "--family", "corollary42", "-N", "6", "-M", "2"])
         assert code == cli.EXIT_FAIL
         entries = json.loads(capsys.readouterr().out)["report"]["entries"]
@@ -356,6 +364,57 @@ class TestTablesMatchWitness:
         assert failing == [
             {"identity": f"{name}-match", "n": n, "status": "fail", "witness": witness}
         ]
+
+
+class TestSharedColumns:
+    """Family mode shares the oracle's columns only when the closed-form rows
+    start with the oracle's rows.  A table altered at one entry gives the
+    report that a sequence with no shared column gives, witnesses included;
+    entries the oracle does not tabulate (beta_(N+1), gamma_N) leave the rows
+    it proved alone, so those columns are shared and still give that report."""
+
+    N, M = 8, 2
+    FAMILIES = {
+        "corollary42": ("corollary42_coeffs", None),
+        "case1": ("case1_coeffs", '["1","0","1","-2","-6"]'),
+        "case2": ("case2_coeffs", '[1, 0, "1/24", 1, -2, 1]'),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize(
+        "name, k",
+        [
+            ("beta", 0),
+            ("beta", 3),
+            ("beta", 8),
+            ("beta", 9),
+            ("alpha", 1),
+            ("alpha", 5),
+            ("alpha", 8),
+            ("gamma", 1),
+            ("gamma", 4),
+            ("gamma", 7),
+            ("gamma", 8),
+        ],
+    )
+    def test_altered_table_gives_the_unshared_report(self, monkeypatch, capsys, family, name, k):
+        coeffs, params = self.FAMILIES[family]
+        alter_table(monkeypatch, coeffs, name, k)
+        argv = ["verify", "--family", family, "-N", str(self.N), "-M", str(self.M)]
+        if params is not None:
+            argv += ["--params", params]
+        assert cli.main(argv) == cli.EXIT_FAIL
+        entries = json.loads(capsys.readouterr().out)["report"]["entries"]
+
+        J, table_factory, _ = cli._family_setup(family, cli._parse_params(params))
+        rt = table_factory(self.N + 5)
+        reference = eigenfam.verify_expansions(J, rt, self.N)
+        eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
+        fresh = seqkit.generate(rt, self.N + 5)
+        eigenfam.check_expansions(reference, fresh, range(self.N + 1), eigen)
+        expected = reference.to_json()["entries"]
+        assert entries[: len(expected)] == expected
+        assert entries[len(expected)]["identity"] == "beta-match"
 
 
 class TestAppell:
@@ -385,23 +444,11 @@ class TestAppell:
 
     @pytest.mark.parametrize("name, n", [("beta", 4), ("alpha", 3), ("gamma", 2)])
     def test_altered_entry_fails_with_the_polynomials(self, monkeypatch, capsys, name, n):
-        original = eigenfam.case1_coeffs
-
-        def altered(p, N):
-            rt = original(p, N)
-            entries = {
-                "beta": [rt.beta(k) for k in range(N + 1)],
-                "alpha": [rt.alpha(k) for k in range(1, N + 1)],
-                "gamma": [rt.gamma(k) for k in range(1, N + 1)],
-            }
-            entries[name][n if name == "beta" else n - 1] += 1
-            return RecurrenceTable.two_orthogonal(**entries)
-
-        monkeypatch.setattr(eigenfam, "case1_coeffs", altered)
+        alter_table(monkeypatch, "case1_coeffs", name, n)
         assert cli.main([*self.ARGV, "-N", "8", "-M", "2"]) == cli.EXIT_FAIL
         entries = json.loads(capsys.readouterr().out)["report"]["entries"]
         params = eigenfam.Case1Params(*map(Fraction, (1, 0, 1, -2, -6)))
-        seq = seqkit.generate(altered(params, 13), 9)  # the CLI's probe sequence
+        seq = seqkit.generate(eigenfam.case1_coeffs(params, 13), 9)  # the CLI's probe sequence
         expected = []
         for k in range(9):
             q, p = seq[k + 1].derivative().scale(Fraction(1, k + 1)), seq[k]

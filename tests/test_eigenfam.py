@@ -215,6 +215,57 @@ class TestSharedState:
             # 17; verify_expansions alone reads J^(1) only to column 12
             assert (J.coeffs[1:], 17) in computed
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("corollary42", None),
+            ("case1", '["1","0","1","-2","-6"]'),
+            ("case2", '[1, 0, "1/24", 1, -2, 1]'),
+        ],
+    )
+    def test_family_mode_computes_each_column_once(self, monkeypatch, tmp_path, family, params):
+        # The oracle runs first; the closed-form rows start with its rows, so
+        # the closed-form sequence reads every column the oracle proved
+        computed = []  # (sequence, coefficient tail, n) of each column computed
+        column = eigenfam.operator_column
+
+        def counted_column(seq, coeffs, n):
+            before = len(seq.columns.get(coeffs, ()))
+            out = column(seq, coeffs, n)
+            computed.extend((seq, coeffs, m) for m in range(before, len(seq.columns[coeffs])))
+            return out
+
+        oracle = []
+        derive = eigenfam.derive_recurrence
+
+        def kept(J, N):
+            result = derive(J, N)
+            oracle.append(result[2])
+            return result
+
+        monkeypatch.setattr(eigenfam, "operator_column", counted_column)
+        monkeypatch.setattr(eigenfam, "derive_recurrence", kept)
+        argv = ["verify", "--family", family, "-N", "12", "--out", str(tmp_path / "out")]
+        if params is not None:
+            argv += ["--params", params]
+        assert cli.main(argv) == cli.EXIT_OK
+        keys = [(coeffs, m) for _, coeffs, m in computed]
+        assert len(keys) == len(set(keys))
+        assert len({id(seq) for seq, _, _ in computed}) == 2  # Q and the closed form's
+        J = cli._family_setup(family, cli._parse_params(params))[0]
+        # derive_recurrence(J, 12) checks J's columns to 13, so J^(1)'s to 12
+        assert (oracle[0], J.coeffs[1:], 12) in computed
+
+    def test_verify_expansions_reads_the_solver_lambdas(self, monkeypatch):
+        # only the lambda_n the list lacks are computed, each once; a
+        # negative n takes lambda_at's extension, never the list's last entry
+        J, N = corollary42_operator(1), 15
+        lam = derive_recurrence(J, N)[3]
+        assert len(lam) == N + 2
+        lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
+        assert verify_expansions(J, corollary42_coeffs(N + 5), N, lambdas=lam).passed
+        assert sorted(n for _, _, n in lambdas) == [-4, -3, -2, -1, N + 2, N + 3, N + 4]
+
     @pytest.mark.parametrize("J", FAMILY_OPERATORS)
     def test_derive_recurrence_builds_no_polynomial(self, monkeypatch, J):
         # the table comes from the solver's top coefficients and is proved by
@@ -352,7 +403,7 @@ class TestDeriveRecurrence:
             assert list(derive_recurrence(J, N)[2]) == list(reference_derive(J, N)[2])
 
     def test_case1_tables(self):
-        rt, rep, _ = derive_recurrence(CASE1.operator(), 26)
+        rt, rep, _, _ = derive_recurrence(CASE1.operator(), 26)
         assert rep.passed
         for n in range(26):
             assert rt.beta(n) == 0
@@ -362,7 +413,7 @@ class TestDeriveRecurrence:
             assert rt.gamma(n + 1) == (n + 1) * (n + 2)
 
     def test_explicit_family_tables(self):
-        rt, _, _ = derive_recurrence(corollary42_operator(1), 26)
+        rt, _, _, _ = derive_recurrence(corollary42_operator(1), 26)
         closed = corollary42_coeffs(26)
         assert all(rt.beta(n) == closed.beta(n) for n in range(27))
         assert all(rt.alpha(n) == closed.alpha(n) for n in range(1, 27))
