@@ -11,6 +11,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -355,9 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process; parse_args leaves
+    it unchanged, so every later request reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, DegreeViolation, OutputTooLarge) as exc:

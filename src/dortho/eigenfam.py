@@ -338,36 +338,40 @@ def case1_coeffs(p: Case1Params, N: int) -> RecurrenceTable:
 
 
 def case2_coeffs(p: Case2Params, N: int) -> RecurrenceTable:
+    """Case 2's table.  beta_n is quadratic in n, alpha_n quartic in
+    m = n - 2 and gamma_n sextic in m = n - 1.  Their coefficients do not
+    depend on n, so they are computed once, as integers over one common
+    denominator; each entry is then an integer Horner evaluation and one
+    Fraction."""
     a01, a11, a03, a13, a23 = p.a01, p.a11, p.a03, p.a13, p.a23
-    b0, b1, b2 = p.b_constants
-    f0, f1, f2, f3, f4 = p.f_constants
+    q = -a23 / (2 * a11)  # beta_n = -a01/a11 + q (n - 1) n
+    beta_c = (-a01 / a11, -q, q)
+    alpha_c = (
+        -a13 / (2 * a11) + a01 * a23 / a11**2,
+        -3 * a13 / (4 * a11) + a23 * (9 * a01 + a23) / (6 * a11**2),
+        *p.b_constants,
+    )
+    gamma_c = (
+        -Fraction(1, 3) / a11 * (a03 + a01 * (-a11 * a13 + a01 * a23) / a11**2),
+        -(a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3),
+        *p.f_constants,
+    )
 
-    def beta(n: int) -> Fraction:
-        return -a23 * (n - 1) * n / (2 * a11) - a01 / a11
-
-    def alpha(n: int) -> Fraction:
-        m = n - 2
-        return (
-            -a13 / (2 * a11)
-            + a01 * a23 / a11**2
-            + m * (-3 * a13 / (4 * a11) + a23 * (9 * a01 + a23) / (6 * a11**2))
-            + m**2 * (b0 + b1 * m + b2 * m**2)
-        )
-
-    def gamma(n: int) -> Fraction:
-        m = n - 1
-        return (
-            -Fraction(1, 3)
-            / a11
-            * (a03 + a01 * (-a11 * a13 + a01 * a23) / a11**2)
-            - m * (a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3)
-            + m**2 * (f0 + f1 * m + f2 * m**2 + f3 * m**3 + f4 * m**4)
-        )
+    def values(coeffs: tuple, ms: range) -> list:
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+        out = []
+        for m in ms:
+            acc = 0
+            for c in ints:
+                acc = acc * m + c
+            out.append(Fraction(acc, den))
+        return out
 
     return RecurrenceTable.two_orthogonal(
-        beta=[beta(n) for n in range(N + 1)],
-        alpha=[alpha(n) for n in range(1, N + 1)],
-        gamma=[gamma(n) for n in range(1, N + 1)],
+        beta=values(beta_c, range(N + 1)),
+        alpha=values(alpha_c, range(-1, N - 1)),
+        gamma=values(gamma_c, range(N)),
     )
 
 

@@ -21,10 +21,19 @@ sigma_nu(m, n) = <u_nu, P_m P_n> follow from the mixed-moment recurrence
 
 which is exact by the delta-duality definition of the dual sequence and
 forms no polynomial product.
+
+Both loops run on integers (fraction-free, as in Bareiss's elimination).
+The rows are scaled by D, the lcm of their denominators, so each c_(k,j)
+is the integer c_(k,j) D over D.  The expansion of x**n is one integer
+vector over one denominator, and sigma_nu(m, .) = S_m / den_m with S_m an
+integer list.  Each step divides the new vector and its denominator by
+their one gcd, which leaves the denominator equal to the lcm of the
+reduced values' denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -275,6 +284,16 @@ def structure_coeffs(basis) -> tuple:
     return tuple(rows)
 
 
+def _integer_rows(x_rows) -> tuple:
+    """(D, rows): D the lcm of the denominators in x_rows, and each row's
+    (j, c) as the integer pair (j, c*D)."""
+    D = math.lcm(*(c.denominator for row in x_rows for _, c in row))
+    return D, tuple(
+        tuple((j, c.numerator * (D // c.denominator)) for j, c in row)
+        for row in x_rows
+    )
+
+
 def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
     """Moments (u_i)_n = coefficient of P_i in the expansion of x**n.
 
@@ -282,48 +301,70 @@ def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
     replaced by its x-multiplication row.  A step lowers a basis index by
     at most w, the rows' widest drop k - j, so an entry above
     d - 1 + (N - n) w at step n never reaches a moment and is not kept.
+
+    The expansion is one integer vector over one denominator den, and the
+    rows are scaled by D (see _integer_rows), so a step multiplies den by
+    D and then divides den and the vector by their one gcd.  A moment
+    becomes a Fraction only when it is output.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    x_rows, top = seq.x_rows, seq.N
-    w = max((k - j for k, row in enumerate(x_rows) for j, _ in row), default=0)
-    rows = [[] for _ in range(d)]
-    exp = [Fraction(1)]
+    top = seq.N
+    D, rows = _integer_rows(seq.x_rows)
+    w = max((k - j for k, row in enumerate(rows) for j, _ in row), default=0)
+    moments = [[] for _ in range(d)]
+    vec, den = [1], 1
     for n in range(top + 1):
         if n:
-            nxt = [Fraction(0)] * (min(n, d - 1 + (top - n) * w) + 1)
+            nxt = [0] * (min(n, d - 1 + (top - n) * w) + 1)
             keep = len(nxt)
-            for j, a in enumerate(exp):
+            for j, a in enumerate(vec):
                 if a:
                     if j + 1 < keep:
-                        nxt[j + 1] += a
-                    for k, c in x_rows[j]:
+                        nxt[j + 1] += a * D
+                    for k, c in rows[j]:
                         if k < keep:
                             nxt[k] += a * c
-            exp = nxt
+            den *= D
+            g = math.gcd(den, *nxt)
+            if g > 1:
+                den //= g
+                nxt = [v // g for v in nxt]
+            vec = nxt
         for i in range(d):
-            rows[i].append(exp[i] if i < len(exp) else Fraction(0))
-    return DualMoments(rows)
+            moments[i].append(Fraction(vec[i], den) if i < len(vec) else Fraction(0))
+    return DualMoments(moments)
 
 
-def _mixed_moments(seq: MonicSequence, nu: int, M: int) -> list:
-    """sigma[m][n] = <u_nu, P_m P_n> for m <= M and n <= seq.N - m."""
-    N = seq.N
-    rows = seq.x_rows if M > 0 else ()
-    sigma = [[Fraction(int(n == nu)) for n in range(N + 1)]]
+def _mixed_moments(D: int, rows: tuple, N: int, nu: int, M: int) -> list:
+    """Rows m <= M of sigma_nu as pairs (S_m, den_m) of an integer list and
+    its denominator: sigma_nu(m, n) = <u_nu, P_m P_n> = S_m[n] / den_m for
+    n <= N - m, over integer rows scaled by D (see _integer_rows).  Row
+    m + 1 is built over D * lcm(den_m, den_k for each k in rows[m]) and
+    reduced by one gcd."""
+    sigma = [([int(n == nu) for n in range(N + 1)], 1)]
     for m in range(M):
-        cur = sigma[m]
+        cur, den = sigma[m]
+        E = math.lcm(den, *(sigma[k][1] for k, _ in rows[m]))
+        if E != den:
+            cur = [v * (E // den) for v in cur]
+        lower = [(sigma[k][0], c * (E // sigma[k][1])) for k, c in rows[m]]
         nxt = []
         for n in range(N - m):
-            v = cur[n + 1]
+            v = D * cur[n + 1]
             for j, c in rows[n]:
                 if cur[j]:
                     v += c * cur[j]
-            for k, c in rows[m]:
-                if sigma[k][n]:
-                    v -= c * sigma[k][n]
+            for s, c in lower:
+                if s[n]:
+                    v -= c * s[n]
             nxt.append(v)
-        sigma.append(nxt)
+        den = D * E
+        g = math.gcd(den, *nxt)
+        if g > 1:
+            den //= g
+            nxt = [v // g for v in nxt]
+        sigma.append((nxt, den))
     return sigma
 
 
@@ -333,8 +374,11 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
     For every nu < d and m <= M the pairing <u_nu, P_m P_n> must vanish
     for n >= m*d + nu + 1 and be nonzero at n = m*d + nu.  The pairings
     come from the mixed-moment recurrence over the sequence's
-    x-multiplication rows (see the module docstring).  Certification is
-    finite: n ranges as far as the generated basis allows.
+    x-multiplication rows (see the module docstring), run on integers:
+    sigma_nu(m, .) = S_m / den_m with the rows scaled by D, one gcd per
+    row.  A pairing is tested for zero on S_m and becomes a Fraction only
+    as a failing witness.  Certification is finite: n ranges as far as the
+    generated basis allows.
     """
     for m in range(M + 1):
         for nu in range(d):
@@ -343,11 +387,12 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
                 raise InsufficientDegree(
                     f"need degree {m + n0} products; sequence stops at {seq.N}"
                 )
-    sigmas = [_mixed_moments(seq, nu, M) for nu in range(d)]
+    D, rows = _integer_rows(seq.x_rows)
+    sigmas = [_mixed_moments(D, rows, seq.N, nu, M) for nu in range(d)]
     report = VerificationReport()
     for m in range(M + 1):
         for nu in range(d):
-            row = sigmas[nu][m]
+            row, den = sigmas[nu][m]
             n0 = m * d + nu
             val = row[n0]
             report.record(
@@ -362,7 +407,9 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
                     "orthogonality",
                     (m, nu, n),
                     val == 0,
-                    witness=None if val == 0 else {"value": rational_to_str(val)},
+                    witness=None
+                    if val == 0
+                    else {"value": rational_to_str(Fraction(val, den))},
                 )
     return report
 

@@ -486,6 +486,35 @@ class TestInternalError:
             cli.main(self.VERIFY)
 
 
+def test_one_parser_serves_every_request(capsys):
+    """main builds its parser once per process; a failed parse leaves it
+    fit for the next request, and each request answers as a fresh parser
+    would."""
+    requests = [
+        ["duals", "--family", "corollary42", "-M", "two"],
+        ["duals", "--family", "corollary42", "-N", "6", "-M", "2"],
+        ["verify", "--family", "corollary42", "-N", "6", "-M", "2"],
+    ]
+
+    def answer(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        fresh.append(answer(argv))
+    cli._parser.cache_clear()
+    shared = [answer(argv) for argv in requests]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [cli.EXIT_INPUT, cli.EXIT_OK, cli.EXIT_OK]
+    assert "invalid int value: 'two'" in shared[0][2]
+
+
 # JSON-shaped file contents: every JSON type, rational strings with a zero
 # denominator, ints past Python's 4300-digit parse limit, and floats that
 # json writes as Infinity/NaN.  Sizes stay small so each run is quick.

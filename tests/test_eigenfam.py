@@ -472,6 +472,39 @@ class TestCase2Coeffs:
         p1 = Case1Params(Fraction(1), Fraction(2), Fraction(3), Fraction(0), Fraction(-6))
         assert case2_coeffs(p2, 15) == case1_coeffs(p1, 15)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4"),
+            (1, 0, 1, 1, -2, 1),
+            (2, "-1/5", "7/3", 5, 10, 5),
+        ],
+    )
+    def test_matches_displayed_formulas(self, values):
+        # the n-independent coefficients are computed once; every entry must
+        # still equal the formulas as displayed, evaluated term by term
+        p = Case2Params(*map(Fraction, values))
+        a01, a11, a03, a13, a23 = p.a01, p.a11, p.a03, p.a13, p.a23
+        b0, b1, b2 = p.b_constants
+        f0, f1, f2, f3, f4 = p.f_constants
+        N = 40
+        beta = [-a23 * (n - 1) * n / (2 * a11) - a01 / a11 for n in range(N + 1)]
+        alpha = [
+            -a13 / (2 * a11)
+            + a01 * a23 / a11**2
+            + m * (-3 * a13 / (4 * a11) + a23 * (9 * a01 + a23) / (6 * a11**2))
+            + m**2 * (b0 + b1 * m + b2 * m**2)
+            for m in range(-1, N - 1)
+        ]
+        gamma = [
+            -Fraction(1, 3) / a11 * (a03 + a01 * (-a11 * a13 + a01 * a23) / a11**2)
+            - m * (a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3)
+            + m**2 * (f0 + f1 * m + f2 * m**2 + f3 * m**3 + f4 * m**4)
+            for m in range(N)
+        ]
+        expected = RecurrenceTable.two_orthogonal(beta, alpha, gamma)
+        assert case2_coeffs(p, N) == expected
+
 
 @pytest.mark.parametrize(
     "make, coeffs, values",

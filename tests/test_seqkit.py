@@ -88,13 +88,8 @@ def coeff(rows, k, j):
 
 
 def reference_dual_moments(seq, d):
-    return [
-        [
-            rational_to_str(expand_in_basis(Poly.monomial(n), seq).coeff(i))
-            for n in range(len(seq))
-        ]
-        for i in range(d)
-    ]
+    expansions = [expand_in_basis(Poly.monomial(n), seq) for n in range(len(seq))]
+    return [[rational_to_str(e.coeff(i)) for e in expansions] for i in range(d)]
 
 
 def outcome(check, seq, d, M):
@@ -119,31 +114,46 @@ small_rationals = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
 )
+nonzero_small_rationals = st.one_of(
+    st.fractions(min_value=1, max_value=3, max_denominator=2),
+    st.fractions(min_value=-3, max_value=-1, max_denominator=2),
+)
 
 
 @st.composite
-def banded_tables(draw, ds=st.integers(1, 3)):
+def banded_tables(draw, ds=st.integers(1, 3), wide=False):
     """A random (d+1)-term table, d drawn from ds, with its lowest level
-    sometimes zeroed, and the degree N it is generated to."""
+    sometimes zeroed in part or in full, and the degree N it is generated
+    to.  With wide, each entry is k/q with |k| <= 9 and q a 6-digit
+    denominator of its own, so the lcm of the rows' denominators runs to
+    hundreds of bits."""
     d = draw(ds)
     N = draw(st.integers(1, 14))
-    beta = draw(st.lists(small_rationals, min_size=N + 1, max_size=N + 1))
-    levels = [
-        draw(st.lists(small_rationals, min_size=N, max_size=N)) for _ in range(d - 1)
-    ]
-    lowest = draw(
-        st.lists(
-            st.one_of(
-                st.fractions(min_value=1, max_value=3, max_denominator=2),
-                st.fractions(min_value=-3, max_value=-1, max_denominator=2),
-            ),
-            min_size=N,
-            max_size=N,
-        )
-    )
-    for i in draw(st.sets(st.integers(0, N - 1), max_size=2)):
+    if wide:
+        size, q = (d + 1) * N + 1, st.integers(10**5, 10**6 - 1)
+        dens = iter(draw(st.lists(q, min_size=size, max_size=size, unique=True)))
+        numerators = st.integers(-9, 9)
+        any_entry = numerators.map(lambda k: Fraction(k, next(dens)))
+        nonzero_entry = numerators.filter(bool).map(lambda k: Fraction(k, next(dens)))
+    else:
+        any_entry, nonzero_entry = small_rationals, nonzero_small_rationals
+
+    def entries(count, values):
+        return draw(st.lists(values, min_size=count, max_size=count))
+
+    beta = entries(N + 1, any_entry)
+    levels = [entries(N, any_entry) for _ in range(d - 1)]
+    lowest = entries(N, nonzero_entry)
+    zeroed = st.one_of(st.sets(st.integers(0, N - 1), max_size=2), st.just(range(N)))
+    for i in draw(zeroed):
         lowest[i] = Fraction(0)
     return RecurrenceTable(d, beta, [lowest, *levels]), N
+
+
+# d = 1..4, with small denominators or with hundreds of bits in the lcm
+any_banded_tables = st.one_of(
+    banded_tables(st.integers(1, 4)), banded_tables(st.integers(1, 4), wide=True)
+)
 
 
 @st.composite
@@ -409,7 +419,7 @@ class TestDualMoments:
             assert dm.moment(1, n) == exp.coeff(1)
 
     @settings(max_examples=100, deadline=None)
-    @given(banded_tables(st.integers(1, 4)), st.integers(1, 4))
+    @given(any_banded_tables, st.integers(1, 4))
     def test_matches_reference_for_any_width(self, table, d):
         # the kept window of x**n's expansion loses no entry a moment reads
         rt, N = table
@@ -453,7 +463,7 @@ class TestDOrthogonality:
 
 class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
-    @given(banded_tables(), st.integers(0, 4))
+    @given(any_banded_tables, st.integers(0, 4))
     def test_banded_tables(self, table, M):
         rt, N = table
         assert_matches_reference(generate(rt, N), rt.d, M)
@@ -468,6 +478,31 @@ class TestAgainstReference:
     @given(dense_sequences(), st.integers(1, 3), st.integers(0, 3))
     def test_dense_sequences(self, polys, d, M):
         assert_matches_reference(MonicSequence(structure_coeffs(polys)), d, M, polys)
+
+    def test_distinct_six_digit_denominators(self):
+        # every entry has its own 6-digit denominator: D has over 900 bits
+        M, top = 8, 3 * 8 + 1
+        q = iter(range(100003, 10**6, 101))
+        beta, alpha, gamma = (
+            [Fraction((-1) ** i, next(q)) for i in range(size)]
+            for size in (top + 1, top, top)
+        )
+        seq = generate(RecurrenceTable.two_orthogonal(beta, alpha, gamma), top)
+        assert seqkit._integer_rows(seq.x_rows)[0].bit_length() > 900
+        assert check_d_orthogonality(seq, 2, M).passed
+        assert_matches_reference(seq, 2, M)
+
+    def test_row_denominator_cancels(self):
+        # sigma_0's row 1 is (c_(n,0))_n, with denominator 3; every c_(n,1)
+        # is a multiple of 3, so row 2 is integral, and row 3 must still be
+        # built over row 1's denominator, which c_(2,1) brings back in
+        rows = [(), ((0, Fraction(1, 3)),)]
+        rows += [tuple((j, 3 if j == 1 else 1) for j in range(k + 1)) for k in range(2, 8)]
+        seq = MonicSequence(rows)
+        sigma = seqkit._mixed_moments(*seqkit._integer_rows(rows), 8, 0, 3)
+        assert [den for _, den in sigma] == [1, 3, 1, 1]
+        assert_matches_reference(seq, 1, 3)
+        assert_matches_reference(seq, 2, 2)
 
     def test_mutated_table_first_failure(self, coro_rt):
         gamma = [coro_rt.gamma(n) for n in range(1, 40)]
