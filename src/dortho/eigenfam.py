@@ -25,7 +25,7 @@ from .errors import (
 )
 from .polycore import Poly, rational_to_str
 from .report import VerificationReport
-from .seqkit import MonicSequence, RecurrenceTable, generate, times_x
+from .seqkit import MonicSequence, RecurrenceTable, generate
 
 
 # -- parameter bundles -----------------------------------------------------
@@ -282,7 +282,8 @@ def derive_recurrence(J: DiffOperator, N: int):
 
     The sequence Q of that table is then proved to be P to degree N + 1:
     column n of J's matrix in Q's basis (operator_column) must be
-    lambda_n e_n for every n <= N + 1.  The eigenvalues below each lambda_n
+    lambda_n e_n for every n <= N + 1, compared by cross-multiplication
+    as in check_expansions.  The eigenvalues below each lambda_n
     differ from it (the solver's collision screen), so the monic
     eigenpolynomial of each degree is unique and Q_n = P_n; Q's rows are
     P's, four-term by construction.  If column n is the first to fail,
@@ -309,9 +310,10 @@ def derive_recurrence(J: DiffOperator, N: int):
     seq = generate(rt, N + 1)
     for n in range(N + 2):
         col = operator_column(seq, J.coeffs, n)
-        if col != {n: lam[n]}:
-            j = min(col.keys() - {n})
-            chi = col[j] / (lam[j] - lam[n])
+        if not _column_is(col, {n: lam[n]}):
+            vec, den = col
+            j = min(vec.keys() - {n})
+            chi = Fraction(vec[j], den) / (lam[j] - lam[n])
             raise NotTwoOrthogonal(
                 f"chi_({n - 2},{j}) = {rational_to_str(chi)} != 0", n=n - 2, nu=j
             )
@@ -469,9 +471,11 @@ class _Tables:
 # -- expansion verification ------------------------------------------------
 
 
-def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> dict:
-    """The nonzero j -> c_j of L(P_n) = sum_j c_j P_j, for the operator L with
-    coefficient polynomials coeffs, from the sequence's x-rows alone.
+def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> tuple:
+    """Column n of the matrix of the operator L with coefficient polynomials
+    coeffs, in the sequence's basis, from its x-rows alone: the pair
+    (vec, den) with L(P_n) = sum_j (vec[j] / den) P_j, vec holding only
+    nonzero ints, den > 0 and gcd(den, *vec.values()) == 1.
 
     Level i of L has coefficients coeffs[i:], so level i of J is J.shifted(i).
     The rule L^(i)(x p) = L^(i+1)(p) + x L^(i)(p) and the x-row of P_n give
@@ -481,28 +485,77 @@ def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> dict:
         column n + 1  = X col_n + (column n of level i + 1)
                         - sum_((k, c) in row n) c col_k,
 
-    where X is multiplication by x and the level past the order is zero.  Columns are cached on the sequence
+    where X is multiplication by x and the level past the order is zero.
+    The recursion runs on the sequence's integer rows (seq.integer_rows),
+    each c_(k,j) as the integer c_(k,j) D over D, fraction-free: X col_n
+    lies over den_n D, the upper column over its own den and c col_k over
+    D den_k, so column n + 1 is summed in integers over the lcm of those
+    denominators and then divided by its one gcd with them.  That
+    reduction leaves den the lcm of the entries' reduced denominators, so
+    the pair does not depend on D.  Columns are cached on the sequence
     by coefficient tail, so J, J^(1), J^(2) and J^(3) share four levels.
     """
     cols = seq.columns.setdefault(coeffs, [])
-    rows = seq.x_rows
+    D, rows = seq.integer_rows
     while len(cols) <= n:
         m = len(cols)
         if m == 0:
-            col: dict = {}
+            vec, den = {}, 1
             for c in reversed(coeffs[0].coeffs if coeffs else ()):  # Horner
-                col = times_x(col, rows)
-                col[0] = col.get(0, 0) + c
+                out: dict = {}
+                common = math.lcm(den * D, c.denominator)
+                _add_times_x(out, vec, rows, D, common // (den * D))
+                out[0] = out.get(0, 0) + c.numerator * (common // c.denominator)
+                vec, den = _reduced(out, common)
         else:
-            col = times_x(cols[m - 1], rows)
-            if len(coeffs) > 1:
-                for j, v in operator_column(seq, coeffs[1:], m - 1).items():
-                    col[j] = col.get(j, 0) + v
-            for k, c in rows[m - 1]:
-                for j, v in cols[k].items():
-                    col[j] = col.get(j, 0) - c * v
-        cols.append({j: v for j, v in col.items() if v})
+            prev, prev_den = cols[m - 1]
+            upper, upper_den = (
+                operator_column(seq, coeffs[1:], m - 1) if len(coeffs) > 1 else ({}, 1)
+            )
+            lower = [(cols[k], c) for k, c in rows[m - 1]]
+            common = D * math.lcm(prev_den, *(k_den for (_, k_den), _ in lower))
+            common = math.lcm(common, upper_den)
+            out = {}
+            _add_times_x(out, prev, rows, D, common // (prev_den * D))
+            s = common // upper_den
+            for j, v in upper.items():
+                out[j] = out.get(j, 0) + s * v
+            for (col, k_den), c in lower:
+                s = c * (common // (D * k_den))
+                for j, v in col.items():
+                    out[j] = out.get(j, 0) - s * v
+            vec, den = _reduced(out, common)
+        cols.append((vec, den))
     return cols[n]
+
+
+def _add_times_x(out: dict, vec: dict, rows, D: int, s: int) -> None:
+    """out += s D X vec over integer rows scaled by D: each e_j of vec
+    becomes D e_(j+1) + sum_((k, c) in rows[j]) c e_k."""
+    for j, v in vec.items():
+        v *= s
+        out[j + 1] = out.get(j + 1, 0) + v * D
+        for k, c in rows[j]:
+            out[k] = out.get(k, 0) + c * v
+
+
+def _reduced(out: dict, den: int) -> tuple:
+    """The column (vec, den) of out / den: zeros dropped, one gcd divided out."""
+    vec = {j: v for j, v in out.items() if v}
+    g = math.gcd(den, *vec.values())
+    if g > 1:
+        den //= g
+        vec = {j: v // g for j, v in vec.items()}
+    return vec, den
+
+
+def _column_is(column: tuple, expected: dict) -> bool:
+    """Whether the column (vec, den) equals expected, a dict j -> nonzero
+    rational, compared by cross-multiplication: no Fraction is formed."""
+    vec, den = column
+    return vec.keys() == expected.keys() and all(
+        v * expected[j].denominator == expected[j].numerator * den for j, v in vec.items()
+    )
 
 
 def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identities):
@@ -514,18 +567,22 @@ def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identit
 
     Basis expansions are unique, so the identity holds exactly when the
     band, summed per j, equals column n + s of L's matrix (operator_column),
-    entries outside the band included.  Only a failing column builds
-    L(P_(n+s)) and the right-hand side as polynomials, for the witness.
+    entries outside the band included.  The column is an integer vector
+    over one denominator, so the comparison is on key sets and, per entry,
+    vec[j] * c_j.denominator == c_j.numerator * den.  Only a failing column
+    builds L(P_(n+s)) and the right-hand side as polynomials, for the
+    witness.
     """
     for n in ns:
         for name, L, s, band in identities:
             terms = [(j, c) for j, c in band(n) if j >= 0 and c]
             expected: dict = {}
             for j, c in terms:
-                expected[j] = expected.get(j, 0) + c
-            if operator_column(seq, L.coeffs, n + s) == {
-                j: c for j, c in expected.items() if c
-            }:
+                expected[j] = expected[j] + c if j in expected else c
+            if _column_is(
+                operator_column(seq, L.coeffs, n + s),
+                {j: c for j, c in expected.items() if c},
+            ):
                 report.record(name, n, True)
                 continue
             rhs = Poly.zero()

@@ -33,7 +33,9 @@ reduced values' denominators.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -176,12 +178,19 @@ class MonicSequence:
     recurrence P_(k+1) = x*P_k - sum_j c_(k,j) P_j; N, len and x_rows build
     nothing.
 
+    integer_rows is the integer view of the x-rows, (D, rows) as
+    _integer_rows gives it, computed on its first read and kept; the
+    moment, pairing and column kernels all read it.
+
     columns caches operator-matrix columns over this sequence's x-rows,
     keyed by coefficient tuple (see eigenfam.operator_column); it lives as
-    long as the sequence.  Each cached column is computed from x-rows
+    long as the sequence.  A column is a pair (vec, den): vec maps j to a
+    nonzero int, den > 0 and gcd(den, *vec.values()) == 1, so entry j is
+    vec[j] / den and each rational column has one such pair, whatever D
+    the integer view has.  Each cached column is computed from x-rows
     alone, so a sequence whose first rows are all of another sequence's
     x-rows may start with a copy of that one's cache: a new list per key,
-    holding the same column dicts (operator_column never changes a cached
+    holding the same column pairs (operator_column never changes a cached
     column).
     """
 
@@ -209,6 +218,10 @@ class MonicSequence:
 
     def __len__(self) -> int:
         return self.N + 1
+
+    @functools.cached_property
+    def integer_rows(self) -> tuple:
+        return _integer_rows(self.x_rows)
 
 
 @dataclass(frozen=True)
@@ -306,11 +319,18 @@ def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
     rows are scaled by D (see _integer_rows), so a step multiplies den by
     D and then divides den and the vector by their one gcd.  A moment
     becomes a Fraction only when it is output.
+
+    A moment too long to write out raises OutputTooLarge (rational_to_str)
+    as it is produced, so a caller that writes the moments does no further
+    work for a result it cannot write.  An int of at most 3k bits is below
+    8**k, so it has at most k digits: only a moment whose numerator or
+    denominator passes 3 bits per allowed digit goes through rational_to_str.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     top = seq.N
-    D, rows = _integer_rows(seq.x_rows)
+    D, rows = seq.integer_rows
+    screen = 3 * sys.get_int_max_str_digits()  # 0: no limit
     w = max((k - j for k, row in enumerate(rows) for j, _ in row), default=0)
     moments = [[] for _ in range(d)]
     vec, den = [1], 1
@@ -332,7 +352,11 @@ def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
                 nxt = [v // g for v in nxt]
             vec = nxt
         for i in range(d):
-            moments[i].append(Fraction(vec[i], den) if i < len(vec) else Fraction(0))
+            moment = Fraction(vec[i], den) if i < len(vec) else Fraction(0)
+            bits = max(moment.numerator.bit_length(), moment.denominator.bit_length())
+            if screen and bits > screen:
+                rational_to_str(moment)
+            moments[i].append(moment)
     return DualMoments(moments)
 
 
@@ -387,7 +411,7 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
                 raise InsufficientDegree(
                     f"need degree {m + n0} products; sequence stops at {seq.N}"
                 )
-    D, rows = _integer_rows(seq.x_rows)
+    D, rows = seq.integer_rows
     sigmas = [_mixed_moments(D, rows, seq.N, nu, M) for nu in range(d)]
     report = VerificationReport()
     for m in range(M + 1):
@@ -414,7 +438,7 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
     return report
 
 
-def times_x(col: dict, rows) -> dict:
+def _times_x(col: dict, rows) -> dict:
     """X col over a sequence's x-rows: each e_j becomes
     e_(j+1) + sum_((k, c) in rows[j]) c e_k."""
     out: dict = {}
@@ -446,7 +470,7 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
     tails = [{}]  # tails[k] = F_k
     qrows: list = []
     for k in range(1, seq.N):
-        a = times_x(tails[k - 1], qrows)
+        a = _times_x(tails[k - 1], qrows)
         for j, c in rows[k - 1]:
             a[j] = a.get(j, 0) - c
             for i, v in tails[j].items():

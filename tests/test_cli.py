@@ -306,6 +306,30 @@ class TestBadRanges:
         )
         assert r.stdout == b""
 
+    def test_duals_stops_at_the_first_moment_past_the_digit_limit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # every entry has its own 6-digit denominator: the moments of x**n
+        # pass the limit at n = 42 of the 76 that -M 25 reads, and the run
+        # stops there, before any pairing
+        q = iter(range(100003, 10**6, 101))
+        data = {
+            key: [f"{(-1) ** i * (1 + i % 9)}/{next(q)}" for i in range(77)]
+            for key in ("beta", "alpha", "gamma")
+        } | {"d": 2}
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(data))
+
+        def no_pairings(*args):
+            raise AssertionError("check_d_orthogonality ran")
+
+        monkeypatch.setattr(seqkit, "check_d_orthogonality", no_pairings)
+        argv = ["duals", "--tables", str(path), "-N", "2", "-M", "25"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert err == "input error: an exact result has more than 4300 digits, the output limit\n"
+        assert out == ""
+
 
 class TestOutFlag:
     def test_out_writes_file(self, tmp_path):

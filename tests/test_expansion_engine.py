@@ -1,13 +1,19 @@
-"""check_expansions against the polynomial check it replaced.
+"""check_expansions against the polynomial check it replaced, and the
+integer column kernel against the Fraction recursion it replaced.
 
-The reference below is that check as it was: apply L to P_(n+s), sum the
+The first reference is the check as it was: apply L to P_(n+s), sum the
 scaled basis polynomials of the band and compare the two polynomials.  On
 random d = 2 tables, where most displayed expansions fail, and on random
 bands around the true expansion of random operators, strict and relaxed,
 the column check must give the same report, entry for entry and witness
 for witness, and must apply an operator only to a failing column.
+
+The second is operator_column's recursion run on Fractions: every column
+the integer kernel caches must equal it, and must keep the kernel's
+representation, (vec, den) with den > 0, no zero entry and one gcd.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -19,6 +25,7 @@ from dortho import (
     Poly,
     RecurrenceTable,
     VerificationReport,
+    derivative_sequence,
     eigenfam,
     expand_in_basis,
     generate,
@@ -40,9 +47,10 @@ def reference_check_expansions(report, seq, ns, identities):
             report.check(name, n, L.apply(seq[n + s]), rhs)
 
 
-def tables(size):
-    """d = 2 tables: beta, alpha and gamma, each `size` arbitrary rationals."""
-    return st.lists(rationals, min_size=3 * size, max_size=3 * size).map(
+def tables(size, entries=rationals):
+    """d = 2 tables: beta, alpha and gamma, each `size` entries drawn from
+    `entries` (by default arbitrary rationals)."""
+    return st.lists(entries, min_size=3 * size, max_size=3 * size).map(
         lambda v: RecurrenceTable.two_orthogonal(
             v[:size], v[size : 2 * size], v[2 * size :]
         )
@@ -147,3 +155,70 @@ def test_passing_columns_build_no_polynomial():
     applied = AssertionError("an operator was applied")
     with mock.patch.object(DiffOperator, "apply", side_effect=applied):
         assert verify_expansions(J, eigenfam.corollary42_coeffs(25), 20).passed
+
+
+def reference_times_x(col, rows):
+    """X col over Fraction x-rows: each e_j becomes e_(j+1) + sum_k c e_k."""
+    out = {}
+    for j, v in col.items():
+        out[j + 1] = out.get(j + 1, 0) + v
+        for k, c in rows[j]:
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def reference_columns(rows, coeffs, n):
+    """Columns 0..n of the matrix of the operator with coefficient
+    polynomials coeffs, over Fraction x-rows, as dicts j -> nonzero
+    Fraction: operator_column's recursion with a Fraction per entry."""
+    upper = reference_columns(rows, coeffs[1:], n - 1) if len(coeffs) > 1 else None
+    col = {}
+    for c in reversed(coeffs[0].coeffs if coeffs else ()):  # Horner
+        col = reference_times_x(col, rows)
+        col[0] = col.get(0, 0) + c
+    cols = [{j: v for j, v in col.items() if v}]
+    for m in range(1, n + 1):
+        col = reference_times_x(cols[m - 1], rows)
+        for j, v in upper[m - 1].items() if upper else ():
+            col[j] = col.get(j, 0) + v
+        for k, c in rows[m - 1]:
+            for j, v in cols[k].items():
+                col[j] = col.get(j, 0) - c * v
+        cols.append({j: v for j, v in col.items() if v})
+    return cols
+
+
+@st.composite
+def column_cases(draw):
+    """(seq, coeffs, n): a sequence, the coefficient polynomials of an
+    operator of order <= 3 and n <= 25.  The sequence is a random d = 2
+    table's, rational entries with zeros common, or the derivative sequence
+    of one, whose rows are dense; it reaches degree n + 4, past the top of
+    L(P_n).  The coefficients, of degree <= 3, have denominators up to 9,
+    so a level often brings one that neither the rows nor the level below
+    it has."""
+    n = draw(st.integers(0, 25))
+    entries = st.one_of(st.just(Fraction(0)), rationals)
+    if draw(st.booleans()):
+        seq = generate(draw(tables(n + 5, entries)), n + 4)
+    else:
+        seq = derivative_sequence(generate(draw(tables(n + 6, entries)), n + 5))
+    coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+    order = draw(st.integers(0, 3))
+    coeffs = tuple(Poly(draw(st.lists(coefficients, max_size=4))) for _ in range(order + 1))
+    return seq, coeffs, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_cases())
+def test_integer_columns_match_the_fraction_reference(case):
+    seq, coeffs, n = case
+    eigenfam.operator_column(seq, coeffs, n)
+    # level i is computed to column n - i
+    assert set(seq.columns) == {coeffs[i:] for i in range(min(len(coeffs), n + 1))}
+    for coeffs, cols in seq.columns.items():
+        reference = reference_columns(seq.x_rows, coeffs, len(cols) - 1)
+        for (vec, den), expected in zip(cols, reference, strict=True):
+            assert den > 0 and all(vec.values())
+            assert math.gcd(den, *vec.values()) == 1
+            assert {j: Fraction(v, den) for j, v in vec.items()} == expected
