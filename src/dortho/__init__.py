@@ -14,7 +14,6 @@ from .eigenfam import (
     Case1Params,
     Case2Params,
     SolvabilityResult,
-    ThirdOrderParams,
     case1_coeffs,
     case2_coeffs,
     classify_solvability,
@@ -28,7 +27,6 @@ from .polycore import Poly, binomial, rational_from_json, rational_to_str
 from .report import ReportEntry, VerificationReport
 from .seqkit import (
     BasisExpansion,
-    DualMoments,
     MonicSequence,
     RecurrenceTable,
     check_d_orthogonality,
@@ -50,14 +48,12 @@ __all__ = [
     "Case1Params",
     "Case2Params",
     "DiffOperator",
-    "DualMoments",
     "MonicSequence",
     "OperatorClass",
     "Poly",
     "RecurrenceTable",
     "ReportEntry",
     "SolvabilityResult",
-    "ThirdOrderParams",
     "VerificationReport",
     "binomial",
     "case1_coeffs",

@@ -182,7 +182,9 @@ def nonneg_integer_roots(q: Poly) -> list[int]:
     sign, so the sign runs of q(n) follow from those of its differences by
     bisection: O(deg**2 * log(bound)) evaluations, however large the bound.
     q is first scaled by the lcm of its denominators, which keeps every sign,
-    so the evaluations run on integers rather than on long fractions."""
+    so every evaluation is a Fraction with denominator 1 rather than a long
+    fraction; Poly holds each coefficient as a Fraction, so the arithmetic
+    is still Fraction arithmetic."""
     if q.is_zero:
         raise ValueError("zero polynomial vanishes everywhere")
     if q.degree == 0:

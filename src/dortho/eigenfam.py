@@ -25,57 +25,16 @@ from .errors import (
 )
 from .polycore import Poly, rational_to_str
 from .report import VerificationReport
-from .seqkit import MonicSequence, RecurrenceTable, generate
+from .seqkit import (
+    MonicSequence,
+    RecurrenceTable,
+    _column_is,
+    generate,
+    operator_column,
+)
 
 
 # -- parameter bundles -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThirdOrderParams:
-    """Scalar coefficients a_i^[v] of a third-order operator.
-
-    Field aIV holds the coefficient of x**I inside the order-V
-    coefficient polynomial.
-    """
-
-    a00: Fraction
-    a01: Fraction = Fraction(0)
-    a11: Fraction = Fraction(0)
-    a02: Fraction = Fraction(0)
-    a12: Fraction = Fraction(0)
-    a22: Fraction = Fraction(0)
-    a03: Fraction = Fraction(0)
-    a13: Fraction = Fraction(0)
-    a23: Fraction = Fraction(0)
-    a33: Fraction = Fraction(0)
-
-    def operator(self) -> DiffOperator:
-        return DiffOperator(
-            [
-                Poly([self.a00]),
-                Poly([self.a01, self.a11]),
-                Poly([self.a02, self.a12, self.a22]),
-                Poly([self.a03, self.a13, self.a23, self.a33]),
-            ]
-        )
-
-    @staticmethod
-    def from_operator(J: DiffOperator) -> "ThirdOrderParams":
-        if J.order > 3:
-            raise ValueError("operator order exceeds 3")
-        return ThirdOrderParams(
-            a00=J.acoef(0, 0),
-            a01=J.acoef(0, 1),
-            a11=J.acoef(1, 1),
-            a02=J.acoef(0, 2),
-            a12=J.acoef(1, 2),
-            a22=J.acoef(2, 2),
-            a03=J.acoef(0, 3),
-            a13=J.acoef(1, 3),
-            a23=J.acoef(2, 3),
-            a33=J.acoef(3, 3),
-        )
 
 
 def _exact_fields(params) -> None:
@@ -471,93 +430,6 @@ class _Tables:
 # -- expansion verification ------------------------------------------------
 
 
-def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> tuple:
-    """Column n of the matrix of the operator L with coefficient polynomials
-    coeffs, in the sequence's basis, from its x-rows alone: the pair
-    (vec, den) with L(P_n) = sum_j (vec[j] / den) P_j, vec holding only
-    nonzero ints, den > 0 and gcd(den, *vec.values()) == 1.
-
-    Level i of L has coefficients coeffs[i:], so level i of J is J.shifted(i).
-    The rule L^(i)(x p) = L^(i+1)(p) + x L^(i)(p) and the x-row of P_n give
-    each level's matrix column by column,
-
-        column 0      = b_i(X) e_0
-        column n + 1  = X col_n + (column n of level i + 1)
-                        - sum_((k, c) in row n) c col_k,
-
-    where X is multiplication by x and the level past the order is zero.
-    The recursion runs on the sequence's integer rows (seq.integer_rows),
-    each c_(k,j) as the integer c_(k,j) D over D, fraction-free: X col_n
-    lies over den_n D, the upper column over its own den and c col_k over
-    D den_k, so column n + 1 is summed in integers over the lcm of those
-    denominators and then divided by its one gcd with them.  That
-    reduction leaves den the lcm of the entries' reduced denominators, so
-    the pair does not depend on D.  Columns are cached on the sequence
-    by coefficient tail, so J, J^(1), J^(2) and J^(3) share four levels.
-    """
-    cols = seq.columns.setdefault(coeffs, [])
-    D, rows = seq.integer_rows
-    while len(cols) <= n:
-        m = len(cols)
-        if m == 0:
-            vec, den = {}, 1
-            for c in reversed(coeffs[0].coeffs if coeffs else ()):  # Horner
-                out: dict = {}
-                common = math.lcm(den * D, c.denominator)
-                _add_times_x(out, vec, rows, D, common // (den * D))
-                out[0] = out.get(0, 0) + c.numerator * (common // c.denominator)
-                vec, den = _reduced(out, common)
-        else:
-            prev, prev_den = cols[m - 1]
-            upper, upper_den = (
-                operator_column(seq, coeffs[1:], m - 1) if len(coeffs) > 1 else ({}, 1)
-            )
-            lower = [(cols[k], c) for k, c in rows[m - 1]]
-            common = D * math.lcm(prev_den, *(k_den for (_, k_den), _ in lower))
-            common = math.lcm(common, upper_den)
-            out = {}
-            _add_times_x(out, prev, rows, D, common // (prev_den * D))
-            s = common // upper_den
-            for j, v in upper.items():
-                out[j] = out.get(j, 0) + s * v
-            for (col, k_den), c in lower:
-                s = c * (common // (D * k_den))
-                for j, v in col.items():
-                    out[j] = out.get(j, 0) - s * v
-            vec, den = _reduced(out, common)
-        cols.append((vec, den))
-    return cols[n]
-
-
-def _add_times_x(out: dict, vec: dict, rows, D: int, s: int) -> None:
-    """out += s D X vec over integer rows scaled by D: each e_j of vec
-    becomes D e_(j+1) + sum_((k, c) in rows[j]) c e_k."""
-    for j, v in vec.items():
-        v *= s
-        out[j + 1] = out.get(j + 1, 0) + v * D
-        for k, c in rows[j]:
-            out[k] = out.get(k, 0) + c * v
-
-
-def _reduced(out: dict, den: int) -> tuple:
-    """The column (vec, den) of out / den: zeros dropped, one gcd divided out."""
-    vec = {j: v for j, v in out.items() if v}
-    g = math.gcd(den, *vec.values())
-    if g > 1:
-        den //= g
-        vec = {j: v // g for j, v in vec.items()}
-    return vec, den
-
-
-def _column_is(column: tuple, expected: dict) -> bool:
-    """Whether the column (vec, den) equals expected, a dict j -> nonzero
-    rational, compared by cross-multiplication: no Fraction is formed."""
-    vec, den = column
-    return vec.keys() == expected.keys() and all(
-        v * expected[j].denominator == expected[j].numerator * den for j, v in vec.items()
-    )
-
-
 def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identities):
     """Check displayed expansions L(P_(n+s)) = sum_j c_j P_j exactly.
 
@@ -899,15 +771,15 @@ class SolvabilityResult:
         return out
 
 
-def classify_solvability(p: ThirdOrderParams) -> SolvabilityResult:
-    """Decide which closed-form family (if any) solves the eigenproblem.
+def classify_solvability(J: DiffOperator) -> SolvabilityResult:
+    """Decide which closed-form family (if any) solves the eigenproblem of
+    the operator J of order <= 3, from its coefficients a_2 and a_3.
 
     Regions the source results do not settle come back "unclassified"
     with the computed residues attached rather than a guess.
     """
-    a2 = Poly([p.a02, p.a12, p.a22])
-    a3 = Poly([p.a03, p.a13, p.a23, p.a33])
-    disc = p.a13 * p.a13 - 4 * p.a23 * p.a03
+    a2, a3 = J.a(2), J.a(3)
+    disc = J.acoef(1, 3) ** 2 - 4 * J.acoef(2, 3) * J.acoef(0, 3)
 
     if a3.is_zero:
         return SolvabilityResult(
@@ -919,7 +791,7 @@ def classify_solvability(p: ThirdOrderParams) -> SolvabilityResult:
     if a3.degree == 0:
         if a2.degree <= 1:
             notes = ["a_1^[1] != 0 is forced"]
-            if p.a12:
+            if J.acoef(1, 2):
                 notes.append("a_1^[2] is forced to zero; given value is nonzero")
             return SolvabilityResult(tag="case1", notes=tuple(notes))
         return SolvabilityResult(

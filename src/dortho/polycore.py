@@ -121,10 +121,6 @@ class Poly:
             return Fraction(0)
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def _wrap(self, cs) -> "Poly":
         p = Poly.__new__(Poly)
         object.__setattr__(p, "coeffs", tuple(cs))

@@ -58,10 +58,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(e.status == "pass" for e in self.entries)
 
-    @property
-    def failures(self) -> list:
-        return [e for e in self.entries if e.status == "fail"]
-
     def first_failure(self) -> Optional[ReportEntry]:
         for e in self.entries:
             if e.status == "fail":

@@ -1,12 +1,12 @@
 """Monic polynomial sequences from higher-order recurrences.
 
-Covers sequence generation, the x-multiplication rows, the derivative
-sequence, canonical dual-functional moments, and the finite
-d-orthogonality probe.  A sequence is its x-rows
-x*P_k = P_(k+1) + sum_j c_(k,j) P_j: RecurrenceTable.x_row's for a
-generated sequence, derivative_sequence's for a derivative sequence.  It
-builds each polynomial on its first read, so a reader of the rows alone
-builds none.  expand_in_basis and structure_coeffs reduce polynomials in a
+Covers sequence generation, the x-multiplication rows, an operator's
+matrix columns over them, the derivative sequence, canonical
+dual-functional moments, and the finite d-orthogonality probe.  A
+sequence is its x-rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j:
+RecurrenceTable.x_row's for a generated sequence, derivative_sequence's
+for a derivative sequence.  It builds each polynomial on its first read,
+so a reader of the rows alone builds none.  expand_in_basis and structure_coeffs reduce polynomials in a
 basis of polynomials; no command calls them, and the tests keep them as the
 polynomial reference.
 
@@ -22,13 +22,14 @@ sigma_nu(m, n) = <u_nu, P_m P_n> follow from the mixed-moment recurrence
 which is exact by the delta-duality definition of the dual sequence and
 forms no polynomial product.
 
-Both loops run on integers (fraction-free, as in Bareiss's elimination).
-The rows are scaled by D, the lcm of their denominators, so each c_(k,j)
-is the integer c_(k,j) D over D.  The expansion of x**n is one integer
-vector over one denominator, and sigma_nu(m, .) = S_m / den_m with S_m an
-integer list.  Each step divides the new vector and its denominator by
-their one gcd, which leaves the denominator equal to the lcm of the
-reduced values' denominators.
+Both loops, like the column kernel (operator_column), run on integers
+(fraction-free, as in Bareiss's elimination).  The rows are scaled by D,
+the lcm of their denominators, so each c_(k,j) is the integer c_(k,j) D
+over D.  The expansion of x**n is one integer vector over one
+denominator, and sigma_nu(m, .) = S_m / den_m with S_m an integer list.
+Each step divides the new vector and its denominator by their one gcd,
+which leaves the denominator equal to the lcm of the reduced values'
+denominators.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DegreeTooLarge,
@@ -109,17 +110,6 @@ class RecurrenceTable:
             raise ValueError("gamma accessor is d=2 only")
         return self.level(0, n)
 
-    @property
-    def regular(self) -> bool:
-        """Whether every tabulated lowest-level coefficient is nonzero."""
-        return all(g != 0 for g in self._levels[0])
-
-    def first_vanishing_gamma(self) -> Optional[int]:
-        for i, g in enumerate(self._levels[0]):
-            if g == 0:
-                return i + 1
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecurrenceTable):
             return NotImplemented
@@ -183,15 +173,12 @@ class MonicSequence:
     moment, pairing and column kernels all read it.
 
     columns caches operator-matrix columns over this sequence's x-rows,
-    keyed by coefficient tuple (see eigenfam.operator_column); it lives as
-    long as the sequence.  A column is a pair (vec, den): vec maps j to a
-    nonzero int, den > 0 and gcd(den, *vec.values()) == 1, so entry j is
-    vec[j] / den and each rational column has one such pair, whatever D
-    the integer view has.  Each cached column is computed from x-rows
-    alone, so a sequence whose first rows are all of another sequence's
-    x-rows may start with a copy of that one's cache: a new list per key,
-    holding the same column pairs (operator_column never changes a cached
-    column).
+    keyed by coefficient tuple; operator_column fills it,
+    start_columns_from may start it from another sequence's, and it lives
+    as long as the sequence.  A column is a pair (vec, den): vec maps
+    j to a nonzero int, den > 0 and gcd(den, *vec.values()) == 1, so entry
+    j is vec[j] / den and each rational column has one such pair, whatever
+    D the integer view has.
     """
 
     def __init__(self, x_rows: Sequence):
@@ -223,6 +210,19 @@ class MonicSequence:
     def integer_rows(self) -> tuple:
         return _integer_rows(self.x_rows)
 
+    def start_columns_from(self, other: "MonicSequence") -> None:
+        """Start the column cache from other's when this sequence's x-rows
+        begin with all of other's; otherwise do nothing.
+
+        Each of other's cached columns read only other's rows, so it is
+        also this sequence's.  Sharing is all or nothing: if any of other's
+        rows differs, this sequence computes all of its own columns.  Each
+        key gets a new list holding the same column pairs (operator_column
+        never changes a cached column), so the two caches then grow apart.
+        """
+        if self.x_rows[: other.N] == other.x_rows:
+            self.columns = {key: list(cols) for key, cols in other.columns.items()}
+
 
 @dataclass(frozen=True)
 class BasisExpansion:
@@ -234,27 +234,6 @@ class BasisExpansion:
         if 0 <= i < len(self.coefficients):
             return self.coefficients[i]
         return Fraction(0)
-
-
-class DualMoments:
-    """Moments (u_i)_n of the first d canonical dual functionals."""
-
-    def __init__(self, moments: Sequence[Sequence]):
-        self._m = tuple(tuple(Fraction(v) for v in row) for row in moments)
-
-    def moment(self, i: int, n: int) -> Fraction:
-        return self._m[i][n]
-
-    @property
-    def d(self) -> int:
-        return len(self._m)
-
-    @property
-    def N(self) -> int:
-        return len(self._m[0]) - 1
-
-    def to_json(self) -> list:
-        return [[rational_to_str(v) for v in row] for row in self._m]
 
 
 def generate(rt: RecurrenceTable, N: int) -> MonicSequence:
@@ -307,8 +286,96 @@ def _integer_rows(x_rows) -> tuple:
     )
 
 
-def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
-    """Moments (u_i)_n = coefficient of P_i in the expansion of x**n.
+def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> tuple:
+    """Column n of the matrix of the operator L with coefficient polynomials
+    coeffs, in the sequence's basis, from its x-rows alone: the pair
+    (vec, den) with L(P_n) = sum_j (vec[j] / den) P_j, vec holding only
+    nonzero ints, den > 0 and gcd(den, *vec.values()) == 1.
+
+    Level i of L has coefficients coeffs[i:], so level i of J is J.shifted(i).
+    The rule L^(i)(x p) = L^(i+1)(p) + x L^(i)(p) and the x-row of P_n give
+    each level's matrix column by column,
+
+        column 0      = b_i(X) e_0
+        column n + 1  = X col_n + (column n of level i + 1)
+                        - sum_((k, c) in row n) c col_k,
+
+    where X is multiplication by x and the level past the order is zero.
+    The recursion runs on the sequence's integer rows (seq.integer_rows),
+    each c_(k,j) as the integer c_(k,j) D over D, fraction-free: X col_n
+    lies over den_n D, the upper column over its own den and c col_k over
+    D den_k, so column n + 1 is summed in integers over the lcm of those
+    denominators and then divided by its one gcd with them.  That
+    reduction leaves den the lcm of the entries' reduced denominators, so
+    the pair does not depend on D.  Columns are cached on the sequence
+    by coefficient tail, so J, J^(1), J^(2) and J^(3) share four levels.
+    """
+    cols = seq.columns.setdefault(coeffs, [])
+    D, rows = seq.integer_rows
+    while len(cols) <= n:
+        m = len(cols)
+        if m == 0:
+            vec, den = {}, 1
+            for c in reversed(coeffs[0].coeffs if coeffs else ()):  # Horner
+                out: dict = {}
+                common = math.lcm(den * D, c.denominator)
+                _add_times_x(out, vec, rows, D, common // (den * D))
+                out[0] = out.get(0, 0) + c.numerator * (common // c.denominator)
+                vec, den = _reduced(out, common)
+        else:
+            prev, prev_den = cols[m - 1]
+            upper, upper_den = (
+                operator_column(seq, coeffs[1:], m - 1) if len(coeffs) > 1 else ({}, 1)
+            )
+            lower = [(cols[k], c) for k, c in rows[m - 1]]
+            common = D * math.lcm(prev_den, *(k_den for (_, k_den), _ in lower))
+            common = math.lcm(common, upper_den)
+            out = {}
+            _add_times_x(out, prev, rows, D, common // (prev_den * D))
+            s = common // upper_den
+            for j, v in upper.items():
+                out[j] = out.get(j, 0) + s * v
+            for (col, k_den), c in lower:
+                s = c * (common // (D * k_den))
+                for j, v in col.items():
+                    out[j] = out.get(j, 0) - s * v
+            vec, den = _reduced(out, common)
+        cols.append((vec, den))
+    return cols[n]
+
+
+def _add_times_x(out: dict, vec: dict, rows, D: int, s: int) -> None:
+    """out += s D X vec over integer rows scaled by D: each e_j of vec
+    becomes D e_(j+1) + sum_((k, c) in rows[j]) c e_k."""
+    for j, v in vec.items():
+        v *= s
+        out[j + 1] = out.get(j + 1, 0) + v * D
+        for k, c in rows[j]:
+            out[k] = out.get(k, 0) + c * v
+
+
+def _reduced(out: dict, den: int) -> tuple:
+    """The column (vec, den) of out / den: zeros dropped, one gcd divided out."""
+    vec = {j: v for j, v in out.items() if v}
+    g = math.gcd(den, *vec.values())
+    if g > 1:
+        den //= g
+        vec = {j: v // g for j, v in vec.items()}
+    return vec, den
+
+
+def _column_is(column: tuple, expected: dict) -> bool:
+    """Whether the column (vec, den) equals expected, a dict j -> nonzero
+    rational, compared by cross-multiplication: no Fraction is formed."""
+    vec, den = column
+    return vec.keys() == expected.keys() and all(
+        v * expected[j].denominator == expected[j].numerator * den for j, v in vec.items()
+    )
+
+
+def dual_moments(seq: MonicSequence, d: int) -> list:
+    """Moments (u_i)_n = coefficient of P_i in the expansion of x**n, as d
+    lists of Fractions: row i holds (u_i)_0..(u_i)_N.
 
     The expansion of x**(n+1) is x times that of x**n, with each x*P_j
     replaced by its x-multiplication row.  A step lowers a basis index by
@@ -357,7 +424,7 @@ def dual_moments(seq: MonicSequence, d: int) -> DualMoments:
             if screen and bits > screen:
                 rational_to_str(moment)
             moments[i].append(moment)
-    return DualMoments(moments)
+    return moments
 
 
 def _mixed_moments(D: int, rows: tuple, N: int, nu: int, M: int) -> list:

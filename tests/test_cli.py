@@ -136,6 +136,92 @@ class TestClassify:
         assert_golden(r, "classify_bad_degree.out", 2)
         assert b"index 2" in r.stderr
 
+    ISOMORPHISM = {"class": "isomorphism", "certified_all_n": True}
+    FORCED = "a_1^[1] != 0 is forced"
+
+    @pytest.mark.parametrize(
+        "a, solvability",
+        [
+            (
+                [["1"], ["2"]],
+                {
+                    "solvability": "reduced",
+                    "notes": ["only the pure first-order operator a_0^[1] D + a_0^[0] I remains"],
+                },
+            ),
+            ([["1"], ["0", "1"], ["1"], ["2"]], {"solvability": "case1", "notes": [FORCED]}),
+            (
+                [["1"], ["0", "1"], ["0", "1"], ["2"]],
+                {
+                    "solvability": "case1",
+                    "notes": [FORCED, "a_1^[2] is forced to zero; given value is nonzero"],
+                },
+            ),
+            ([["1"], ["0", "1"], [], ["1", "-2", "1"]], {"solvability": "case2", "notes": [FORCED]}),
+            (
+                [["1"], ["0", "1"], [], ["0", "1"]],
+                {
+                    "solvability": "no-solution",
+                    "notes": ["no 2-orthogonal eigenfamily exists for linear a_3"],
+                },
+            ),
+            (
+                [["1"], ["0", "1"], ["0", "0", "1"], ["1"]],
+                {
+                    "solvability": "unclassified",
+                    "notes": ["quadratic a_2 with constant a_3 is not settled"],
+                    "residues": {"deg_a2": "2", "deg_a3": "0"},
+                },
+            ),
+            (
+                [["1"], ["0", "1"], [], ["1", "0", "1"]],
+                {
+                    "solvability": "unclassified",
+                    "notes": ["quadratic a_3 with nonzero discriminant is not settled"],
+                    "residues": {"discriminant": "-4"},
+                },
+            ),
+            (
+                [["1"], ["0", "1"], [], ["0", "0", "0", "1"]],
+                {
+                    "solvability": "unclassified",
+                    "notes": ["cubic a_3 is not settled"],
+                    "residues": {"deg_a3": "3"},
+                },
+            ),
+            (
+                [["1"], ["0", "1"], ["1"], ["0", "1"]],
+                {
+                    "solvability": "unclassified",
+                    "notes": ["parameter region not settled"],
+                    "residues": {"deg_a2": "0", "deg_a3": "1", "discriminant": "1"},
+                },
+            ),
+            # past order 3 classify reports the operator class alone
+            ([["1"], ["0", "1"], [], [], ["1"]], {}),
+        ],
+        ids=[
+            "reduced",
+            "case1",
+            "case1-a12-note",
+            "case2",
+            "no-solution",
+            "unclassified-quadratic-a2",
+            "unclassified-discriminant",
+            "unclassified-cubic-a3",
+            "unclassified-region",
+            "order-4",
+        ],
+    )
+    def test_solvability_stdout(self, tmp_path, capsys, a, solvability):
+        # one operator per branch of classify_solvability, exact stdout
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"a": a}))
+        assert cli.main(["classify", "--operator", str(op)]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == json.dumps({**self.ISOMORPHISM, **solvability}, indent=2) + "\n"
+        assert err == ""
+
 
 class TestDuals:
     def test_explicit_family_passes(self):
@@ -205,6 +291,47 @@ class TestBadRanges:
         r = run_cli("duals", "--tables", str(tables), *bounds)
         assert r.returncode == 2, r.stderr.decode()
         assert r.stderr == message
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (402, "input error: d must be <= 401\n"),
+            (500, "input error: d must be <= 401\n"),
+            # d = 401 passes the bound and fails in generate on this short table
+            (401, "input error: beta_1 not tabulated\n"),
+        ],
+    )
+    def test_table_order_above_cap_is_input_error(self, tmp_path, capsys, d, message):
+        # the probe to M = 0 needs degree d - 1, so d is bounded before M
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps({"d": d, "beta": [0], "levels": [[1]] * d}))
+        argv = ["duals", "--tables", str(tables), "-N", "0", "-M", "0"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", message)
+
+    @staticmethod
+    def order_operator(order):
+        """a_0 = 1 and a_v = x**v up to the given order."""
+        return {"a": [["0"] * v + ["1"] for v in range(order + 1)]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("classify",), ("eigen", "-n", "1"), ("verify", "-N", "1")],
+        ids=["classify", "eigen", "verify"],
+    )
+    def test_operator_order_above_cap_is_input_error(self, tmp_path, capsys, argv):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(self.order_operator(cli.MAX_ORDER + 1)))
+        assert cli.main([*argv, "--operator", str(op)]) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", "input error: operator order must be <= 32\n")
+
+    def test_operator_order_at_cap_is_accepted(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(self.order_operator(cli.MAX_ORDER)))
+        assert cli.main(["classify", "--operator", str(op)]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"class": "isomorphism", "certified_all_n": True}
+        assert err == ""
 
     def test_scalar_beta_in_tables_is_input_error(self, tmp_path):
         tables = tmp_path / "tables.json"

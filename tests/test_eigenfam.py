@@ -12,7 +12,6 @@ from dortho import (
     DiffOperator,
     Poly,
     RecurrenceTable,
-    ThirdOrderParams,
     VerificationReport,
     case1_coeffs,
     case2_coeffs,
@@ -174,6 +173,24 @@ class TestSharedState:
         monkeypatch.setattr(owner, name, counted)
         return calls
 
+    @staticmethod
+    def count_columns(monkeypatch):
+        """(sequence, coefficient tail, n) of each column computed.  The
+        wrapper goes where seqkit's recursion looks operator_column up and
+        where eigenfam, which imports it, does."""
+        computed = []
+        column = seqkit.operator_column
+
+        def counted(seq, coeffs, n):
+            before = len(seq.columns.get(coeffs, ()))
+            out = column(seq, coeffs, n)
+            computed.extend((seq, coeffs, m) for m in range(before, len(seq.columns[coeffs])))
+            return out
+
+        monkeypatch.setattr(seqkit, "operator_column", counted)
+        monkeypatch.setattr(eigenfam, "operator_column", counted)
+        return computed
+
     def test_eigen_sequence_classifies_once(self, monkeypatch):
         # the solve reads only the band scalars, so no image J(x**j) is built
         J, N = corollary42_operator(1), 30
@@ -191,16 +208,7 @@ class TestSharedState:
         # verify_expansions reads the levels derive_recurrence's check filled.
         classified = self.count(monkeypatch, eigenfam, "classify")
         imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
-        computed = []
-        column = eigenfam.operator_column
-
-        def counted_column(seq, coeffs, n):
-            before = len(seq.columns.get(coeffs, ()))
-            out = column(seq, coeffs, n)
-            computed.extend((coeffs, m) for m in range(before, len(seq.columns[coeffs])))
-            return out
-
-        monkeypatch.setattr(eigenfam, "operator_column", counted_column)
+        computed = self.count_columns(monkeypatch)
         op = tmp_path / "op.json"
         argv = ["verify", "--operator", str(op), "-N", "12", "--out", str(tmp_path / "out")]
         for J in FAMILY_OPERATORS:
@@ -210,10 +218,11 @@ class TestSharedState:
             assert cli.main(argv) == cli.EXIT_OK
             assert len(classified) == 1
             assert imaged == []
-            assert len(computed) == len(set(computed))
+            keys = [(coeffs, m) for _, coeffs, m in computed]
+            assert len(keys) == len(set(keys))
             # derive_recurrence(J, 17) checks J's columns to 18, so J^(1)'s to
             # 17; verify_expansions alone reads J^(1) only to column 12
-            assert (J.coeffs[1:], 17) in computed
+            assert (J.coeffs[1:], 17) in keys
 
     @pytest.mark.parametrize(
         "family, params",
@@ -226,15 +235,7 @@ class TestSharedState:
     def test_family_mode_computes_each_column_once(self, monkeypatch, tmp_path, family, params):
         # The oracle runs first; the closed-form rows start with its rows, so
         # the closed-form sequence reads every column the oracle proved
-        computed = []  # (sequence, coefficient tail, n) of each column computed
-        column = eigenfam.operator_column
-
-        def counted_column(seq, coeffs, n):
-            before = len(seq.columns.get(coeffs, ()))
-            out = column(seq, coeffs, n)
-            computed.extend((seq, coeffs, m) for m in range(before, len(seq.columns[coeffs])))
-            return out
-
+        computed = self.count_columns(monkeypatch)
         oracle = []
         derive = eigenfam.derive_recurrence
 
@@ -243,7 +244,6 @@ class TestSharedState:
             oracle.append(result[2])
             return result
 
-        monkeypatch.setattr(eigenfam, "operator_column", counted_column)
         monkeypatch.setattr(eigenfam, "derive_recurrence", kept)
         argv = ["verify", "--family", family, "-N", "12", "--out", str(tmp_path / "out")]
         if params is not None:
@@ -436,7 +436,7 @@ class TestCase1Coeffs:
         p = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(0), Fraction(-6))
         rt = case1_coeffs(p, 10)
         assert all(rt.alpha(n) == 0 for n in range(1, 11))
-        assert rt.regular
+        assert all(rt.gamma(n) != 0 for n in range(1, 11))
 
     def test_gamma_ratio(self):
         rt = case1_coeffs(CASE1, 10)
@@ -641,40 +641,26 @@ class TestDifferenceEquations:
 
 class TestClassifySolvability:
     def test_constant_cubic(self):
-        res = classify_solvability(
-            ThirdOrderParams(a00=Fraction(1), a11=Fraction(1), a02=Fraction(1), a03=Fraction(2))
-        )
+        J = DiffOperator([Poly.one(), Poly([0, 1]), Poly([1]), Poly([2])])
+        res = classify_solvability(J)
         assert res.tag == "case1"
         assert any("forced" in note for note in res.notes)
 
     def test_linear_cubic_no_solution(self):
-        res = classify_solvability(
-            ThirdOrderParams(a00=Fraction(1), a11=Fraction(1), a13=Fraction(1))
-        )
-        assert res.tag == "no-solution"
+        J = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])])
+        assert classify_solvability(J).tag == "no-solution"
 
     def test_no_cubic_reduced(self):
-        res = classify_solvability(ThirdOrderParams(a00=Fraction(1), a01=Fraction(2)))
-        assert res.tag == "reduced"
+        J = DiffOperator([Poly.one(), Poly([2])])
+        assert classify_solvability(J).tag == "reduced"
 
     def test_quadratic_cubic_with_zero_discriminant(self):
-        res = classify_solvability(
-            ThirdOrderParams(
-                a00=Fraction(1),
-                a11=Fraction(1, 24),
-                a03=Fraction(1),
-                a13=Fraction(-2),
-                a23=Fraction(1),
-            )
-        )
-        assert res.tag == "case2"
+        J = DiffOperator([Poly.one(), Poly([0, Fraction(1, 24)]), Poly.zero(), Poly([1, -2, 1])])
+        assert classify_solvability(J).tag == "case2"
 
     def test_nonzero_discriminant_unclassified(self):
-        res = classify_solvability(
-            ThirdOrderParams(
-                a00=Fraction(1), a11=Fraction(1), a03=Fraction(1), a23=Fraction(1)
-            )
-        )
+        J = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([1, 0, 1])])
+        res = classify_solvability(J)
         assert res.tag == "unclassified"
         assert res.residues is not None
         assert res.residues["discriminant"] == Fraction(-4)

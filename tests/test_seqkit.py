@@ -14,6 +14,7 @@ from dortho import (
     case2_coeffs,
     check_d_orthogonality,
     corollary42_coeffs,
+    corollary42_operator,
     derivative_sequence,
     dual_moments,
     expand_in_basis,
@@ -89,7 +90,7 @@ def coeff(rows, k, j):
 
 def reference_dual_moments(seq, d):
     expansions = [expand_in_basis(Poly.monomial(n), seq) for n in range(len(seq))]
-    return [[rational_to_str(e.coeff(i)) for e in expansions] for i in range(d)]
+    return [[e.coeff(i) for e in expansions] for i in range(d)]
 
 
 def outcome(check, seq, d, M):
@@ -107,7 +108,7 @@ def assert_matches_reference(seq, d, M, polys=None):
         reference_d_orthogonality, polys, d, M
     )
     for dd in (d, seq.N + 3):
-        assert dual_moments(seq, dd).to_json() == reference_dual_moments(polys, dd)
+        assert dual_moments(seq, dd) == reference_dual_moments(polys, dd)
 
 
 small_rationals = st.one_of(
@@ -397,26 +398,60 @@ class TestStructureCoeffs:
         assert [seq[n] for n in range(len(polys))] == polys
 
 
+class TestStartColumnsFrom:
+    """A sequence starts its column cache from another's only when its
+    x-rows begin with all of the other's."""
+
+    COEFFS = corollary42_operator(1).coeffs
+
+    def test_shares_the_columns_of_a_prefix(self, coro_rt):
+        short = generate(coro_rt, 6)
+        seqkit.operator_column(short, self.COEFFS, 5)
+        full = generate(coro_rt, 10)
+        full.start_columns_from(short)
+        assert full.columns == short.columns
+        for key, cols in full.columns.items():
+            # a new list per key, holding the same column pairs
+            assert cols is not short.columns[key]
+            assert all(a is b for a, b in zip(cols, short.columns[key], strict=True))
+        seqkit.operator_column(full, self.COEFFS, 8)
+        assert len(short.columns[self.COEFFS]) == 6
+
+    def test_shares_nothing_when_a_row_differs_or_is_missing(self, coro_rt):
+        short = generate(coro_rt, 6)
+        seqkit.operator_column(short, self.COEFFS, 5)
+        data = coro_rt.to_json()
+        data["alpha"][4] = "1"  # alpha_5 is in row 5, the last of short's rows
+        altered = generate(RecurrenceTable.from_json(data), 10)
+        altered.start_columns_from(short)
+        shorter = generate(coro_rt, 5)
+        shorter.start_columns_from(short)
+        assert altered.columns == shorter.columns == {}
+
+
 class TestDualMoments:
     def test_first_moments(self, coro_seq):
         dm = dual_moments(coro_seq, 2)
-        assert dm.moment(0, 0) == 1
-        assert dm.moment(1, 0) == 0
-        assert dm.moment(1, 1) == 1
+        # d rows of N + 1 Fractions each
+        assert [len(row) for row in dm] == [coro_seq.N + 1] * 2
+        assert all(type(v) is Fraction for row in dm for v in row)
+        assert dm[0][0] == 1
+        assert dm[1][0] == 0
+        assert dm[1][1] == 1
         # beta_0 = 0 for the explicit family
-        assert dm.moment(0, 1) == 0
+        assert dm[0][1] == 0
 
     def test_beta0_moment(self):
         rt = RecurrenceTable.two_orthogonal([5, 0, 0, 0], [0, 0, 0], [0, 0, 0])
         dm = dual_moments(generate(rt, 3), 2)
-        assert dm.moment(0, 1) == 5
+        assert dm[0][1] == 5
 
     def test_matches_expansion(self, coro_seq):
         dm = dual_moments(coro_seq, 2)
         for n in range(10):
             exp = expand_in_basis(Poly.monomial(n), coro_seq)
-            assert dm.moment(0, n) == exp.coeff(0)
-            assert dm.moment(1, n) == exp.coeff(1)
+            assert dm[0][n] == exp.coeff(0)
+            assert dm[1][n] == exp.coeff(1)
 
     @settings(max_examples=100, deadline=None)
     @given(any_banded_tables, st.integers(1, 4))
@@ -425,7 +460,7 @@ class TestDualMoments:
         rt, N = table
         seq = generate(rt, N)
         for dd in (d, rt.d):
-            assert dual_moments(seq, dd).to_json() == reference_dual_moments(seq, dd)
+            assert dual_moments(seq, dd) == reference_dual_moments(seq, dd)
 
 
 class TestDOrthogonality:
@@ -452,8 +487,8 @@ class TestDOrthogonality:
             [coro_rt.alpha(n) for n in range(1, 40)],
             gamma,
         )
-        assert not rt.regular
-        assert rt.first_vanishing_gamma() == 3
+        # gamma_3 is the first lowest-level entry that vanishes
+        assert [n for n in range(1, 40) if rt.gamma(n) == 0] == [3]
         rep = check_d_orthogonality(generate(rt, 20), 2, 6)
         assert not rep.passed
         first = rep.first_failure()
@@ -529,12 +564,12 @@ class TestEdgeCases:
         ]
         with pytest.raises(InsufficientDegree):
             check_d_orthogonality(seq, 2, 0)
-        assert dual_moments(seq, 3).to_json() == [["1"], ["0"], ["0"]]
+        assert dual_moments(seq, 3) == [[1], [0], [0]]
 
     def test_degree_one_sequence(self):
         polys = [Poly.one(), Poly([-2, 1])]
         seq = MonicSequence(structure_coeffs(polys))
-        assert dual_moments(seq, 2).to_json() == [["1", "2"], ["0", "1"]]
+        assert dual_moments(seq, 2) == [[1, 2], [0, 1]]
         for d, M in ((1, 0), (2, 0), (1, 1)):
             assert outcome(check_d_orthogonality, seq, d, M) == outcome(
                 reference_d_orthogonality, polys, d, M
@@ -543,8 +578,8 @@ class TestEdgeCases:
     def test_more_duals_than_basis(self, coro_rt):
         seq = generate(coro_rt, 4)
         dm = dual_moments(seq, 8)
-        assert dm.to_json() == reference_dual_moments(seq, 8)
-        assert all(dm.moment(i, n) == 0 for i in range(5, 8) for n in range(5))
+        assert dm == reference_dual_moments(seq, 8)
+        assert all(dm[i][n] == 0 for i in range(5, 8) for n in range(5))
 
     def test_insufficient_degree_message(self, coro_rt):
         seq = generate(coro_rt, 10)
