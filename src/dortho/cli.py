@@ -242,7 +242,7 @@ def cmd_verify(args) -> int:
         report = eigenfam.verify_expansions(J, rt, N, seq=full, lambdas=lam)
 
         # eigen identity + the closed-form table against the oracle's
-        seq = seqkit.generate(rt, probe_deg)
+        seq = seqkit.MonicSequence(full.x_rows[:probe_deg])
         eigen = [("eigen-identity", J, 0, lambda n: [(n, lam[n])])]
         eigenfam.check_expansions(report, full, range(N + 1), eigen)
         report.extend(_tables_match_report(rt, rt_oracle, N))

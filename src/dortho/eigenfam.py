@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diffop import DiffOperator, classify, lambda_at
 from .errors import (
@@ -365,16 +365,18 @@ def corollary42_coeffs(N: int) -> RecurrenceTable:
 
 
 class _Tables:
-    """The second-step coefficients A..H over one table and eigenvalue map,
-    each cached per instance: the shift-2 and shift-3 bands read them again.
+    """The second-step coefficients A..H over the accessors beta, alpha,
+    gamma (n -> the table's entry) and lam (n -> lambda_n), each value
+    cached per instance: the shift-2 and shift-3 bands read them again.
 
-    beta/alpha/gamma are the table's own accessors, which read 0 below the
-    first tabulated index (the P_(-i) = 0 convention).
+    The formulas only add and multiply what the accessors return, so they
+    run in any ring: on a table's Fractions or on its integer view
+    (_integer_view).  The accessors read 0 below the first tabulated index
+    (the P_(-i) = 0 convention).
     """
 
-    def __init__(self, rt: RecurrenceTable, lam):
-        self.beta, self.alpha, self.gamma = rt.beta, rt.alpha, rt.gamma
-        self.lam = lam
+    def __init__(self, beta, alpha, gamma, lam):
+        self.beta, self.alpha, self.gamma, self.lam = beta, alpha, gamma, lam
         for name in "ABCDFGH":  # each value once per index and instance
             setattr(self, name, functools.cache(getattr(self, name)))
 
@@ -434,32 +436,41 @@ def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identit
     """Check displayed expansions L(P_(n+s)) = sum_j c_j P_j exactly.
 
     identities lists (name, L, s, band), where band(n) gives the (j, c_j)
-    of the right-hand side; terms with j < 0 (P_(-i) = 0) or c_j = 0 are
-    left out.  Records one entry per n in ns and identity, n outermost.
+    of the right-hand side, each c_j a rational read through .numerator
+    and .denominator (an int, a Fraction or an unreduced _Ratio); terms
+    with j < 0 (P_(-i) = 0) or c_j = 0 are left out.  Records one entry
+    per n in ns and identity, n outermost.
 
     Basis expansions are unique, so the identity holds exactly when the
     band, summed per j, equals column n + s of L's matrix (operator_column),
     entries outside the band included.  The column is an integer vector
     over one denominator, so the comparison is on key sets and, per entry,
-    vec[j] * c_j.denominator == c_j.numerator * den.  Only a failing column
-    builds L(P_(n+s)) and the right-hand side as polynomials, for the
-    witness.
+    vec[j] * c_j.denominator == c_j.numerator * den; a sum of two terms at
+    one j is formed the same way, as an unreduced pair.  Only a failing
+    column builds L(P_(n+s)) and the right-hand side as polynomials, for
+    the witness.
     """
     for n in ns:
         for name, L, s, band in identities:
-            terms = [(j, c) for j, c in band(n) if j >= 0 and c]
+            terms = [(j, c) for j, c in band(n) if j >= 0 and c.numerator]
             expected: dict = {}
             for j, c in terms:
-                expected[j] = expected[j] + c if j in expected else c
+                if j in expected:
+                    e = expected[j]
+                    c = _Ratio(
+                        e.numerator * c.denominator + c.numerator * e.denominator,
+                        e.denominator * c.denominator,
+                    )
+                expected[j] = c
             if _column_is(
                 operator_column(seq, L.coeffs, n + s),
-                {j: c for j, c in expected.items() if c},
+                {j: c for j, c in expected.items() if c.numerator},
             ):
                 report.record(name, n, True)
                 continue
             rhs = Poly.zero()
             for j, c in terms:
-                rhs = rhs + seq[j].scale(c)
+                rhs = rhs + seq[j].scale(Fraction(c.numerator, c.denominator))
             report.check(name, n, L.apply(seq[n + s]), rhs)
 
 
@@ -483,6 +494,20 @@ def verify_expansions(
     eigen-solver tabulated them (derive_recurrence returns them); the bands
     read lambda_n for -4 <= n <= N + 4, and each one the list lacks is
     computed once.
+
+    The three shift bands are evaluated once, on the integer view of the
+    table (_integer_view): beta~ = c beta, alpha~ = c**2 alpha,
+    gamma~ = c**3 gamma and lambda~ = L lambda, with a_3^[3] as
+    L a_3^[3].  The view is the table of c**n P_n(x/c), the sequence
+    x Q_n = Q_(n+1) + beta~_n Q_n + alpha~_n Q_(n-1) + gamma~_n Q_(n-2),
+    under the operator L J, whose eigenvalues are lambda~.  Every displayed
+    entry is linear in lambda (or, at the shift-3 top, in a_3^[3]) and
+    weighted-homogeneous, with x-weight 1 for beta, 2 for alpha and 3 for
+    gamma, so entry j of the shift-k band of P_m comes out as exactly
+    L c**(m + k - j) times its rational value (m = n for shifts 1 and 2,
+    m = n + 2 for shift 3).  Each entry goes to check_expansions as that
+    unreduced pair, and the column check cross-multiplies it: no gcd is
+    taken, and a Fraction is built only for a failing column's witness.
     """
     if seq is None:
         seq = generate(rt, N + 5)
@@ -496,7 +521,36 @@ def verify_expansions(
     def lam(n):  # a negative n takes lambda_at's extension, never lambdas[-1]
         return lambdas[n] if 0 <= n < len(lambdas) else missing(n)
 
-    t = _Tables(rt, lam)
+    t, c, L = _integer_view(rt, lam, N)
+    scales = [L * c**w for w in range(10)]  # L c**w; a band's weights are 0..9
+
+    def unscaled(band, top):  # band's entry j at n has weight n + top - j
+        return lambda n: [
+            (j, _Ratio(v.numerator, v.denominator * scales[n + top - j]))
+            for j, v in band(n)
+        ]
+
+    shift1, shift2, shift3 = _shift_bands(t, L * J.acoef(3, 3))
+    J3 = J.shifted(3)
+    shifts = [
+        ("shift1-expansion", J.shifted(1), 0, unscaled(shift1, 1)),
+        ("shift2-expansion", J.shifted(2), 0, unscaled(shift2, 2)),
+        ("shift3-expansion", J3, 2, unscaled(shift3, 5)),
+    ]
+    report = VerificationReport()
+    check_expansions(report, seq, range(N + 1), shifts)
+    initial = _shift3_initial(J, rt).get
+    check_expansions(report, seq, (0, 1), [("shift3-initial", J3, 0, initial)])
+    check_expansions(report, seq, range(N + 1), _family_identities(J))
+    return report
+
+
+def _shift_bands(t: _Tables, a33) -> tuple:
+    """The displayed bands (shift1, shift2, shift3) over t's accessors:
+    n -> the (j, c_j) of J^(1)(P_n), J^(2)(P_n) and J^(3)(P_(n+2)), in the
+    ring t reads from.  a33 is the top entry of the shift-3 band: J's
+    coefficient a_3^[3], or L a_3^[3] on the integer view (_integer_view)."""
+    lam = t.lam
 
     def shift1(n):
         return [
@@ -518,7 +572,7 @@ def verify_expansions(
 
     def shift3(n):  # applied to P_(n+2)
         return [
-            (n + 5, J.acoef(3, 3)),
+            (n + 5, a33),
             (
                 n + 4,
                 t.A(n + 4) * t.beta(n + 2)
@@ -600,18 +654,52 @@ def verify_expansions(
             ),
         ]
 
-    J3 = J.shifted(3)
-    shifts = [
-        ("shift1-expansion", J.shifted(1), 0, shift1),
-        ("shift2-expansion", J.shifted(2), 0, shift2),
-        ("shift3-expansion", J3, 2, shift3),
-    ]
-    report = VerificationReport()
-    check_expansions(report, seq, range(N + 1), shifts)
-    initial = _shift3_initial(J, rt).get
-    check_expansions(report, seq, (0, 1), [("shift3-initial", J3, 0, initial)])
-    check_expansions(report, seq, range(N + 1), _family_identities(J))
-    return report
+    return shift1, shift2, shift3
+
+
+def _integer_view(rt: RecurrenceTable, lam, N: int) -> tuple:
+    """(t, c, L): the _Tables t over the integer view of rt and lam that the
+    bands of verify_expansions to N read,
+
+        beta~_k = c beta_k,  alpha~_k = c**2 alpha_k,  gamma~_k = c**3 gamma_k,
+        lambda~_n = L lambda_n,
+
+    with c the lcm of the denominators of beta_0..beta_(N+4),
+    alpha_1..alpha_(N+4) and gamma_1..gamma_(N+3), and L that of
+    lambda_(-4)..lambda_(N+4).  Those are exactly the entries the bands
+    read, each read once here, so a table too short for the bands raises
+    MissingCoefficient now.  t's table accessors read 0 below the first
+    index, as the table's own do.
+    """
+    beta = [rt.beta(k) for k in range(N + 5)]
+    alpha = [rt.alpha(k) for k in range(1, N + 5)]
+    gamma = [rt.gamma(k) for k in range(1, N + 4)]
+    lams = [lam(n) for n in range(-4, N + 5)]
+    c = math.lcm(*(v.denominator for v in (*beta, *alpha, *gamma)))
+    L = math.lcm(*(v.denominator for v in lams))
+
+    def scaled(values, first, s):  # index -> value * s, as an int
+        return {
+            k: v.numerator * (s // v.denominator) for k, v in enumerate(values, first)
+        }
+
+    b, a, g = scaled(beta, 0, c), scaled(alpha, 1, c * c), scaled(gamma, 1, c**3)
+    t = _Tables(
+        lambda k: b[k] if k >= 0 else 0,
+        lambda k: a[k] if k > 0 else 0,
+        lambda k: g[k] if k > 0 else 0,
+        scaled(lams, -4, L).__getitem__,
+    )
+    return t, c, L
+
+
+class _Ratio(NamedTuple):
+    """numerator / denominator with denominator > 0, not reduced: a band
+    coefficient read, as an int or a Fraction is, through these two names,
+    formed without a gcd."""
+
+    numerator: int
+    denominator: int
 
 
 def _shift3_initial(J: DiffOperator, rt: RecurrenceTable) -> dict:

@@ -532,7 +532,8 @@ class TestCorollaryCoeffs:
 
 def steptwo_tables(J, rt):
     """The second-step coefficients A..H over rt and J's eigenvalues."""
-    return eigenfam._Tables(rt, functools.partial(lambda_at, J, 0))
+    lam = functools.partial(lambda_at, J, 0)
+    return eigenfam._Tables(rt.beta, rt.alpha, rt.gamma, lam)
 
 
 class TestStepTwo:
@@ -592,6 +593,42 @@ class TestVerifyExpansions:
         with pytest.raises(ValueError, match="to degree 15; it stops at 8"):
             verify_expansions(CASE1.operator(), rt, 10, seq=generate(rt, 8))
         assert verify_expansions(CASE1.operator(), rt, 10, seq=generate(rt, 15)).passed
+
+    @pytest.mark.parametrize("short", ["beta", "alpha", "gamma"])
+    def test_table_short_for_the_bands_is_missing_coefficient(self, short):
+        # the bands to N read beta_0..beta_(N+4), alpha_1..alpha_(N+4) and
+        # gamma_1..gamma_(N+3): a table of exactly those passes, and one
+        # entry fewer is MissingCoefficient, also over a longer table's sequence
+        J, N = corollary42_operator(1), 6
+        full = corollary42_coeffs(N + 8)
+        seq = generate(full, N + 5)
+        sizes = {"beta": N + 5, "alpha": N + 4, "gamma": N + 3}
+
+        def table():
+            return RecurrenceTable.two_orthogonal(
+                [full.beta(k) for k in range(sizes["beta"])],
+                [full.alpha(k) for k in range(1, sizes["alpha"] + 1)],
+                [full.gamma(k) for k in range(1, sizes["gamma"] + 1)],
+            )
+
+        assert verify_expansions(J, table(), N, seq=seq).passed
+        assert verify_expansions(J, table(), N).passed
+        sizes[short] -= 1
+        with pytest.raises(MissingCoefficient, match="not tabulated"):
+            verify_expansions(J, table(), N, seq=seq)
+        with pytest.raises(MissingCoefficient, match="not tabulated"):
+            verify_expansions(J, table(), N)
+
+    def test_integer_view_reads_zero_below_the_first_index(self):
+        p = Case2Params(*map(Fraction, ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4")))
+        rt = case2_coeffs(p, 12)
+        lam = functools.partial(lambda_at, p.operator(), 0)
+        t, c, L = eigenfam._integer_view(rt, lam, 4)
+        assert c > 1 and L > 1
+        assert [t.beta(k) for k in (-3, -1)] == [0, 0]
+        assert [t.alpha(k) for k in (-2, 0)] == [0, 0]
+        assert [t.gamma(k) for k in (-3, 0)] == [0, 0]
+        assert t.beta(0) == c * rt.beta(0) and t.gamma(1) == c**3 * rt.gamma(1)
 
     def test_case1_displayed_identity_n2(self):
         # (x I - 2 D - 3 D^2)(P_2) = x^3 - 5x - 6 = P_3 - 2 P_1 - 4 P_0

@@ -11,6 +11,10 @@ for witness, and must apply an operator only to a failing column.
 The second is operator_column's recursion run on Fractions: every column
 the integer kernel caches must equal it, and must keep the kernel's
 representation, (vec, den) with den > 0, no zero entry and one gcd.
+
+The third is the displayed band formulas run on the table's Fractions:
+their run on the integer view that verify_expansions evaluates must give
+every entry scaled by exactly its weight's factor L c**w.
 """
 
 import math
@@ -43,8 +47,8 @@ def reference_check_expansions(report, seq, ns, identities):
         for name, L, s, band in identities:
             rhs = Poly.zero()
             for j, c in band(n):
-                if j >= 0 and c:
-                    rhs = rhs + seq[j].scale(c)
+                if j >= 0 and c.numerator:
+                    rhs = rhs + seq[j].scale(Fraction(c.numerator, c.denominator))
             report.check(name, n, L.apply(seq[n + s]), rhs)
 
 
@@ -223,3 +227,40 @@ def test_integer_columns_match_the_fraction_reference(case):
             assert den > 0 and all(vec.values())
             assert math.gcd(den, *vec.values()) == 1
             assert {j: Fraction(v, den) for j, v in vec.items()} == expected
+
+
+# distinct small denominators and frequent zeros, so c and L are rarely 1
+view_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4, 5, 7, 9))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda N: st.tuples(
+            st.just(N),
+            tables(N + 5, view_entries),
+            st.lists(view_entries, min_size=N + 9, max_size=N + 9),
+        )
+    ),
+    view_entries,
+)
+def test_integer_view_equals_the_fraction_bands(case, a33):
+    # the displayed band formulas run twice: on the table's Fractions and on
+    # its integer view, where entry j of the shift-k band of P_m must be
+    # exactly L c**(m + k - j) times the Fraction entry, as an int
+    N, rt, lambdas = case
+    lam = dict(zip(range(-4, N + 5), lambdas)).__getitem__
+    t, c, L = eigenfam._integer_view(rt, lam, N)
+    fractions = eigenfam._Tables(rt.beta, rt.alpha, rt.gamma, lam)
+    exact = eigenfam._shift_bands(fractions, a33)
+    scaled = eigenfam._shift_bands(t, L * a33)
+    for top, exact_band, scaled_band in zip((1, 2, 5), exact, scaled, strict=True):
+        for n in range(N + 1):
+            terms = zip(exact_band(n), scaled_band(n), strict=True)
+            for (j, v), (j_view, v_view) in terms:
+                assert j_view == j
+                assert v_view == v * L * c ** (n + top - j)
+                assert j == n + 5 or type(v_view) is int
