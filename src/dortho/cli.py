@@ -39,7 +39,8 @@ DEFAULT_N = 15
 DEFAULT_M = 6
 
 # Cap on the degrees a user asks for: eigen's n, verify's and duals' N, and
-# the degree (d + 1)M + d - 1 that the d-orthogonality probe to M needs.
+# the degree seqkit.probe_degree(d, M) that the d-orthogonality probe to M
+# needs.
 # verify reads a few degrees past its N (an operator's table to degree
 # N + 6, a family's sequence to P_(N+5)) and checks every identity on x-rows
 # alone.  Only a failing family-mode check builds polynomials, for its
@@ -85,7 +86,7 @@ def _probe_bounds(args, d: int = 2) -> tuple:
         raise InputError("M must be >= 0")
     if N > MAX_DEGREE:
         raise InputError(f"N must be <= {MAX_DEGREE}")
-    if (d + 1) * M + d - 1 > MAX_DEGREE:
+    if seqkit.probe_degree(d, M) > MAX_DEGREE:
         raise InputError(f"M must be <= {(MAX_DEGREE - d + 1) // (d + 1)} for d = {d}")
     return N, M
 
@@ -133,7 +134,7 @@ def _parse_params(raw) -> list:
 
 
 def _family_setup(family: str, params: list):
-    """Returns (operator, closed-form table factory, family tag)."""
+    """Returns (operator, closed-form table factory)."""
     if family == "case1":
         if len(params) != 5:
             raise InputError("case1 takes 5 params: [a00, a01, a11, a02, a03]")
@@ -141,7 +142,7 @@ def _family_setup(family: str, params: list):
             p = eigenfam.Case1Params(*params)
         except DorthoError as exc:
             raise InputError(str(exc))
-        return p.operator(), (lambda N: eigenfam.case1_coeffs(p, N)), "case1"
+        return p.operator(), (lambda N: eigenfam.case1_coeffs(p, N))
     if family == "case2":
         if len(params) != 6:
             raise InputError(
@@ -151,13 +152,13 @@ def _family_setup(family: str, params: list):
             p = eigenfam.Case2Params(*params)
         except DorthoError as exc:
             raise InputError(str(exc))
-        return p.operator(), (lambda N: eigenfam.case2_coeffs(p, N)), "case2"
+        return p.operator(), (lambda N: eigenfam.case2_coeffs(p, N))
     if family == "corollary42":
         if len(params) > 1:
             raise InputError("corollary42 takes at most 1 param: [a00]")
         a00 = params[0] if params else Fraction(1)
         J = eigenfam.corollary42_operator(a00)
-        return J, (lambda N: eigenfam.corollary42_coeffs(N)), "corollary42"
+        return J, (lambda N: eigenfam.corollary42_coeffs(N))
     raise InputError(f"unknown family: {family}")
 
 
@@ -216,30 +217,31 @@ def cmd_verify(args) -> int:
         # derive mode: recover the tables from the eigen-oracle first
         J = _load_operator(args.operator)
         try:
-            rt, shape_report, seq, lam = eigenfam.derive_recurrence(J, N + 5)
+            rt, shape_report, seq, _ = eigenfam.derive_recurrence(J, N + 5)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
         report = VerificationReport()
         report.extend(shape_report)
-        report.extend(eigenfam.verify_expansions(J, rt, N, seq=seq, lambdas=lam))
+        report.extend(eigenfam.verify_expansions(J, rt, N, seq=seq))
         out = {"mode": "derive", "N": N, "tables": rt.to_json()}
-        family = None
     else:
         if not args.family:
             raise InputError("verify needs --family or --operator")
-        J, table_factory, family = _family_setup(args.family, _parse_params(args.params))
+        J, table_factory = _family_setup(args.family, _parse_params(args.params))
         # the independent oracle recovers its own table first
         try:
             rt_oracle, _, oracle_seq, lam = eigenfam.derive_recurrence(J, N)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
-        probe_deg = max(N + 1, 3 * M + 2)
+        # the derivative sequence is one degree shorter than seq, so seq
+        # reaches one past the d-orthogonality probe's degree
+        probe_deg = max(N + 1, seqkit.probe_degree(2, M) + 1)
         rt = table_factory(max(N + 5, probe_deg))
         full = seqkit.generate(rt, max(N + 5, probe_deg))
         full.start_columns_from(oracle_seq)
-        report = eigenfam.verify_expansions(J, rt, N, seq=full, lambdas=lam)
+        report = eigenfam.verify_expansions(J, rt, N, seq=full)
 
         # eigen identity + the closed-form table against the oracle's
         seq = seqkit.MonicSequence(full.x_rows[:probe_deg])
@@ -250,7 +252,7 @@ def cmd_verify(args) -> int:
         # d-orthogonality of the family and of its derivative sequence
         report.extend(seqkit.check_d_orthogonality(seq, 2, M))
         dseq = seqkit.derivative_sequence(seq)
-        if family == "case1":
+        if args.family == "case1":
             same = next((k for k in range(N) if dseq.x_rows[k] != seq.x_rows[k]), N)
             for n in range(N + 1):
                 if n <= same:  # Q's rows below n are P's, so Q_n = P_n
@@ -259,7 +261,7 @@ def cmd_verify(args) -> int:
                     report.check("appell", n, dseq[n], seq[n])
         else:
             report.extend(seqkit.check_d_orthogonality(dseq, 2, M))
-        out = {"mode": "family", "family": family, "N": N, "M": M}
+        out = {"mode": "family", "family": args.family, "N": N, "M": M}
 
     out["report"] = report.to_json()
     _emit(out, args.out)
@@ -293,13 +295,13 @@ def cmd_duals(args) -> int:
         N, M = _probe_bounds(args, rt.d)
     elif args.family:
         N, M = _probe_bounds(args)
-        _, table_factory, _ = _family_setup(args.family, _parse_params(args.params))
-        rt = table_factory(max(N, 3 * M + 2))
+        _, table_factory = _family_setup(args.family, _parse_params(args.params))
+        rt = table_factory(max(N, seqkit.probe_degree(2, M)))
     else:
         raise InputError("duals needs --family or --tables")
     d = rt.d
 
-    top = max(N, d * M + (d - 1) + M)
+    top = max(N, seqkit.probe_degree(d, M))
     try:
         seq = seqkit.generate(rt, top)
     except DorthoError as exc:

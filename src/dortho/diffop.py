@@ -158,17 +158,21 @@ def lambda_at(J: DiffOperator, k: int, n: int) -> Fraction:
 
 
 def lambda_poly(J: DiffOperator, k: int) -> Poly:
-    """The diagonal sum as an exact polynomial in the index n."""
+    """The diagonal sum as an exact polynomial in the index n: diagonal k of
+    J's matrix on the monomials, [x**n] J(x**(n+k)) at n >= 0 (evaluate it
+    with Poly.values).  The numerator of C(n+k, j+k) is extended factor by
+    factor as j grows, so the whole sum costs O(order**2) coefficient
+    operations."""
     total = Poly.zero()
+    b, r = Poly.one(), 0  # b = (n + k)(n + k - 1)...(n + k - r + 1)
     for j in range(max(J.order - k, -1) + 1):
         c = J.acoef(j, j + k)
         if not c:
             continue
-        # C(n+k, j+k) as a polynomial in n
-        b = Poly.one()
-        for t in range(j + k):
+        for t in range(r, j + k):
             b = b * Poly((k - t, 1))
-        total = total + b.scale(Fraction(c, math.factorial(j + k)))
+        r = j + k
+        total = total + b.scale(Fraction(c, math.factorial(r)))
     return total
 
 

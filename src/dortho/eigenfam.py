@@ -13,9 +13,9 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .diffop import DiffOperator, classify, lambda_at
+from .diffop import DiffOperator, classify, lambda_poly
 from .errors import (
     DiscriminantNonzero,
     EigenvalueCollision,
@@ -138,57 +138,37 @@ class Case2Params:
 # -- eigen-oracle ----------------------------------------------------------
 
 
-def monomial_band(J: DiffOperator, N: int) -> list:
-    """band[j][i] = [x**i] J(x**j) for max(j - order, 0) <= i < j <= N.
-
-    J(x**j) = sum_v a_v(x) C(j, v) x**(j - v), so with t = j - i
-
-        [x**i] J(x**j) = sum_(v = t)^(min(order, j)) a_v^[v - t] C(j, v),
-
-    read from J's coefficients without forming the image; the terms below
-    the band vanish because deg a_v <= v.
-    """
-    order = J.order
-    terms = {
-        t: [(v, c) for v in range(t, order + 1) if (c := J.acoef(v - t, v))]
-        for t in range(1, order + 1)
-    }
-    return [
-        {
-            j - t: sum((c * math.comb(j, v) for v, c in terms[t]), Fraction(0))
-            for t in range(1, min(order, j) + 1)
-        }
-        for j in range(N + 1)
-    ]
-
-
 def _eigen_solver(J: DiffOperator, N: int):
     """Set up the eigen-oracle for degrees up to N; return (solve, lam).
 
     The setup runs once: it classifies J (the classification screens the
     diagonal sum for integer roots, so it settles every degree at once)
-    and tabulates lambda_0..lambda_N (returned as lam) and the band of J's
-    matrix on the monomials (monomial_band).  solve(n, depth) raises
-    EigenvalueCollision(k, n) for the first k < n with lambda_k = lambda_n;
-    otherwise it returns [x**(n - m)] P_n for m = 0..min(depth, n), top
-    down (all n + 1 coefficients by default), back-substituting row i of
+    and evaluates the diagonals of J's matrix on the monomials,
+
+        [x**i] J(x**(i + t)) = lambda_(i+t)^[t] = lambda_poly(J, t) at n = i,
+
+    for t = 0..order and i = 0..N (Poly.values); lam is diagonal 0,
+    lambda_0..lambda_N.  solve(n, depth) raises EigenvalueCollision(k, n)
+    for the first k < n with lambda_k = lambda_n; otherwise it returns
+    [x**(n - m)] P_n for m = 0..min(depth, n), top down (all n + 1
+    coefficients by default), back-substituting row i of
     J(P) = lambda_n P,
 
-        (lambda_n - lambda_i) c_i = sum_(j > i) [x**i] J(x**j) * c_j,
+        (lambda_n - lambda_i) c_i = sum_(t >= 1) [x**i] J(x**(i + t)) * c_(i+t),
 
-    over j <= i + order only, since [x**i] J(x**j) = 0 for j > i + order
+    over t <= order only, since [x**i] J(x**j) = 0 for j > i + order
     when deg a_v <= v.  Row i reads only the coefficients above it, so the
     top depth coefficients cost depth rows whatever n is.
     """
     cls = classify(J)
     if cls.tag != "isomorphism":
         raise NotIsomorphism(f"operator classified as {cls.tag}")
-    lam = [lambda_at(J, 0, j) for j in range(N + 1)]
+    order = J.order
+    diag = [lambda_poly(J, t).values(range(N + 1)) for t in range(order + 1)]
+    lam = diag[0]
     first: dict = {}
     for j, value in enumerate(lam):
         first.setdefault(value, j)
-    band = monomial_band(J, N)
-    order = J.order
 
     def solve(n: int, depth: Optional[int] = None) -> list:
         k = first[lam[n]]
@@ -200,7 +180,7 @@ def _eigen_solver(J: DiffOperator, N: int):
             rhs = Fraction(0)
             for t in range(1, min(m, order) + 1):
                 if top[m - t]:
-                    rhs += band[i + t][i] * top[m - t]
+                    rhs += diag[t][i] * top[m - t]
             top.append(rhs / (lam[n] - lam[i]))
         return top
 
@@ -210,10 +190,11 @@ def _eigen_solver(J: DiffOperator, N: int):
 def eigenpoly(J: DiffOperator, n: int) -> Poly:
     """The unique monic degree-n polynomial P with J(P) = lambda_n * P.
 
-    Classifies J, tabulates lambda_0..lambda_n and the band scalars
-    [x**i] J(x**j) for j <= n (monomial_band), then solves the triangular
-    system for the non-leading coefficients from the top down.  J does not raise degree,
-    so the system is banded: row i involves only c_(i+1)..c_(i+order).
+    Classifies J, evaluates the diagonals of J's matrix on the monomials
+    (lambda_poly(J, t) at 0..n, t <= order; lambda_0..lambda_n is the
+    first), then solves the triangular system for the non-leading
+    coefficients from the top down.  J does not raise degree, so the
+    system is banded: row i involves only c_(i+1)..c_(i+order).
     Requires the eigenvalues below n to differ from lambda_n; the first
     equal one is reported as EigenvalueCollision(k, n).
     """
@@ -254,8 +235,9 @@ def derive_recurrence(J: DiffOperator, N: int):
     smallest such j, is read off the column without building a polynomial.
 
     Returns (RecurrenceTable, VerificationReport, Q, lam), lam the solver's
-    lambda_0..lambda_(N+1).  Q's column cache already holds J's levels, so
-    verify_expansions(..., seq=Q, lambdas=lam) reuses them and the eigenvalues.
+    lambda_0..lambda_(N+1) (lambda_poly(J, 0) at 0..N + 1).  Q's column
+    cache already holds J's levels, so verify_expansions(..., seq=Q) reuses
+    them.
     """
     solve, lam = _eigen_solver(J, N + 1)
     T = [solve(n, 3) + [Fraction(0)] * (3 - min(n, 3)) for n in range(N + 2)]
@@ -290,20 +272,21 @@ def derive_recurrence(J: DiffOperator, N: int):
 
 
 def case1_coeffs(p: Case1Params, N: int) -> RecurrenceTable:
+    """Case 1's table: beta_n constant, alpha_n linear and gamma_n
+    quadratic in n, each evaluated by Poly.values."""
     a01, a11, a02, a03 = p.a01, p.a11, p.a02, p.a03
+    g = -a03 / (6 * a11)  # gamma_n = g n (n + 1)
     return RecurrenceTable.two_orthogonal(
-        beta=[-a01 / a11 for _ in range(N + 1)],
-        alpha=[-a02 * n / (2 * a11) for n in range(1, N + 1)],
-        gamma=[-a03 * n * (n + 1) / (6 * a11) for n in range(1, N + 1)],
+        beta=Poly([-a01 / a11]).values(range(N + 1)),
+        alpha=Poly([0, -a02 / (2 * a11)]).values(range(1, N + 1)),
+        gamma=Poly([0, g, g]).values(range(1, N + 1)),
     )
 
 
 def case2_coeffs(p: Case2Params, N: int) -> RecurrenceTable:
     """Case 2's table.  beta_n is quadratic in n, alpha_n quartic in
     m = n - 2 and gamma_n sextic in m = n - 1.  Their coefficients do not
-    depend on n, so they are computed once, as integers over one common
-    denominator; each entry is then an integer Horner evaluation and one
-    Fraction."""
+    depend on n, so each is one Poly in n or m, evaluated by Poly.values."""
     a01, a11, a03, a13, a23 = p.a01, p.a11, p.a03, p.a13, p.a23
     q = -a23 / (2 * a11)  # beta_n = -a01/a11 + q (n - 1) n
     beta_c = (-a01 / a11, -q, q)
@@ -317,22 +300,10 @@ def case2_coeffs(p: Case2Params, N: int) -> RecurrenceTable:
         -(a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3),
         *p.f_constants,
     )
-
-    def values(coeffs: tuple, ms: range) -> list:
-        den = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
-        out = []
-        for m in ms:
-            acc = 0
-            for c in ints:
-                acc = acc * m + c
-            out.append(Fraction(acc, den))
-        return out
-
     return RecurrenceTable.two_orthogonal(
-        beta=values(beta_c, range(N + 1)),
-        alpha=values(alpha_c, range(-1, N - 1)),
-        gamma=values(gamma_c, range(N)),
+        beta=Poly(beta_c).values(range(N + 1)),
+        alpha=Poly(alpha_c).values(range(-1, N - 1)),
+        gamma=Poly(gamma_c).values(range(N)),
     )
 
 
@@ -479,7 +450,6 @@ def verify_expansions(
     rt: RecurrenceTable,
     N: int,
     seq: Optional[MonicSequence] = None,
-    lambdas: Sequence = (),
 ) -> VerificationReport:
     """Verify the shifted-operator basis expansions exactly.
 
@@ -490,10 +460,9 @@ def verify_expansions(
     images), and the differential relations of the family J belongs to,
     if any.  seq is generate(rt, N + 5) unless the caller passes the
     table's sequence to a degree of at least N + 5; a shorter one is a
-    ValueError.  lambdas holds lambda_0, lambda_1, ... of J as the
-    eigen-solver tabulated them (derive_recurrence returns them); the bands
-    read lambda_n for -4 <= n <= N + 4, and each one the list lacks is
-    computed once.
+    ValueError.  The bands read lambda_n for -4 <= n <= N + 4: J's
+    diagonal sum lambda_poly(J, 0), evaluated once at those n (Poly.values;
+    a negative n takes the polynomial's extension).
 
     The three shift bands are evaluated once, on the integer view of the
     table (_integer_view): beta~ = c beta, alpha~ = c**2 alpha,
@@ -516,12 +485,8 @@ def verify_expansions(
             f"verify_expansions to N = {N} needs the sequence to degree {N + 5}; "
             f"it stops at {seq.N}"
         )
-    missing = functools.cache(lambda n: lambda_at(J, 0, n))
-
-    def lam(n):  # a negative n takes lambda_at's extension, never lambdas[-1]
-        return lambdas[n] if 0 <= n < len(lambdas) else missing(n)
-
-    t, c, L = _integer_view(rt, lam, N)
+    lams = lambda_poly(J, 0).values(range(-4, N + 5))
+    t, c, L = _integer_view(rt, lams, N)
     scales = [L * c**w for w in range(10)]  # L c**w; a band's weights are 0..9
 
     def unscaled(band, top):  # band's entry j at n has weight n + top - j
@@ -657,24 +622,24 @@ def _shift_bands(t: _Tables, a33) -> tuple:
     return shift1, shift2, shift3
 
 
-def _integer_view(rt: RecurrenceTable, lam, N: int) -> tuple:
-    """(t, c, L): the _Tables t over the integer view of rt and lam that the
-    bands of verify_expansions to N read,
+def _integer_view(rt: RecurrenceTable, lams: list, N: int) -> tuple:
+    """(t, c, L): the _Tables t over the integer view of rt and of
+    lams = [lambda_(-4), ..., lambda_(N+4)] that the bands of
+    verify_expansions to N read,
 
         beta~_k = c beta_k,  alpha~_k = c**2 alpha_k,  gamma~_k = c**3 gamma_k,
         lambda~_n = L lambda_n,
 
     with c the lcm of the denominators of beta_0..beta_(N+4),
-    alpha_1..alpha_(N+4) and gamma_1..gamma_(N+3), and L that of
-    lambda_(-4)..lambda_(N+4).  Those are exactly the entries the bands
-    read, each read once here, so a table too short for the bands raises
-    MissingCoefficient now.  t's table accessors read 0 below the first
-    index, as the table's own do.
+    alpha_1..alpha_(N+4) and gamma_1..gamma_(N+3), and L that of lams.
+    Those are exactly the table entries the bands read, each read once
+    here, so a table too short for the bands raises MissingCoefficient
+    now.  t's table accessors read 0 below the first index, as the
+    table's own do.
     """
     beta = [rt.beta(k) for k in range(N + 5)]
     alpha = [rt.alpha(k) for k in range(1, N + 5)]
     gamma = [rt.gamma(k) for k in range(1, N + 4)]
-    lams = [lam(n) for n in range(-4, N + 5)]
     c = math.lcm(*(v.denominator for v in (*beta, *alpha, *gamma)))
     L = math.lcm(*(v.denominator for v in lams))
 

@@ -8,11 +8,13 @@ zero polynomial is the empty tuple and has degree -1.
 
 The dense kernels (add, sub, mul, scale, derivative, evaluation) are the
 methods of `Poly` and work on its coefficient tuples directly; they are
-the package's only polynomial arithmetic.
+the package's only polynomial arithmetic.  `Poly.values` evaluates at many
+integers at once, on integers over one denominator.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import Iterable, Union
@@ -184,6 +186,20 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
+
+    def values(self, ns: Iterable[int]) -> list:
+        """p(n) for each integer n in ns: Horner on the coefficients scaled
+        to integers by the lcm of their denominators, then one Fraction."""
+        cs = self.coeffs
+        den = math.lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (den // c.denominator) for c in reversed(cs)]
+        out = []
+        for n in ns:
+            acc = 0
+            for c in ints:
+                acc = acc * n + c
+            out.append(Fraction(acc, den))
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

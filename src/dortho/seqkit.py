@@ -459,6 +459,12 @@ def _mixed_moments(D: int, rows: tuple, N: int, nu: int, M: int) -> list:
     return sigma
 
 
+def probe_degree(d: int, M: int) -> int:
+    """The degree a d-orthogonality probe to row M needs: its last pairing,
+    <u_(d-1), P_M P_n> at n = M d + d - 1, reads P to degree M + n."""
+    return (d + 1) * M + d - 1
+
+
 def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationReport:
     """Probe the d-orthogonality and regularity conditions up to row M.
 

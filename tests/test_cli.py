@@ -557,7 +557,7 @@ class TestSharedColumns:
         assert cli.main(argv) == cli.EXIT_FAIL
         entries = json.loads(capsys.readouterr().out)["report"]["entries"]
 
-        J, table_factory, _ = cli._family_setup(family, cli._parse_params(params))
+        J, table_factory = cli._family_setup(family, cli._parse_params(params))
         rt = table_factory(self.N + 5)
         reference = eigenfam.verify_expansions(J, rt, self.N)
         eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]

@@ -37,7 +37,7 @@ from dortho.errors import (
     NotTwoOrthogonal,
     ZeroParameter,
 )
-from dortho.diffop import classify, lambda_at
+from dortho.diffop import classify, lambda_at, lambda_poly
 
 from conftest import operators, small_rationals
 
@@ -192,18 +192,17 @@ class TestSharedState:
         return computed
 
     def test_eigen_sequence_classifies_once(self, monkeypatch):
-        # the solve reads only the band scalars, so no image J(x**j) is built
+        # the solve reads only the diagonals of J's matrix, so no image
+        # J(x**j) is built
         J, N = corollary42_operator(1), 30
         classified = self.count(monkeypatch, eigenfam, "classify")
         imaged = self.count(monkeypatch, DiffOperator, "apply_monomial")
-        lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
         solved_sequence(J, N)
         assert len(classified) == 1
         assert imaged == []
-        assert [n for _, _, n in lambdas] == list(range(N + 1))
 
     def test_derive_recurrence_builds_each_image_once(self, monkeypatch, tmp_path):
-        # no image at all: the band table holds every scalar the solve reads.
+        # no image at all: the diagonals hold every scalar the solve reads.
         # Derive mode computes each (coefficient tail, n) column once:
         # verify_expansions reads the levels derive_recurrence's check filled.
         classified = self.count(monkeypatch, eigenfam, "classify")
@@ -256,22 +255,14 @@ class TestSharedState:
         # derive_recurrence(J, 12) checks J's columns to 13, so J^(1)'s to 12
         assert (oracle[0], J.coeffs[1:], 12) in computed
 
-    def test_verify_expansions_reads_the_solver_lambdas(self, monkeypatch):
-        # only the lambda_n the list lacks are computed, each once; a
-        # negative n takes lambda_at's extension, never the list's last entry
-        J, N = corollary42_operator(1), 15
-        lam = derive_recurrence(J, N)[3]
-        assert len(lam) == N + 2
-        lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
-        assert verify_expansions(J, corollary42_coeffs(N + 5), N, lambdas=lam).passed
-        assert sorted(n for _, _, n in lambdas) == [-4, -3, -2, -1, N + 2, N + 3, N + 4]
-
     @pytest.mark.parametrize("J", FAMILY_OPERATORS)
     def test_derive_recurrence_builds_no_polynomial(self, monkeypatch, J):
         # the table comes from the solver's top coefficients and is proved by
-        # J's columns, and a failing column names its chi; only classify's
-        # fixed handful of Poly operations remains, from one classify call
+        # J's columns, and a failing column names its chi; only the fixed
+        # handful of Poly operations of one classify call and of J's order + 1
+        # diagonals (lambda_poly) remains, whatever N is
         classified = self.count(monkeypatch, eigenfam, "classify")
+        diagonals = self.count(monkeypatch, eigenfam, "lambda_poly")
         routes = [
             self.count(monkeypatch, seqkit, "structure_coeffs"),
             self.count(monkeypatch, seqkit, "expand_in_basis"),
@@ -298,20 +289,26 @@ class TestSharedState:
             (LINEAR_CUBIC, lambda: failing(30)),
         ):
             alone = poly_ops(lambda: classify(op))
+            ts = range(op.order + 1)
+            band = poly_ops(lambda: [lambda_poly(op, t) for t in ts])
             classified.clear()
-            assert poly_ops(run) == alone
+            diagonals.clear()
+            assert poly_ops(run) == [a + b for a, b in zip(alone, band)]
             assert len(classified) == 1
+            assert [t for _, t in diagonals] == list(ts)
         assert routes == [[], []]
 
     @settings(max_examples=150, deadline=None)
     @given(operators(max_order=4), st.integers(0, 12))
-    def test_monomial_band_matches_images(self, J, N):
-        band = eigenfam.monomial_band(J, N)
-        assert len(band) == N + 1
-        for j, row in enumerate(band):
-            assert sorted(row) == list(range(max(j - J.order, 0), j))
-            image = J.apply_monomial(j)
-            assert [row.get(i, 0) for i in range(j)] == [image.coeff(i) for i in range(j)]
+    def test_diagonals_match_lambda_at_and_images(self, J, N):
+        # diagonal t of J's matrix on the monomials, as the solver reads it:
+        # lambda_poly(J, t) at n is lambda_at(J, t, n), negative n included,
+        # and for n >= 0 the entry [x**n] J(x**(n + t))
+        for t in range(J.order + 1):
+            values = lambda_poly(J, t).values(range(-4, N + 1))
+            assert values == [lambda_at(J, t, n) for n in range(-4, N + 1)]
+            images = [J.apply_monomial(n + t).coeff(n) for n in range(N + 1)]
+            assert values[4:] == images
 
     @pytest.mark.parametrize(
         "J, rt",
@@ -321,11 +318,12 @@ class TestSharedState:
         ],
     )
     def test_verify_expansions_reads_each_lambda_once(self, monkeypatch, J, rt):
-        lambdas = self.count(monkeypatch, eigenfam, "lambda_at")
+        # lambda_(-4)..lambda_19 come from one evaluation of lambda_poly(J, 0)
+        diagonals = self.count(monkeypatch, eigenfam, "lambda_poly")
+        evaluated = self.count(monkeypatch, Poly, "values")
         assert verify_expansions(J, rt, 15).passed
-        indices = [n for _, k, n in lambdas if k == 0]
-        assert len(indices) == len(lambdas) > 0
-        assert len(indices) == len(set(indices))
+        assert diagonals == [(J, 0)]
+        assert [ns for _, ns in evaluated] == [range(-4, 20)]
 
 
 def reference_derive(J, N):
@@ -622,8 +620,8 @@ class TestVerifyExpansions:
     def test_integer_view_reads_zero_below_the_first_index(self):
         p = Case2Params(*map(Fraction, ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4")))
         rt = case2_coeffs(p, 12)
-        lam = functools.partial(lambda_at, p.operator(), 0)
-        t, c, L = eigenfam._integer_view(rt, lam, 4)
+        lams = [lambda_at(p.operator(), 0, n) for n in range(-4, 9)]
+        t, c, L = eigenfam._integer_view(rt, lams, 4)
         assert c > 1 and L > 1
         assert [t.beta(k) for k in (-3, -1)] == [0, 0]
         assert [t.alpha(k) for k in (-2, 0)] == [0, 0]

@@ -253,7 +253,7 @@ def test_integer_view_equals_the_fraction_bands(case, a33):
     # exactly L c**(m + k - j) times the Fraction entry, as an int
     N, rt, lambdas = case
     lam = dict(zip(range(-4, N + 5), lambdas)).__getitem__
-    t, c, L = eigenfam._integer_view(rt, lam, N)
+    t, c, L = eigenfam._integer_view(rt, lambdas, N)
     fractions = eigenfam._Tables(rt.beta, rt.alpha, rt.gamma, lam)
     exact = eigenfam._shift_bands(fractions, a33)
     scaled = eigenfam._shift_bands(t, L * a33)

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dortho import Poly, binomial, rational_from_json, rational_to_str
 from dortho.errors import OutputTooLarge
 
-from conftest import rand_poly, rand_rational
+from conftest import polys, rand_poly, rand_rational
 
 
 def P(*coeffs):
@@ -85,6 +87,15 @@ class TestEval:
     def test_int_point_gives_fraction(self):
         assert type(P(1, 2, 3)(2)) is Fraction
         assert type(Poly.zero()(2)) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys(8), st.integers(-20, 20), st.integers(0, 15))
+    @example(Poly.zero(), -3, 7)
+    def test_values_is_pointwise_evaluation(self, p, a, length):
+        # one integer Horner over the coefficients' common denominator
+        values = p.values(range(a, a + length))
+        assert values == [p(n) for n in range(a, a + length)]
+        assert all(type(v) is Fraction for v in values)
 
 
 class TestRingAxioms:
