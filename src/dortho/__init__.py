@@ -24,7 +24,7 @@ from .eigenfam import (
     verify_expansions,
 )
 from .polycore import Poly, binomial, rational_from_json, rational_to_str
-from .report import ReportEntry, VerificationReport
+from .report import VerificationReport
 from .seqkit import (
     BasisExpansion,
     MonicSequence,
@@ -52,7 +52,6 @@ __all__ = [
     "OperatorClass",
     "Poly",
     "RecurrenceTable",
-    "ReportEntry",
     "SolvabilityResult",
     "VerificationReport",
     "binomial",

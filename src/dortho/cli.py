@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -62,21 +61,11 @@ class InputError(Exception):
     pass
 
 
-def _default_bound() -> int:
-    env = os.environ.get("DORTHO_PROBE_BOUND")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"DORTHO_PROBE_BOUND is not an integer: {env!r}")
-    return DEFAULT_N
-
-
 def _probe_bounds(args, d: int = 2) -> tuple:
     """(N, M) from the flags or their defaults, both required >= 0 and
     within MAX_DEGREE for a d-orthogonality probe.  The probe to M = 0
     already needs degree d - 1, so d itself is checked first."""
-    N = args.N if args.N is not None else _default_bound()
+    N = args.N if args.N is not None else DEFAULT_N
     M = args.M if args.M is not None else DEFAULT_M
     if d - 1 > MAX_DEGREE:
         raise InputError(f"d must be <= {MAX_DEGREE + 1}")
@@ -268,7 +257,7 @@ def cmd_verify(args) -> int:
     if not report.passed:
         first = report.first_failure()
         sys.stderr.write(
-            f"verification failure: {first.identity} at {first.index}\n"
+            f"verification failure: {first['identity']} at {first['n']}\n"
         )
         return EXIT_FAIL
     return EXIT_OK
@@ -321,7 +310,7 @@ def cmd_duals(args) -> int:
     if not report.passed:
         first = report.first_failure()
         sys.stderr.write(
-            f"orthogonality failure at (m, nu, n) = {first.index}\n"
+            f"orthogonality failure at (m, nu, n) = {first['n']}\n"
         )
         return EXIT_FAIL
     return EXIT_OK

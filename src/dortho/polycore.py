@@ -73,7 +73,9 @@ def _trim(cs: list) -> list:
 class Poly:
     """Immutable dense polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    # _hash is filled by the first __hash__: a cache key such as
+    # seqkit.operator_column's tuple of coefficients is hashed on every lookup.
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_coerce(c) for c in coeffs]
@@ -207,7 +209,12 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -223,21 +230,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(parts)
 
 
 def binomial(n: int, r: int) -> Fraction:

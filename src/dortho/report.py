@@ -1,72 +1,48 @@
-"""Machine-readable pass/fail records for identity verification runs."""
+"""Machine-readable pass/fail records for identity verification runs.
+
+Each entry is held as the JSON object it prints: {"identity", "n",
+"status"}, plus "witness" on a failure that has one.  "n" is the index as
+the caller gave it, an int or a tuple such as (m, nu, n), which json
+writes as an array.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .polycore import Poly
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    identity: str
-    index: object
-    status: str
-    witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "n": list(self.index) if isinstance(self.index, tuple) else self.index,
-            "status": self.status,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass
 class VerificationReport:
-    entries: list = field(default_factory=list)
+    """The entries of one run, in order; to_json() prints them as held."""
+
+    def __init__(self):
+        self.entries = []
 
     def check(self, identity: str, index, lhs: Poly, rhs: Poly) -> bool:
-        """Record exact polynomial equality of lhs and rhs."""
-        if lhs == rhs:
-            self.entries.append(ReportEntry(identity, index, "pass"))
-            return True
-        self.entries.append(
-            ReportEntry(
-                identity,
-                index,
-                "fail",
-                witness={"lhs": lhs.to_json(), "rhs": rhs.to_json()},
-            )
-        )
-        return False
+        """Record exact polynomial equality of lhs and rhs; only a failure
+        writes them out, as its witness."""
+        ok = lhs == rhs
+        witness = None if ok else {"lhs": lhs.to_json(), "rhs": rhs.to_json()}
+        self.record(identity, index, ok, witness)
+        return ok
 
     def record(self, identity: str, index, ok: bool, witness: Optional[dict] = None):
-        if ok:
-            self.entries.append(ReportEntry(identity, index, "pass"))
-        else:
-            self.entries.append(ReportEntry(identity, index, "fail", witness=witness))
+        """A pass drops any witness; a failure keeps one if given."""
+        entry = {"identity": identity, "n": index, "status": "pass" if ok else "fail"}
+        if not ok and witness is not None:
+            entry["witness"] = witness
+        self.entries.append(entry)
 
     def extend(self, other: "VerificationReport"):
         self.entries.extend(other.entries)
 
     @property
     def passed(self) -> bool:
-        return all(e.status == "pass" for e in self.entries)
+        return all(e["status"] == "pass" for e in self.entries)
 
-    def first_failure(self) -> Optional[ReportEntry]:
-        for e in self.entries:
-            if e.status == "fail":
-                return e
-        return None
+    def first_failure(self) -> Optional[dict]:
+        return next((e for e in self.entries if e["status"] == "fail"), None)
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": len(self.entries),
-            "entries": [e.to_json() for e in self.entries],
-        }
+        return {"passed": self.passed, "checked": len(self.entries), "entries": self.entries}

@@ -24,12 +24,9 @@ def dortho_env(**overrides):
 
     ``DORTHO_ROOT`` goes first on ``PYTHONPATH`` and the inherited entries
     are kept after it; an inherited relative entry such as ``src`` points
-    elsewhere from the child's working directory. ``DORTHO_PROBE_BOUND`` is
-    dropped, so the caller's shell cannot change the CLI's default bound
-    under a golden file; pass it in ``overrides`` to set it.
+    elsewhere from the child's working directory.
     """
     env = dict(os.environ)
-    env.pop("DORTHO_PROBE_BOUND", None)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (
         DORTHO_ROOT + os.pathsep + inherited if inherited else DORTHO_ROOT

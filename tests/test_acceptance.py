@@ -143,7 +143,7 @@ def test_criterion_06_expansion_identities():
         assert rep1.passed
         rep2 = verify_expansions(corollary42_operator(Fraction(1)), corollary42_coeffs(30), 15)
         assert rep2.passed
-        names = {e.identity for e in rep1.entries} | {e.identity for e in rep2.entries}
+        names = {e["identity"] for e in rep1.entries + rep2.entries}
         for key in (
             "shift1-expansion",
             "shift2-expansion",
@@ -151,8 +151,8 @@ def test_criterion_06_expansion_identities():
             "shift3-initial",
         ):
             assert key in names
-        initial = [e for e in rep1.entries if e.identity == "shift3-initial"]
-        assert [e.index for e in initial] == [0, 1]
+        initial = [e for e in rep1.entries if e["identity"] == "shift3-initial"]
+        assert [e["n"] for e in initial] == [0, 1]
 
 
 def p1_tables(p):
@@ -199,7 +199,7 @@ def test_criterion_08_duals():
         )
         rep = check_d_orthogonality(generate(bad, 20), 2, 6)
         assert not rep.passed
-        assert rep.first_failure().index == (2, 0, 4)
+        assert rep.first_failure()["n"] == (2, 0, 4)
 
 
 def test_criterion_09_negative_subcase():

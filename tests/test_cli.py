@@ -233,6 +233,11 @@ class TestDuals:
         assert_golden(r, "duals_mutated.out", 1)
         assert b"(2, 0, 4)" in r.stderr
 
+    def test_default_bound_ignores_the_environment(self):
+        # N defaults to DEFAULT_N whatever the shell exports
+        r = run_cli("duals", "--tables", "mutated_tables.json", "-M", "6", DORTHO_PROBE_BOUND="3")
+        assert_golden(r, "duals_mutated.out", 1)
+
 
 class TestBadRanges:
     @pytest.mark.parametrize(
@@ -250,11 +255,6 @@ class TestBadRanges:
         assert r.returncode == 2, r.stderr.decode()
         assert r.stderr.startswith(b"input error: ")
         assert r.stdout == b""
-
-    def test_negative_env_bound_is_input_error(self):
-        r = run_cli("verify", "--family", "corollary42", DORTHO_PROBE_BOUND="-3")
-        assert r.returncode == 2, r.stderr.decode()
-        assert r.stderr == b"input error: N must be >= 0\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -466,15 +466,6 @@ class TestOutFlag:
         )
         assert r.returncode == 0
         assert target.read_bytes() == (GOLDEN / "eigen_corollary_n3.out").read_bytes()
-
-
-class TestProbeBoundEnv:
-    def test_env_override(self, tmp_path):
-        r = run_cli(
-            "verify", "--family", "corollary42", "-M", "2", DORTHO_PROBE_BOUND="4"
-        )
-        assert r.returncode == 0
-        assert b'"N": 4' in r.stdout
 
 
 def alter_table(monkeypatch, coeffs, name, k):

@@ -573,7 +573,7 @@ class TestVerifyExpansions:
         rt = case1_coeffs(CASE1, 30)
         rep = verify_expansions(CASE1.operator(), rt, 15)
         assert rep.passed
-        names = {e.identity for e in rep.entries}
+        names = {e["identity"] for e in rep.entries}
         assert "case1-second-order" in names
         assert "case1-appell-derivative" in names
 
@@ -581,7 +581,7 @@ class TestVerifyExpansions:
         rt = corollary42_coeffs(30)
         rep = verify_expansions(corollary42_operator(1), rt, 15)
         assert rep.passed
-        names = {e.identity for e in rep.entries}
+        names = {e["identity"] for e in rep.entries}
         assert "corollary-second-order" in names
         assert "corollary-first-order" in names
 

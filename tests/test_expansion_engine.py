@@ -73,7 +73,7 @@ def run_counted(fn, *args):
 
 def assert_same_report(engine, applied, reference):
     assert engine.to_json() == reference.to_json()
-    assert applied == sum(e.status == "fail" for e in engine.entries)
+    assert applied == sum(e["status"] == "fail" for e in engine.entries)
 
 
 @settings(max_examples=60, deadline=None)

@@ -280,7 +280,7 @@ def test_mutated_table_report(family, key, i, failing, digest):
     J, rt = FAMILIES[family]
     report = verify_expansions(J, raised(rt, key, i), N)
     expected = sorted((name, n) for name, ns in failing.items() for n in ns)
-    failures = [e for e in report.entries if e.status == "fail"]
-    assert sorted((e.identity, e.index) for e in failures) == expected
+    failures = [e for e in report.entries if e["status"] == "fail"]
+    assert sorted((e["identity"], e["n"]) for e in failures) == expected
     text = json.dumps(report.to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dortho import Poly, binomial, rational_from_json, rational_to_str
 from dortho.errors import OutputTooLarge
 
-from conftest import polys, rand_poly, rand_rational
+from conftest import polys, rand_poly, rand_rational, small_rationals
 
 
 def P(*coeffs):
@@ -178,11 +178,24 @@ class TestJson:
 class TestImmutability:
     def test_setattr_raises(self):
         p = P(1, 2)
-        with pytest.raises(AttributeError):
-            p.coeffs = (Fraction(5),)
+        hash(p)
+        for name in ("coeffs", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (Fraction(5),))
 
     def test_hashable(self):
         assert hash(P(1, 2)) == hash(P(1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys(5), polys(5), small_rationals)
+    def test_equal_polys_hash_equal(self, a, b, c):
+        # a hash cached on one Poly agrees with every equal Poly's, however built
+        for p in (a + b, a * b, a.scale(c)):
+            q = Poly(list(p.coeffs))
+            assert p == q
+            h = hash(p)
+            assert hash(p) == h == hash(q) == hash(q)
+            assert {q: True}[p]
 
 
 class TestBinomial:
