@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import eigenfam, seqkit
 from .diffop import DiffOperator, classify, lambda_at
@@ -80,11 +81,90 @@ def _probe_bounds(args, d: int = 2) -> tuple:
     return N, M
 
 
+_str = encode_basestring_ascii
+_int = int.__repr__
+_INT = frozenset([int])
+_STR = frozenset([str])
+_ENTRY_KEYS = ("identity", "n", "status")
+
+
+def _block(brackets: str, parts, indent: str) -> str:
+    """The non-empty list parts one to a line, indented two spaces past
+    indent, comma-separated between brackets, as json.dumps(..., indent=2)
+    lays out a container.  The brackets go onto the first and last part in
+    place, so the join is the only copy of the whole."""
+    inner = indent + "  "
+    parts[0] = f"{brackets[0]}\n{inner}{parts[0]}"
+    parts[-1] = f"{parts[-1]}\n{indent}{brackets[1]}"
+    return (",\n" + inner).join(parts)
+
+
+def _encode(obj, indent: str = "") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, for dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else raises TypeError.
+    json's indented encoder is a pure-Python generator, one step per token;
+    this builds each container with one join, writes its str and int members
+    inline, and writes a report entry {"identity", "n", "status"} (keys in
+    that order, "n" an int or a tuple of ints) with one concatenation."""
+    t = type(obj)
+    if t is str:
+        return _str(obj)
+    if t is int:
+        return _int(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = indent + "  "
+    if t is dict:
+        if not obj:
+            return "{}"
+        if tuple(obj) == _ENTRY_KEYS:
+            identity, n, status = obj.values()
+            if type(identity) is str and type(status) is str:
+                if type(n) is int:
+                    n = _int(n)
+                elif type(n) is tuple and n and _INT.issuperset(map(type, n)):
+                    n = _block("[]", list(map(_int, n)), inner)
+                else:
+                    n = _encode(n, inner)
+                return (
+                    f'{{\n{inner}"identity": {_str(identity)},\n{inner}"n": {n},\n'
+                    f'{inner}"status": {_str(status)}\n{indent}}}'
+                )
+        if not _STR.issuperset(map(type, obj)):
+            raise TypeError("keys must be str")
+        parts = [
+            f"{_str(k)}: "
+            + (_str(v) if type(v) is str else _int(v) if type(v) is int else _encode(v, inner))
+            for k, v in obj.items()
+        ]
+        return _block("{}", parts, indent)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        parts = [
+            _int(v) if type(v) is int else _str(v) if type(v) is str else _encode(v, inner)
+            for v in obj
+        ]
+        return _block("[]", parts, indent)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(obj: dict, out_path) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write obj to out_path, or to stdout without one.  The text is
+    json.dumps(obj, indent=2) + "\\n", byte for byte; _encode writes it.  An
+    out_path that cannot be opened or written is an InputError (exit 2),
+    and nothing goes to stdout."""
+    text = _encode(obj) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -254,7 +334,7 @@ def cmd_verify(args) -> int:
 
     out["report"] = report.to_json()
     _emit(out, args.out)
-    if not report.passed:
+    if not out["report"]["passed"]:
         first = report.first_failure()
         sys.stderr.write(
             f"verification failure: {first['identity']} at {first['n']}\n"
@@ -297,17 +377,15 @@ def cmd_duals(args) -> int:
         raise InputError(str(exc))
     moments = seqkit.dual_moments(seq, d)
     report = seqkit.check_d_orthogonality(seq, d, M)
-    _emit(
-        {
-            "d": d,
-            "N": N,
-            "M": M,
-            "moments": [[rational_to_str(v) for v in row] for row in moments],
-            "report": report.to_json(),
-        },
-        args.out,
-    )
-    if not report.passed:
+    out = {
+        "d": d,
+        "N": N,
+        "M": M,
+        "moments": [[rational_to_str(v) for v in row] for row in moments],
+        "report": report.to_json(),
+    }
+    _emit(out, args.out)
+    if not out["report"]["passed"]:
         first = report.first_failure()
         sys.stderr.write(
             f"orthogonality failure at (m, nu, n) = {first['n']}\n"

@@ -467,6 +467,25 @@ class TestOutFlag:
         assert r.returncode == 0
         assert target.read_bytes() == (GOLDEN / "eigen_corollary_n3.out").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", "--operator", str(GOLDEN / "corollary_operator.json"), "-n", "3"],
+            ["verify", "--family", "corollary42", "-N", "4", "-M", "2"],
+            ["classify", "--operator", str(GOLDEN / "corollary_operator.json")],
+            ["duals", "--family", "corollary42", "-N", "4", "-M", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing parent", "directory"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, argv, where):
+        target = tmp_path / "no_such_dir" / "out.json" if where == "missing parent" else tmp_path
+        assert cli.main(argv + ["--out", str(target)]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: cannot write output file: [Errno ")
+        assert str(target) in err and err.count("\n") == 1
+        assert not (tmp_path / "no_such_dir").exists()
+
 
 def alter_table(monkeypatch, coeffs, name, k):
     """Patch eigenfam's closed-form table function named coeffs so that its
