@@ -2,7 +2,7 @@
 
 Covers sequence generation, the x-multiplication rows, an operator's
 matrix columns over them, the derivative sequence, canonical
-dual-functional moments, and the finite d-orthogonality probe.  A
+dual-functional moments, and the d-orthogonality check.  A
 sequence is its x-rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j:
 RecurrenceTable.x_row's for a generated sequence, derivative_sequence's
 for a derivative sequence.  It builds each polynomial on its first read,
@@ -30,6 +30,16 @@ denominator, and sigma_nu(m, .) = S_m / den_m with S_m an integer list.
 Each step divides the new vector and its denominator by their one gcd,
 which leaves the denominator equal to the lcm of the reduced values'
 denominators.
+
+A banded sequence needs no pairing.  When row k has no entry below k - d,
+x**k P_n has no component below P_(n - k d), so sigma_nu(m, n) = 0 for
+n > m d + nu, and at n = m d + nu it is the product of the lowest entries
+c_(i d+nu, (i-1) d+nu), i = 1..m.  Those pairings read only rows below N,
+so the finite sequence settles every entry the check records; with every
+lowest entry nonzero, the Favard-type theorem (Van Iseghem, J. Comput.
+Appl. Math. 19, 1987; Maroni, Ann. Fac. Sci. Toulouse 10, 1989) extends the
+pass to every n.  check_d_orthogonality reads a banded sequence's report
+off those entries and runs the recurrence only for any other sequence.
 """
 
 from __future__ import annotations
@@ -466,17 +476,56 @@ def probe_degree(d: int, M: int) -> int:
 
 
 def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationReport:
-    """Probe the d-orthogonality and regularity conditions up to row M.
+    """The d-orthogonality and regularity conditions up to row M.
 
-    For every nu < d and m <= M the pairing <u_nu, P_m P_n> must vanish
-    for n >= m*d + nu + 1 and be nonzero at n = m*d + nu.  The pairings
-    come from the mixed-moment recurrence over the sequence's
-    x-multiplication rows (see the module docstring), run on integers:
-    sigma_nu(m, .) = S_m / den_m with the rows scaled by D, one gcd per
-    row.  A pairing is tested for zero on S_m and becomes a Fraction only
-    as a failing witness.  Certification is finite: n ranges as far as the
-    generated basis allows.
+    For every nu < d and m <= M the pairing sigma_nu(m, n) = <u_nu, P_m P_n>
+    must vanish for m*d + nu < n <= N - m (orthogonality) and be nonzero at
+    n = m*d + nu (regularity, witness "0" on a failure).
+
+    A banded sequence, where no row k has an entry below k - d, is settled
+    by its lowest entries c_(k,k-d) alone, with no pairing computed:
+
+    - x*P_n lies in the span of P_j, j >= n - d, so x**k P_n lies in that
+      of j >= n - k d, and its coefficient at nu is 0 when n - k d > nu.
+    - P_m P_n = x**m P_n + sum_(k<m) p_k x**k P_n, so for n >= m d + nu,
+      sigma_nu(m, n) = [nu] x**m P_n.
+    - That is 0 for n > m d + nu, and at n = m d + nu it is the product
+      of c_(i d+nu, (i-1) d+nu) for i = 1..m, the lowest entries along
+      nu's lowering path.
+    - Every row read lies below m + n <= N, so the finite sequence
+      settles every recorded entry.  When every lowest entry is nonzero,
+      the Favard-type theorem for d-orthogonal sequences (Van Iseghem,
+      J. Comput. Appl. Math. 19, 1987; Maroni, Ann. Fac. Sci. Toulouse 10,
+      1989) makes any banded extension with nonzero lowest entries
+      d-orthogonal, so the pass is a certificate for every n.
+
+    Any other sequence runs _recurrence_report, which also gives every
+    witness.  d < 1 or M < 0 raises ValueError; a sequence too short for
+    the last pairing raises InsufficientDegree, before either route.
     """
+    _probe_reach(seq, d, M)
+    rows = seq.x_rows
+    if any(j < k - d for k, row in enumerate(rows) for j, _ in row):
+        return _recurrence_report(seq, d, M)
+    report = VerificationReport()
+    regular = [True] * d  # the lowest entries along nu's path so far are nonzero
+    for m in range(M + 1):
+        for nu in range(d):
+            n0 = m * d + nu
+            if m:
+                regular[nu] = regular[nu] and any(j == n0 - d and c for j, c in rows[n0])
+            report.record("regularity", (m, nu, n0), regular[nu], {"value": "0"})
+            for n in range(n0 + 1, seq.N - m + 1):
+                report.record("orthogonality", (m, nu, n), True)
+    return report
+
+
+def _probe_reach(seq: MonicSequence, d: int, M: int) -> None:
+    """Raise unless d >= 1, M >= 0 and seq reaches the probe's last pairing."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if M < 0:
+        raise ValueError("M must be >= 0")
     for m in range(M + 1):
         for nu in range(d):
             n0 = m * d + nu
@@ -484,6 +533,15 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
                 raise InsufficientDegree(
                     f"need degree {m + n0} products; sequence stops at {seq.N}"
                 )
+
+
+def _recurrence_report(seq: MonicSequence, d: int, M: int) -> VerificationReport:
+    """check_d_orthogonality's report from the pairings themselves, for
+    arguments _probe_reach accepts.  They come from the mixed-moment
+    recurrence over the sequence's x-multiplication rows (see the module
+    docstring), run on integers: sigma_nu(m, .) = S_m / den_m with the rows
+    scaled by D, one gcd per row.  A pairing is tested for zero on S_m and
+    becomes a Fraction only as a failing witness."""
     D, rows = seq.integer_rows
     sigmas = [_mixed_moments(D, rows, seq.N, nu, M) for nu in range(d)]
     report = VerificationReport()

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dortho import (
@@ -92,6 +92,12 @@ def coeff(rows, k, j):
 def reference_dual_moments(seq, d):
     expansions = [expand_in_basis(Poly.monomial(n), seq) for n in range(len(seq))]
     return [[e.coeff(i) for e in expansions] for i in range(d)]
+
+
+def recurrence_route(seq, d, M):
+    """check_d_orthogonality's report by the mixed-moment recurrence alone."""
+    seqkit._probe_reach(seq, d, M)
+    return seqkit._recurrence_report(seq, d, M)
 
 
 def outcome(check, seq, d, M):
@@ -549,6 +555,79 @@ class TestAgainstReference:
             gamma,
         )
         assert_matches_reference(generate(rt, 14), 2, 4)
+
+
+def zeroed_gamma_table(rt, k):
+    """rt (d = 2) with gamma_k set to 0."""
+    data = rt.to_json()
+    data["gamma"][k - 1] = "0"
+    return RecurrenceTable.from_json(data)
+
+
+class TestClosedForm:
+    """A banded sequence's report is read off its lowest entries, with no
+    pairing computed; it must equal the recurrence's entry for entry."""
+
+    @staticmethod
+    def assert_routes_agree(seq, d, M):
+        assert outcome(check_d_orthogonality, seq, d, M) == outcome(
+            recurrence_route, seq, d, M
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_banded_tables, st.booleans(), st.sampled_from((-1, 0, 1)), st.integers(0, 4))
+    def test_banded_tables_and_derivatives(self, table, derivative, shift, M):
+        # probe d' = d - 1, d, d + 1; zeroed lowest entries fail regularity
+        rt, N = table
+        d = rt.d + shift
+        assume(d >= 1)
+        seq = generate(rt, N)
+        self.assert_routes_agree(derivative_sequence(seq) if derivative else seq, d, M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_sequences(), st.integers(1, 4), st.integers(0, 4))
+    def test_dense_sequences(self, polys, d, M):
+        self.assert_routes_agree(MonicSequence(structure_coeffs(polys)), d, M)
+
+    @pytest.mark.parametrize("d, family_runs", [(1, 1), (2, 0), (3, 0)])
+    def test_recurrence_runs_only_off_the_band(self, coro_rt, monkeypatch, d, family_runs):
+        # corollary 4.2's rows reach down to k - 2: banded for d = 2 and 3
+        calls = []
+        original = seqkit._mixed_moments
+        monkeypatch.setattr(
+            seqkit, "_mixed_moments", lambda *a: calls.append(a) or original(*a)
+        )
+        check_d_orthogonality(generate(coro_rt, 30), d, 2)
+        assert len(calls) == family_runs
+        calls.clear()
+        dense = MonicSequence(
+            [tuple((j, Fraction(1)) for j in range(k + 1)) for k in range(12)]
+        )
+        check_d_orthogonality(dense, d, 2)
+        assert len(calls) == d
+
+    @pytest.mark.parametrize("k", range(1, 23))
+    def test_zeroed_gamma_fails_on_its_lowering_path(self, coro_rt, k):
+        # gamma_k is row k + 1's lowest entry, on nu's path for nu = (k + 1) % 2
+        M = 11
+        seq = generate(zeroed_gamma_table(coro_rt, k), seqkit.probe_degree(2, M))
+        rep = check_d_orthogonality(seq, 2, M)
+        nu, i = (0, (k + 1) // 2) if k % 2 else (1, k // 2)
+        assert rep.first_failure()["n"] == (i, nu, k + 1)
+        failed = [e for e in rep.entries if e["status"] == "fail"]
+        assert all(
+            e["identity"] == "regularity" and e["witness"] == {"value": "0"} for e in failed
+        )
+        assert [e["n"] for e in failed] == [(m, nu, 2 * m + nu) for m in range(i, M + 1)]
+        assert rep.to_json() == recurrence_route(seq, 2, M).to_json()
+
+    @pytest.mark.parametrize(
+        "d, M, message", [(0, 2, "d must be >= 1"), (-1, 2, "d must be >= 1"), (2, -1, "M must be >= 0")]
+    )
+    def test_empty_probe_is_an_error(self, coro_seq, d, M, message):
+        # a report of no entries would certify nothing as a pass
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_d_orthogonality(coro_seq, d, M)
 
 
 class TestEdgeCases:
