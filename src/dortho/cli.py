@@ -292,7 +292,7 @@ def cmd_verify(args) -> int:
             return EXIT_FAIL
         report = VerificationReport()
         report.extend(shape_report)
-        report.extend(eigenfam.verify_expansions(J, rt, N, seq=seq))
+        report.extend(eigenfam.verify_expansions(J, seq, N))
         out = {"mode": "derive", "N": N, "tables": rt.to_json()}
     else:
         if not args.family:
@@ -310,7 +310,7 @@ def cmd_verify(args) -> int:
         rt = table_factory(max(N + 5, probe_deg))
         full = seqkit.generate(rt, max(N + 5, probe_deg))
         full.start_columns_from(oracle_seq)
-        report = eigenfam.verify_expansions(J, rt, N, seq=full)
+        report = eigenfam.verify_expansions(J, full, N)
 
         # eigen identity + the closed-form table against the oracle's
         seq = seqkit.MonicSequence(full.x_rows[:probe_deg])
@@ -355,6 +355,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_duals(args) -> int:
+    if args.tables and args.family:
+        raise InputError("give either --tables or --family, not both")
     if args.tables:
         try:
             with open(args.tables) as fh:

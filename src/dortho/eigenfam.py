@@ -236,7 +236,7 @@ def derive_recurrence(J: DiffOperator, N: int):
 
     Returns (RecurrenceTable, VerificationReport, Q, lam), lam the solver's
     lambda_0..lambda_(N+1) (lambda_poly(J, 0) at 0..N + 1).  Q's column
-    cache already holds J's levels, so verify_expansions(..., seq=Q) reuses
+    cache already holds J's levels, so verify_expansions on Q reuses
     them.
     """
     solve, lam = _eigen_solver(J, N + 1)
@@ -446,10 +446,7 @@ def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identit
 
 
 def verify_expansions(
-    J: DiffOperator,
-    rt: RecurrenceTable,
-    N: int,
-    seq: Optional[MonicSequence] = None,
+    J: DiffOperator, seq: MonicSequence, N: int
 ) -> VerificationReport:
     """Verify the shifted-operator basis expansions exactly.
 
@@ -458,36 +455,35 @@ def verify_expansions(
     expansion of the twice-shifted operator, the ten-term expansion of
     the thrice-shifted operator (plus its two displayed initial
     images), and the differential relations of the family J belongs to,
-    if any.  seq is generate(rt, N + 5) unless the caller passes the
-    table's sequence to a degree of at least N + 5; a shorter one is a
-    ValueError.  The bands read lambda_n for -4 <= n <= N + 4: J's
+    if any, on the four-term sequence seq.  seq reaching a degree below
+    N + 5 is a ValueError, as is a wider row (_integer_view).  The bands
+    read seq's rows 0..N + 4 and lambda_n for -4 <= n <= N + 4: J's
     diagonal sum lambda_poly(J, 0), evaluated once at those n (Poly.values;
     a negative n takes the polynomial's extension).
 
-    The three shift bands are evaluated once, on the integer view of the
-    table (_integer_view): beta~ = c beta, alpha~ = c**2 alpha,
-    gamma~ = c**3 gamma and lambda~ = L lambda, with a_3^[3] as
-    L a_3^[3].  The view is the table of c**n P_n(x/c), the sequence
+    The three shift bands are evaluated once, on the integer view of seq
+    (_integer_view): with D the lcm of seq's row denominators
+    (seq.integer_rows), beta~ = D beta, alpha~ = D**2 alpha,
+    gamma~ = D**3 gamma and lambda~ = L lambda, with a_3^[3] as
+    L a_3^[3].  The view is the table of D**n P_n(x/D), the sequence
     x Q_n = Q_(n+1) + beta~_n Q_n + alpha~_n Q_(n-1) + gamma~_n Q_(n-2),
     under the operator L J, whose eigenvalues are lambda~.  Every displayed
     entry is linear in lambda (or, at the shift-3 top, in a_3^[3]) and
     weighted-homogeneous, with x-weight 1 for beta, 2 for alpha and 3 for
     gamma, so entry j of the shift-k band of P_m comes out as exactly
-    L c**(m + k - j) times its rational value (m = n for shifts 1 and 2,
+    L D**(m + k - j) times its rational value (m = n for shifts 1 and 2,
     m = n + 2 for shift 3).  Each entry goes to check_expansions as that
     unreduced pair, and the column check cross-multiplies it: no gcd is
     taken, and a Fraction is built only for a failing column's witness.
     """
-    if seq is None:
-        seq = generate(rt, N + 5)
-    elif seq.N < N + 5:
+    if seq.N < N + 5:
         raise ValueError(
             f"verify_expansions to N = {N} needs the sequence to degree {N + 5}; "
             f"it stops at {seq.N}"
         )
     lams = lambda_poly(J, 0).values(range(-4, N + 5))
-    t, c, L = _integer_view(rt, lams, N)
-    scales = [L * c**w for w in range(10)]  # L c**w; a band's weights are 0..9
+    t, D, L = _integer_view(seq, lams, N)
+    scales = [L * D**w for w in range(10)]  # L D**w; a band's weights are 0..9
 
     def unscaled(band, top):  # band's entry j at n has weight n + top - j
         return lambda n: [
@@ -504,7 +500,7 @@ def verify_expansions(
     ]
     report = VerificationReport()
     check_expansions(report, seq, range(N + 1), shifts)
-    initial = _shift3_initial(J, rt).get
+    initial = _shift3_initial(J, seq).get
     check_expansions(report, seq, (0, 1), [("shift3-initial", J3, 0, initial)])
     check_expansions(report, seq, range(N + 1), _family_identities(J))
     return report
@@ -622,40 +618,41 @@ def _shift_bands(t: _Tables, a33) -> tuple:
     return shift1, shift2, shift3
 
 
-def _integer_view(rt: RecurrenceTable, lams: list, N: int) -> tuple:
-    """(t, c, L): the _Tables t over the integer view of rt and of
-    lams = [lambda_(-4), ..., lambda_(N+4)] that the bands of
+def _integer_view(seq: MonicSequence, lams: list, N: int) -> tuple:
+    """(t, D, L): the _Tables t over the integer view of seq's rows 0..N + 4
+    and of lams = [lambda_(-4), ..., lambda_(N+4)], all that the bands of
     verify_expansions to N read,
 
-        beta~_k = c beta_k,  alpha~_k = c**2 alpha_k,  gamma~_k = c**3 gamma_k,
+        beta~_k = D beta_k,  alpha~_k = D**2 alpha_k,  gamma~_k = D**3 gamma_k,
         lambda~_n = L lambda_n,
 
-    with c the lcm of the denominators of beta_0..beta_(N+4),
-    alpha_1..alpha_(N+4) and gamma_1..gamma_(N+3), and L that of lams.
-    Those are exactly the table entries the bands read, each read once
-    here, so a table too short for the bands raises MissingCoefficient
-    now.  t's table accessors read 0 below the first index, as the
-    table's own do.
+    with (D, rows) = seq.integer_rows and L the lcm of lams' denominators.
+    A row with an entry below k - 2 is a ValueError: the bands are d = 2's.
     """
-    beta = [rt.beta(k) for k in range(N + 5)]
-    alpha = [rt.alpha(k) for k in range(1, N + 5)]
-    gamma = [rt.gamma(k) for k in range(1, N + 4)]
-    c = math.lcm(*(v.denominator for v in (*beta, *alpha, *gamma)))
+    D, rows = seq.integer_rows
+    rows = [dict(row) for row in rows[: N + 5]]
+    for k, row in enumerate(rows):
+        if min(row, default=k) < k - 2:
+            raise ValueError(f"x*P_{k} reaches P_{min(row)}: the bands are d = 2's")
     L = math.lcm(*(v.denominator for v in lams))
+    lam = {n: v.numerator * (L // v.denominator) for n, v in enumerate(lams, -4)}
+    return _Tables(*_four_term(rows, D), lam.__getitem__), D, L
 
-    def scaled(values, first, s):  # index -> value * s, as an int
-        return {
-            k: v.numerator * (s // v.denominator) for k, v in enumerate(values, first)
-        }
 
-    b, a, g = scaled(beta, 0, c), scaled(alpha, 1, c * c), scaled(gamma, 1, c**3)
-    t = _Tables(
-        lambda k: b[k] if k >= 0 else 0,
-        lambda k: a[k] if k > 0 else 0,
-        lambda k: g[k] if k > 0 else 0,
-        scaled(lams, -4, L).__getitem__,
-    )
-    return t, c, L
+def _four_term(rows: list, D) -> tuple:
+    """Accessors k -> D beta_k, D**2 alpha_k, D**3 gamma_k over rows, the
+    dicts j -> c_(k,j) D of four-term x-rows scaled by D (D = 1 for the
+    Fraction rows): beta_k is row k's entry at k, alpha_k row k's at k - 1
+    and gamma_k row k + 1's at k - 1.  Each value is formed once, and each
+    accessor reads 0 below the first index (the P_(-i) = 0 convention)."""
+    beta = [row.get(k, 0) for k, row in enumerate(rows)]
+    alpha = [D * row.get(k - 1, 0) for k, row in enumerate(rows)]
+    gamma = [D * D * rows[k + 1].get(k - 1, 0) for k in range(len(rows) - 1)]
+
+    def reader(values):
+        return lambda k: values[k] if k >= 0 else 0
+
+    return reader(beta), reader(alpha), reader(gamma)
 
 
 class _Ratio(NamedTuple):
@@ -667,18 +664,15 @@ class _Ratio(NamedTuple):
     denominator: int
 
 
-def _shift3_initial(J: DiffOperator, rt: RecurrenceTable) -> dict:
+def _shift3_initial(J: DiffOperator, seq: MonicSequence) -> dict:
     """The two displayed initial images of the thrice-shifted operator:
-    n -> the (j, c_j) of J^(3)(P_n) for n = 0, 1."""
-    a33, a23, a13, a03 = (
-        J.acoef(3, 3),
-        J.acoef(2, 3),
-        J.acoef(1, 3),
-        J.acoef(0, 3),
-    )
-    b0, b1, b2, b3 = (rt.beta(0), rt.beta(1), rt.beta(2), rt.beta(3))
-    al1, al2, al3 = (rt.alpha(1), rt.alpha(2), rt.alpha(3))
-    g1, g2 = (rt.gamma(1), rt.gamma(2))
+    n -> the (j, c_j) of J^(3)(P_n) for n = 0, 1, over the beta_0..beta_3,
+    alpha_1..alpha_3, gamma_1 and gamma_2 of seq's four-term rows."""
+    a33, a23, a13, a03 = (J.acoef(v, 3) for v in (3, 2, 1, 0))
+    beta, alpha, gamma = _four_term([dict(row) for row in seq.x_rows[:4]], 1)
+    b0, b1, b2, b3 = map(beta, range(4))
+    al1, al2, al3 = map(alpha, range(1, 4))
+    g1, g2 = map(gamma, range(1, 3))
     return {
         0: [
             (3, a33),

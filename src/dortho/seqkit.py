@@ -56,7 +56,7 @@ from .errors import (
     InsufficientDegree,
     MissingCoefficient,
 )
-from .polycore import Poly, rational_from_json, rational_to_str
+from .polycore import Poly, _coerce, rational_from_json, rational_to_str
 from .report import VerificationReport
 
 
@@ -76,8 +76,8 @@ class RecurrenceTable:
         if len(levels) != d:
             raise ValueError(f"expected {d} gamma levels, got {len(levels)}")
         self.d = d
-        self._beta = tuple(Fraction(b) for b in beta)
-        self._levels = tuple(tuple(Fraction(g) for g in lv) for lv in levels)
+        self._beta = tuple(map(_coerce, beta))
+        self._levels = tuple(tuple(map(_coerce, lv)) for lv in levels)
 
     @staticmethod
     def two_orthogonal(beta: Sequence, alpha: Sequence, gamma: Sequence) -> "RecurrenceTable":

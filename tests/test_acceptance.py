@@ -139,9 +139,11 @@ def test_criterion_05_theorem_specialization():
 def test_criterion_06_expansion_identities():
     with _Budget("criterion 6 (shifted-operator expansions)", 10):
         p1 = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
-        rep1 = verify_expansions(p1.operator(), p1_tables(p1), 15)
+        rep1 = verify_expansions(p1.operator(), generate(p1_tables(p1), 20), 15)
         assert rep1.passed
-        rep2 = verify_expansions(corollary42_operator(Fraction(1)), corollary42_coeffs(30), 15)
+        rep2 = verify_expansions(
+            corollary42_operator(Fraction(1)), generate(corollary42_coeffs(30), 20), 15
+        )
         assert rep2.passed
         names = {e["identity"] for e in rep1.entries + rep2.entries}
         for key in (

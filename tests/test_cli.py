@@ -238,6 +238,24 @@ class TestDuals:
         r = run_cli("duals", "--tables", "mutated_tables.json", "-M", "6", DORTHO_PROBE_BOUND="3")
         assert_golden(r, "duals_mutated.out", 1)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("duals", "--tables", "mutated_tables.json", "--family", "corollary42"),
+                b"input error: give either --tables or --family, not both\n",
+            ),
+            (
+                ("verify", "--operator", "corollary_operator.json", "--family", "corollary42"),
+                b"input error: give either --operator or --family, not both\n",
+            ),
+        ],
+    )
+    def test_two_sources_are_input_error(self, argv, message):
+        # neither source is read: the tables alone would fail with exit 1
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == (2, b"", message)
+
 
 class TestBadRanges:
     @pytest.mark.parametrize(
@@ -569,9 +587,9 @@ class TestSharedColumns:
 
         J, table_factory = cli._family_setup(family, cli._parse_params(params))
         rt = table_factory(self.N + 5)
-        reference = eigenfam.verify_expansions(J, rt, self.N)
-        eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
         fresh = seqkit.generate(rt, self.N + 5)
+        reference = eigenfam.verify_expansions(J, fresh, self.N)
+        eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
         eigenfam.check_expansions(reference, fresh, range(self.N + 1), eigen)
         expected = reference.to_json()["entries"]
         assert entries[: len(expected)] == expected

@@ -321,7 +321,7 @@ class TestSharedState:
         # lambda_(-4)..lambda_19 come from one evaluation of lambda_poly(J, 0)
         diagonals = self.count(monkeypatch, eigenfam, "lambda_poly")
         evaluated = self.count(monkeypatch, Poly, "values")
-        assert verify_expansions(J, rt, 15).passed
+        assert verify_expansions(J, generate(rt, 20), 15).passed
         assert diagonals == [(J, 0)]
         assert [ns for _, ns in evaluated] == [range(-4, 20)]
 
@@ -571,7 +571,7 @@ class TestStepTwo:
 class TestVerifyExpansions:
     def test_case1(self):
         rt = case1_coeffs(CASE1, 30)
-        rep = verify_expansions(CASE1.operator(), rt, 15)
+        rep = verify_expansions(CASE1.operator(), generate(rt, 20), 15)
         assert rep.passed
         names = {e["identity"] for e in rep.entries}
         assert "case1-second-order" in names
@@ -579,7 +579,7 @@ class TestVerifyExpansions:
 
     def test_explicit_family(self):
         rt = corollary42_coeffs(30)
-        rep = verify_expansions(corollary42_operator(1), rt, 15)
+        rep = verify_expansions(corollary42_operator(1), generate(rt, 20), 15)
         assert rep.passed
         names = {e["identity"] for e in rep.entries}
         assert "corollary-second-order" in names
@@ -589,17 +589,17 @@ class TestVerifyExpansions:
         # the column recursion would run off the sequence's rows (IndexError)
         rt = case1_coeffs(CASE1, 30)
         with pytest.raises(ValueError, match="to degree 15; it stops at 8"):
-            verify_expansions(CASE1.operator(), rt, 10, seq=generate(rt, 8))
-        assert verify_expansions(CASE1.operator(), rt, 10, seq=generate(rt, 15)).passed
+            verify_expansions(CASE1.operator(), generate(rt, 8), 10)
+        assert verify_expansions(CASE1.operator(), generate(rt, 15), 10).passed
 
     @pytest.mark.parametrize("short", ["beta", "alpha", "gamma"])
     def test_table_short_for_the_bands_is_missing_coefficient(self, short):
-        # the bands to N read beta_0..beta_(N+4), alpha_1..alpha_(N+4) and
-        # gamma_1..gamma_(N+3): a table of exactly those passes, and one
-        # entry fewer is MissingCoefficient, also over a longer table's sequence
+        # the bands to N read rows 0..N + 4 of the sequence, so
+        # beta_0..beta_(N+4), alpha_1..alpha_(N+4) and gamma_1..gamma_(N+3):
+        # a table of exactly those passes, and one entry fewer is
+        # MissingCoefficient from generate
         J, N = corollary42_operator(1), 6
         full = corollary42_coeffs(N + 8)
-        seq = generate(full, N + 5)
         sizes = {"beta": N + 5, "alpha": N + 4, "gamma": N + 3}
 
         def table():
@@ -609,24 +609,49 @@ class TestVerifyExpansions:
                 [full.gamma(k) for k in range(1, sizes["gamma"] + 1)],
             )
 
-        assert verify_expansions(J, table(), N, seq=seq).passed
-        assert verify_expansions(J, table(), N).passed
+        assert verify_expansions(J, generate(table(), N + 5), N).passed
         sizes[short] -= 1
         with pytest.raises(MissingCoefficient, match="not tabulated"):
-            verify_expansions(J, table(), N, seq=seq)
-        with pytest.raises(MissingCoefficient, match="not tabulated"):
-            verify_expansions(J, table(), N)
+            verify_expansions(J, generate(table(), N + 5), N)
 
     def test_integer_view_reads_zero_below_the_first_index(self):
         p = Case2Params(*map(Fraction, ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4")))
         rt = case2_coeffs(p, 12)
         lams = [lambda_at(p.operator(), 0, n) for n in range(-4, 9)]
-        t, c, L = eigenfam._integer_view(rt, lams, 4)
-        assert c > 1 and L > 1
+        t, D, L = eigenfam._integer_view(generate(rt, 9), lams, 4)
+        assert D > 1 and L > 1
         assert [t.beta(k) for k in (-3, -1)] == [0, 0]
         assert [t.alpha(k) for k in (-2, 0)] == [0, 0]
         assert [t.gamma(k) for k in (-3, 0)] == [0, 0]
-        assert t.beta(0) == c * rt.beta(0) and t.gamma(1) == c**3 * rt.gamma(1)
+        assert t.beta(0) == D * rt.beta(0) and t.alpha(1) == D**2 * rt.alpha(1)
+        assert t.gamma(1) == D**3 * rt.gamma(1)
+
+    @pytest.mark.parametrize("raise_gamma", [False, True])
+    def test_rows_past_the_bands_change_no_entry(self, raise_gamma):
+        # rows past N + 4 with fresh denominators make D, the lcm of every
+        # row's denominators, a strict multiple of the bands' own lcm (1 for
+        # corollary 4.2); the report, witnesses included, is the prefix's
+        J, N = corollary42_operator(1), 6
+        data = corollary42_coeffs(N + 5).to_json()
+        if raise_gamma:  # a failing report, so witnesses are compared too
+            data["gamma"][2] = str(Fraction(data["gamma"][2]) + 1)
+        prefix = generate(RecurrenceTable.from_json(data), N + 5)
+        extra = [
+            ((k - 2, Fraction(1, 11)), (k - 1, Fraction(1, 13)), (k, Fraction(1, 7**k)))
+            for k in range(N + 5, N + 8)
+        ]
+        seq = seqkit.MonicSequence(prefix.x_rows + tuple(extra))
+        D, own = seq.integer_rows[0], prefix.integer_rows[0]
+        assert D % own == 0 and D > own
+        report = verify_expansions(J, seq, N).to_json()
+        assert report == verify_expansions(J, prefix, N).to_json()
+        assert report["passed"] is not raise_gamma
+
+    def test_d3_sequence_is_value_error(self):
+        # a five-term row among the first N + 5 has no place in the d = 2 bands
+        seq = generate(RecurrenceTable(3, [1] * 12, [[1] * 12] * 3), 11)
+        with pytest.raises(ValueError, match=r"x\*P_3 reaches P_0: the bands are d = 2's"):
+            verify_expansions(corollary42_operator(1), seq, 6)
 
     def test_case1_displayed_identity_n2(self):
         # (x I - 2 D - 3 D^2)(P_2) = x^3 - 5x - 6 = P_3 - 2 P_1 - 4 P_0

@@ -13,8 +13,8 @@ the integer kernel caches must equal it, and must keep the kernel's
 representation, (vec, den) with den > 0, no zero entry and one gcd.
 
 The third is the displayed band formulas run on the table's Fractions:
-their run on the integer view that verify_expansions evaluates must give
-every entry scaled by exactly its weight's factor L c**w.
+their run on the sequence's integer view that verify_expansions evaluates
+must give every entry scaled by exactly its weight's factor L D**w.
 """
 
 import math
@@ -83,9 +83,9 @@ def assert_same_report(engine, applied, reference):
 )
 def test_verify_expansions_on_random_tables(N_rt, J):
     N, rt = N_rt
-    engine, applied = run_counted(verify_expansions, J, rt, N)
+    engine, applied = run_counted(verify_expansions, J, generate(rt, N + 5), N)
     with mock.patch.object(eigenfam, "check_expansions", reference_check_expansions):
-        reference = verify_expansions(J, rt, N)
+        reference = verify_expansions(J, generate(rt, N + 5), N)
     assert_same_report(engine, applied, reference)
 
 
@@ -159,7 +159,7 @@ def test_passing_columns_build_no_polynomial():
     J = eigenfam.corollary42_operator(1)
     applied = AssertionError("an operator was applied")
     with mock.patch.object(DiffOperator, "apply", side_effect=applied):
-        assert verify_expansions(J, eigenfam.corollary42_coeffs(25), 20).passed
+        assert verify_expansions(J, generate(eigenfam.corollary42_coeffs(25), 25), 20).passed
 
 
 def reference_times_x(col, rows):
@@ -249,11 +249,11 @@ view_entries = st.one_of(
 )
 def test_integer_view_equals_the_fraction_bands(case, a33):
     # the displayed band formulas run twice: on the table's Fractions and on
-    # its integer view, where entry j of the shift-k band of P_m must be
-    # exactly L c**(m + k - j) times the Fraction entry, as an int
+    # the integer view of its sequence, where entry j of the shift-k band of
+    # P_m must be exactly L D**(m + k - j) times the Fraction entry, as an int
     N, rt, lambdas = case
     lam = dict(zip(range(-4, N + 5), lambdas)).__getitem__
-    t, c, L = eigenfam._integer_view(rt, lambdas, N)
+    t, D, L = eigenfam._integer_view(generate(rt, N + 5), lambdas, N)
     fractions = eigenfam._Tables(rt.beta, rt.alpha, rt.gamma, lam)
     exact = eigenfam._shift_bands(fractions, a33)
     scaled = eigenfam._shift_bands(t, L * a33)
@@ -262,5 +262,5 @@ def test_integer_view_equals_the_fraction_bands(case, a33):
             terms = zip(exact_band(n), scaled_band(n), strict=True)
             for (j, v), (j_view, v_view) in terms:
                 assert j_view == j
-                assert v_view == v * L * c ** (n + top - j)
+                assert v_view == v * L * D ** (n + top - j)
                 assert j == n + 5 or type(v_view) is int

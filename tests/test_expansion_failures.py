@@ -17,6 +17,7 @@ from dortho import (
     case1_coeffs,
     corollary42_coeffs,
     corollary42_operator,
+    generate,
     verify_expansions,
 )
 
@@ -278,7 +279,7 @@ def raised(rt: RecurrenceTable, key: str, i: int) -> RecurrenceTable:
 )
 def test_mutated_table_report(family, key, i, failing, digest):
     J, rt = FAMILIES[family]
-    report = verify_expansions(J, raised(rt, key, i), N)
+    report = verify_expansions(J, generate(raised(rt, key, i), N + 5), N)
     expected = sorted((name, n) for name, ns in failing.items() for n in ns)
     failures = [e for e in report.entries if e["status"] == "fail"]
     assert sorted((e["identity"], e["n"]) for e in failures) == expected
