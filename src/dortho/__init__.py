@@ -3,7 +3,6 @@ and the 2-orthogonal polynomial eigenfamilies they generate."""
 
 from .diffop import (
     DiffOperator,
-    OperatorClass,
     classify,
     from_action,
     lambda_at,
@@ -11,11 +10,11 @@ from .diffop import (
     leibniz_expand,
 )
 from .eigenfam import (
-    Case1Params,
-    Case2Params,
-    SolvabilityResult,
     case1_coeffs,
+    case1_operator,
     case2_coeffs,
+    case2_constants,
+    case2_operator,
     classify_solvability,
     corollary42_coeffs,
     corollary42_operator,
@@ -45,18 +44,17 @@ BACKEND = "python"
 __all__ = [
     "BACKEND",
     "BasisExpansion",
-    "Case1Params",
-    "Case2Params",
     "DiffOperator",
     "MonicSequence",
-    "OperatorClass",
     "Poly",
     "RecurrenceTable",
-    "SolvabilityResult",
     "VerificationReport",
     "binomial",
     "case1_coeffs",
+    "case1_operator",
     "case2_coeffs",
+    "case2_constants",
+    "case2_operator",
     "check_d_orthogonality",
     "classify",
     "classify_solvability",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import eigenfam, seqkit
-from .diffop import DiffOperator, classify, lambda_at
+from .diffop import DiffOperator, classify, lambda_poly
 from .errors import (
     DegreeViolation,
     DorthoError,
@@ -207,28 +207,23 @@ def _family_setup(family: str, params: list):
     if family == "case1":
         if len(params) != 5:
             raise InputError("case1 takes 5 params: [a00, a01, a11, a02, a03]")
-        try:
-            p = eigenfam.Case1Params(*params)
-        except DorthoError as exc:
-            raise InputError(str(exc))
-        return p.operator(), (lambda N: eigenfam.case1_coeffs(p, N))
-    if family == "case2":
+        build, coeffs = eigenfam.case1_operator, eigenfam.case1_coeffs
+    elif family == "case2":
         if len(params) != 6:
-            raise InputError(
-                "case2 takes 6 params: [a00, a01, a11, a03, a13, a23]"
-            )
-        try:
-            p = eigenfam.Case2Params(*params)
-        except DorthoError as exc:
-            raise InputError(str(exc))
-        return p.operator(), (lambda N: eigenfam.case2_coeffs(p, N))
-    if family == "corollary42":
+            raise InputError("case2 takes 6 params: [a00, a01, a11, a03, a13, a23]")
+        build, coeffs = eigenfam.case2_operator, eigenfam.case2_coeffs
+    elif family == "corollary42":
         if len(params) > 1:
             raise InputError("corollary42 takes at most 1 param: [a00]")
-        a00 = params[0] if params else Fraction(1)
-        J = eigenfam.corollary42_operator(a00)
+        J = eigenfam.corollary42_operator(params[0] if params else Fraction(1))
         return J, (lambda N: eigenfam.corollary42_coeffs(N))
-    raise InputError(f"unknown family: {family}")
+    else:
+        raise InputError(f"unknown family: {family}")
+    try:
+        J = build(*params)
+    except DorthoError as exc:
+        raise InputError(str(exc))
+    return J, (lambda N: coeffs(J, N))
 
 
 def _tables_match_report(rt_closed, rt_oracle, N: int) -> VerificationReport:
@@ -268,7 +263,7 @@ def cmd_eigen(args) -> int:
     _emit(
         {
             "n": n,
-            "lambda": rational_to_str(lambda_at(J, 0, n)),
+            "lambda": rational_to_str(lambda_poly(J, 0).values((n,))[0]),
             "poly": p.to_json(),
         },
         args.out,
@@ -281,6 +276,10 @@ def cmd_verify(args) -> int:
 
     if args.operator and args.family:
         raise InputError("give either --operator or --family, not both")
+    if args.params is not None and not args.family:
+        raise InputError("--params needs --family")
+    if args.M is not None and args.operator:
+        raise InputError("-M needs --family")
 
     if args.operator:
         # derive mode: recover the tables from the eigen-oracle first
@@ -345,11 +344,9 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     J = _load_operator(args.operator)
-    cls = classify(J)
-    out = cls.to_json()
-    if cls.tag == "isomorphism" and J.order <= 3:
-        sol = eigenfam.classify_solvability(J)
-        out.update(sol.to_json())
+    out = classify(J)
+    if out["class"] == "isomorphism" and J.order <= 3:
+        out.update(eigenfam.classify_solvability(J))
     _emit(out, args.out)
     return EXIT_OK
 
@@ -357,6 +354,8 @@ def cmd_classify(args) -> int:
 def cmd_duals(args) -> int:
     if args.tables and args.family:
         raise InputError("give either --tables or --family, not both")
+    if args.params is not None and not args.family:
+        raise InputError("--params needs --family")
     if args.tables:
         try:
             with open(args.tables) as fh:

@@ -10,9 +10,8 @@ violate it and are stored with relaxed validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DegreeViolation
 from .polycore import Poly, binomial, rational_to_str
@@ -224,41 +223,19 @@ def nonneg_integer_roots(q: Poly) -> list[int]:
     return [n for a, e, s in runs if s == 0 for n in range(a, e + 1)]
 
 
-@dataclass(frozen=True)
-class OperatorClass:
-    """Outcome of classifying a degree-non-increasing operator.
-
-    tag is one of "isomorphism", "derivative-like", "degenerate"; k is
-    the derivative order for the lowering case.  witness carries the
-    first failing index or condition for the degenerate case.
-    certified_all_n is True when the root screen of the diagonal-sum
-    polynomial settles the class for every index at once; only the zero
-    operator, which has no diagonal sum, is classified without it.
-    """
-
-    tag: str
-    k: Optional[int] = None
-    witness: Optional[object] = None
-    certified_all_n: bool = False
-
-    def to_json(self) -> dict:
-        out: dict = {"class": self.tag}
-        if self.k is not None:
-            out["k"] = self.k
-        if self.witness is not None:
-            out["witness"] = str(self.witness)
-        out["certified_all_n"] = self.certified_all_n
-        return out
-
-
-def classify(J: DiffOperator) -> OperatorClass:
-    """Decide isomorphism / derivative-like(k) / degenerate.
+def classify(J: DiffOperator) -> dict:
+    """Decide isomorphism / derivative-like(k) / degenerate, as the JSON
+    object the CLI prints: "class", then "k" (the derivative order of a
+    lowering operator) and "witness" (the first failing index or condition
+    of a degenerate one) where they apply, then "certified_all_n".
 
     The diagonal sums (polynomial in n) are screened for nonnegative
-    integer roots, which settles nonvanishing for all n at once.
+    integer roots, which settles nonvanishing for all n at once; only the
+    zero operator, which has no diagonal sum, is classified without it
+    (certified_all_n false).
     """
     if J.order < 0:
-        return OperatorClass(tag="degenerate", witness="zero operator")
+        return {"class": "degenerate", "witness": "zero operator", "certified_all_n": False}
 
     lam0 = lambda_poly(J, 0)
     if lam0.is_zero:
@@ -266,7 +243,7 @@ def classify(J: DiffOperator) -> OperatorClass:
     else:
         roots0 = nonneg_integer_roots(lam0)
     if roots0 == []:
-        return OperatorClass(tag="isomorphism", certified_all_n=True)
+        return {"class": "isomorphism", "certified_all_n": True}
 
     # number of identically-zero leading coefficients
     k = 0
@@ -274,26 +251,26 @@ def classify(J: DiffOperator) -> OperatorClass:
         k += 1
     if k == 0:
         witness = roots0[0] if roots0 else 0
-        return OperatorClass(
-            tag="degenerate",
-            witness=f"diagonal sum vanishes at n={rational_to_str(witness)}",
-            certified_all_n=True,
-        )
+        return {
+            "class": "degenerate",
+            "witness": f"diagonal sum vanishes at n={rational_to_str(witness)}",
+            "certified_all_n": True,
+        }
     for nu in range(k, J.order + 1):
         if J.a(nu).degree > nu - k:
-            return OperatorClass(
-                tag="degenerate",
-                witness=f"coefficient {nu} has degree {J.a(nu).degree} > {nu - k}",
-                certified_all_n=True,
-            )
+            return {
+                "class": "degenerate",
+                "witness": f"coefficient {nu} has degree {J.a(nu).degree} > {nu - k}",
+                "certified_all_n": True,
+            }
     lamk = lambda_poly(J, k)
     rootsk = None if lamk.is_zero else nonneg_integer_roots(lamk)
     if rootsk == []:
-        return OperatorClass(tag="derivative-like", k=k, certified_all_n=True)
+        return {"class": "derivative-like", "k": k, "certified_all_n": True}
     witness = rootsk[0] if rootsk else 0
-    return OperatorClass(
-        tag="degenerate",
-        k=k,
-        witness=f"shifted diagonal sum vanishes at n={rational_to_str(witness)}",
-        certified_all_n=True,
-    )
+    return {
+        "class": "degenerate",
+        "k": k,
+        "witness": f"shifted diagonal sum vanishes at n={rational_to_str(witness)}",
+        "certified_all_n": True,
+    }

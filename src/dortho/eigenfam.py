@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -32,107 +31,6 @@ from .seqkit import (
     generate,
     operator_column,
 )
-
-
-# -- parameter bundles -----------------------------------------------------
-
-
-def _exact_fields(params) -> None:
-    """Hold every field of a frozen parameter bundle as a Fraction, so the
-    tables built from it by / stay exact when the fields are given as ints."""
-    for f in fields(params):
-        object.__setattr__(params, f.name, Fraction(getattr(params, f.name)))
-
-
-@dataclass(frozen=True)
-class Case1Params:
-    """Constant-cubic-coefficient family: a_2 constant, a_3 constant nonzero."""
-
-    a00: Fraction
-    a01: Fraction
-    a11: Fraction
-    a02: Fraction
-    a03: Fraction
-
-    def __post_init__(self):
-        _exact_fields(self)
-        if not self.a11:
-            raise ZeroParameter("linear coefficient a_1^[1] must be nonzero")
-        if not self.a03:
-            raise ZeroParameter("constant coefficient a_0^[3] must be nonzero")
-
-    def operator(self) -> DiffOperator:
-        return DiffOperator(
-            [
-                Poly([self.a00]),
-                Poly([self.a01, self.a11]),
-                Poly([self.a02]),
-                Poly([self.a03]),
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class Case2Params:
-    """Quadratic-cubic-coefficient family: a_2 = 0, a_3 of degree <= 2.
-
-    The quadratic's coefficients must satisfy the vanishing-discriminant
-    constraint (a_1^[3])**2 = 4 a_2^[3] a_0^[3]; it is enforced here
-    because admissible operators require it.
-    """
-
-    a00: Fraction
-    a01: Fraction
-    a11: Fraction
-    a03: Fraction
-    a13: Fraction
-    a23: Fraction
-
-    def __post_init__(self):
-        _exact_fields(self)
-        if not self.a11:
-            raise ZeroParameter("linear coefficient a_1^[1] must be nonzero")
-        if self.a13 * self.a13 - 4 * self.a23 * self.a03 != 0:
-            raise DiscriminantNonzero(
-                f"(a_1^[3])^2 - 4 a_2^[3] a_0^[3] = "
-                f"{rational_to_str(self.a13 * self.a13 - 4 * self.a23 * self.a03)}"
-            )
-
-    def operator(self) -> DiffOperator:
-        return DiffOperator(
-            [
-                Poly([self.a00]),
-                Poly([self.a01, self.a11]),
-                Poly.zero(),
-                Poly([self.a03, self.a13, self.a23]),
-            ]
-        )
-
-    # auxiliary constants of the quartic/sextic index polynomials
-
-    @property
-    def b_constants(self) -> tuple:
-        a01, a11, a23, a13 = self.a01, self.a11, self.a23, self.a13
-        b0 = Fraction(1, 2) * (
-            -a13 / (2 * a11) + a01 * a23 / a11**2 + 10 * a23**2 / (12 * a11**2)
-        )
-        b1 = a23**2 / (3 * a11**2)
-        b2 = a23**2 / (12 * a11**2)
-        return (b0, b1, b2)
-
-    @property
-    def f_constants(self) -> tuple:
-        a01, a11, a03, a13, a23 = self.a01, self.a11, self.a03, self.a13, self.a23
-        f0 = (
-            -18 * a03 * a11**2
-            + 6 * a13 * a11 * (3 * a01 + a23)
-            + a23 * (-18 * a01**2 - 12 * a23 * a01 + a23**2)
-        ) / (108 * a11**3)
-        f1 = a23 * (6 * a11 * a13 + a23 * (a23 - 12 * a01)) / (72 * a11**3)
-        f2 = -a23 * (a23 * (12 * a01 + a23) - 6 * a11 * a13) / (216 * a11**3)
-        f3 = -(a23**3) / (72 * a11**3)
-        f4 = -(a23**3) / (216 * a11**3)
-        return (f0, f1, f2, f3, f4)
 
 
 # -- eigen-oracle ----------------------------------------------------------
@@ -160,9 +58,9 @@ def _eigen_solver(J: DiffOperator, N: int):
     when deg a_v <= v.  Row i reads only the coefficients above it, so the
     top depth coefficients cost depth rows whatever n is.
     """
-    cls = classify(J)
-    if cls.tag != "isomorphism":
-        raise NotIsomorphism(f"operator classified as {cls.tag}")
+    tag = classify(J)["class"]
+    if tag != "isomorphism":
+        raise NotIsomorphism(f"operator classified as {tag}")
     order = J.order
     diag = [lambda_poly(J, t).values(range(N + 1)) for t in range(order + 1)]
     lam = diag[0]
@@ -271,10 +169,40 @@ def derive_recurrence(J: DiffOperator, N: int):
 # -- closed-form families --------------------------------------------------
 
 
-def case1_coeffs(p: Case1Params, N: int) -> RecurrenceTable:
-    """Case 1's table: beta_n constant, alpha_n linear and gamma_n
-    quadratic in n, each evaluated by Poly.values."""
-    a01, a11, a02, a03 = p.a01, p.a11, p.a02, p.a03
+def case1_operator(a00, a01, a11, a02, a03) -> DiffOperator:
+    """Case 1, the constant-cubic-coefficient family: a_1 = a_0^[1] + a_1^[1] x,
+    a_2 = a_0^[2] and a_3 = a_0^[3], with a_1^[1] and a_0^[3] nonzero."""
+    J = DiffOperator([Poly([a00]), Poly([a01, a11]), Poly([a02]), Poly([a03])])
+    if not J.acoef(1, 1):
+        raise ZeroParameter("linear coefficient a_1^[1] must be nonzero")
+    if not J.acoef(0, 3):
+        raise ZeroParameter("constant coefficient a_0^[3] must be nonzero")
+    return J
+
+
+def case2_operator(a00, a01, a11, a03, a13, a23) -> DiffOperator:
+    """Case 2, the quadratic-cubic-coefficient family: a_1 = a_0^[1] + a_1^[1] x
+    with a_1^[1] nonzero, a_2 = 0 and a_3 = a_0^[3] + a_1^[3] x + a_2^[3] x^2.
+    Admissible operators require a_3's discriminant
+    (a_1^[3])^2 - 4 a_2^[3] a_0^[3] to vanish, so it is enforced here."""
+    J = DiffOperator([Poly([a00]), Poly([a01, a11]), Poly.zero(), Poly([a03, a13, a23])])
+    if not J.acoef(1, 1):
+        raise ZeroParameter("linear coefficient a_1^[1] must be nonzero")
+    disc = _discriminant(J)
+    if disc:
+        raise DiscriminantNonzero(f"(a_1^[3])^2 - 4 a_2^[3] a_0^[3] = {rational_to_str(disc)}")
+    return J
+
+
+def _discriminant(J: DiffOperator) -> Fraction:
+    """(a_1^[3])^2 - 4 a_2^[3] a_0^[3], the discriminant of J's a_3."""
+    return J.acoef(1, 3) ** 2 - 4 * J.acoef(2, 3) * J.acoef(0, 3)
+
+
+def case1_coeffs(J: DiffOperator, N: int) -> RecurrenceTable:
+    """The table of a case 1 operator J: beta_n constant, alpha_n linear and
+    gamma_n quadratic in n, each evaluated by Poly.values."""
+    a01, a11, a02, a03 = J.acoef(0, 1), J.acoef(1, 1), J.acoef(0, 2), J.acoef(0, 3)
     g = -a03 / (6 * a11)  # gamma_n = g n (n + 1)
     return RecurrenceTable.two_orthogonal(
         beta=Poly([-a01 / a11]).values(range(N + 1)),
@@ -283,22 +211,52 @@ def case1_coeffs(p: Case1Params, N: int) -> RecurrenceTable:
     )
 
 
-def case2_coeffs(p: Case2Params, N: int) -> RecurrenceTable:
-    """Case 2's table.  beta_n is quadratic in n, alpha_n quartic in
-    m = n - 2 and gamma_n sextic in m = n - 1.  Their coefficients do not
-    depend on n, so each is one Poly in n or m, evaluated by Poly.values."""
-    a01, a11, a03, a13, a23 = p.a01, p.a11, p.a03, p.a13, p.a23
+def case2_constants(J: DiffOperator) -> tuple:
+    """The displayed auxiliary constants of a case 2 operator J's index
+    polynomials, ((b0, b1, b2), (f0, f1, f2, f3, f4)): the top coefficients
+    of the quartic alpha_n and of the sextic gamma_n."""
+    a01, a11 = J.acoef(0, 1), J.acoef(1, 1)
+    a03, a13, a23 = J.acoef(0, 3), J.acoef(1, 3), J.acoef(2, 3)
+    b = (
+        Fraction(1, 2)
+        * (-a13 / (2 * a11) + a01 * a23 / a11**2 + 10 * a23**2 / (12 * a11**2)),
+        a23**2 / (3 * a11**2),
+        a23**2 / (12 * a11**2),
+    )
+    f = (
+        (
+            -18 * a03 * a11**2
+            + 6 * a13 * a11 * (3 * a01 + a23)
+            + a23 * (-18 * a01**2 - 12 * a23 * a01 + a23**2)
+        )
+        / (108 * a11**3),
+        a23 * (6 * a11 * a13 + a23 * (a23 - 12 * a01)) / (72 * a11**3),
+        -a23 * (a23 * (12 * a01 + a23) - 6 * a11 * a13) / (216 * a11**3),
+        -(a23**3) / (72 * a11**3),
+        -(a23**3) / (216 * a11**3),
+    )
+    return b, f
+
+
+def case2_coeffs(J: DiffOperator, N: int) -> RecurrenceTable:
+    """The table of a case 2 operator J.  beta_n is quadratic in n, alpha_n
+    quartic in m = n - 2 and gamma_n sextic in m = n - 1.  Their
+    coefficients do not depend on n, so each is one Poly in n or m,
+    evaluated by Poly.values."""
+    a01, a11 = J.acoef(0, 1), J.acoef(1, 1)
+    a03, a13, a23 = J.acoef(0, 3), J.acoef(1, 3), J.acoef(2, 3)
+    b, f = case2_constants(J)
     q = -a23 / (2 * a11)  # beta_n = -a01/a11 + q (n - 1) n
     beta_c = (-a01 / a11, -q, q)
     alpha_c = (
         -a13 / (2 * a11) + a01 * a23 / a11**2,
         -3 * a13 / (4 * a11) + a23 * (9 * a01 + a23) / (6 * a11**2),
-        *p.b_constants,
+        *b,
     )
     gamma_c = (
         -Fraction(1, 3) / a11 * (a03 + a01 * (-a11 * a13 + a01 * a23) / a11**2),
         -(a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3),
-        *p.f_constants,
+        *f,
     )
     return RecurrenceTable.two_orthogonal(
         beta=Poly(beta_c).values(range(N + 1)),
@@ -308,15 +266,8 @@ def case2_coeffs(p: Case2Params, N: int) -> RecurrenceTable:
 
 
 def corollary42_operator(a00=Fraction(0)) -> DiffOperator:
-    """The quadratic-cubic family specialization with a_1 = x/24, a_3 = (x-1)^2."""
-    return DiffOperator(
-        [
-            Poly([a00]),
-            Poly([0, Fraction(1, 24)]),
-            Poly.zero(),
-            Poly([1, -2, 1]),
-        ]
-    )
+    """Corollary 4.2's operator: case 2 with a_1 = x/24 and a_3 = (x - 1)^2."""
+    return case2_operator(a00, 0, Fraction(1, 24), 1, -2, 1)
 
 
 def corollary42_coeffs(N: int) -> RecurrenceTable:
@@ -803,70 +754,59 @@ def _family_identities(J: DiffOperator) -> list:
 # -- solvability classification -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolvabilityResult:
-    tag: str  # case1 | case2 | no-solution | reduced | unclassified
-    notes: tuple = ()
-    residues: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        out: dict = {"solvability": self.tag}
-        if self.notes:
-            out["notes"] = list(self.notes)
-        if self.residues:
-            out["residues"] = {k: rational_to_str(v) for k, v in self.residues.items()}
-        return out
-
-
-def classify_solvability(J: DiffOperator) -> SolvabilityResult:
+def classify_solvability(J: DiffOperator) -> dict:
     """Decide which closed-form family (if any) solves the eigenproblem of
-    the operator J of order <= 3, from its coefficients a_2 and a_3.
+    the operator J of order <= 3, from its coefficients a_2 and a_3, as the
+    JSON object the CLI prints: "solvability", "notes" and, where they
+    apply, "residues".
 
     Regions the source results do not settle come back "unclassified"
-    with the computed residues attached rather than a guess.
+    with the computed residues attached, as rational strings, rather than
+    a guess.
     """
     a2, a3 = J.a(2), J.a(3)
-    disc = J.acoef(1, 3) ** 2 - 4 * J.acoef(2, 3) * J.acoef(0, 3)
-
+    disc = _discriminant(J)
     if a3.is_zero:
-        return SolvabilityResult(
-            tag="reduced",
-            notes=(
-                "only the pure first-order operator a_0^[1] D + a_0^[0] I remains",
-            ),
-        )
+        return {
+            "solvability": "reduced",
+            "notes": ["only the pure first-order operator a_0^[1] D + a_0^[0] I remains"],
+        }
     if a3.degree == 0:
         if a2.degree <= 1:
             notes = ["a_1^[1] != 0 is forced"]
             if J.acoef(1, 2):
                 notes.append("a_1^[2] is forced to zero; given value is nonzero")
-            return SolvabilityResult(tag="case1", notes=tuple(notes))
-        return SolvabilityResult(
-            tag="unclassified",
-            notes=("quadratic a_2 with constant a_3 is not settled",),
-            residues={"deg_a2": a2.degree, "deg_a3": a3.degree},
-        )
+            return {"solvability": "case1", "notes": notes}
+        return {
+            "solvability": "unclassified",
+            "notes": ["quadratic a_2 with constant a_3 is not settled"],
+            "residues": {"deg_a2": str(a2.degree), "deg_a3": str(a3.degree)},
+        }
     if a2.is_zero:
         if a3.degree == 1:
-            return SolvabilityResult(
-                tag="no-solution",
-                notes=("no 2-orthogonal eigenfamily exists for linear a_3",),
-            )
+            return {
+                "solvability": "no-solution",
+                "notes": ["no 2-orthogonal eigenfamily exists for linear a_3"],
+            }
         if a3.degree == 2:
             if disc == 0:
-                return SolvabilityResult(tag="case2", notes=("a_1^[1] != 0 is forced",))
-            return SolvabilityResult(
-                tag="unclassified",
-                notes=("quadratic a_3 with nonzero discriminant is not settled",),
-                residues={"discriminant": disc},
-            )
-        return SolvabilityResult(
-            tag="unclassified",
-            notes=("cubic a_3 is not settled",),
-            residues={"deg_a3": a3.degree},
-        )
-    return SolvabilityResult(
-        tag="unclassified",
-        notes=("parameter region not settled",),
-        residues={"deg_a2": a2.degree, "deg_a3": a3.degree, "discriminant": disc},
-    )
+                return {"solvability": "case2", "notes": ["a_1^[1] != 0 is forced"]}
+            return {
+                "solvability": "unclassified",
+                "notes": ["quadratic a_3 with nonzero discriminant is not settled"],
+                "residues": {"discriminant": rational_to_str(disc)},
+            }
+        return {
+            "solvability": "unclassified",
+            "notes": ["cubic a_3 is not settled"],
+            "residues": {"deg_a3": str(a3.degree)},
+        }
+    return {
+        "solvability": "unclassified",
+        "notes": ["parameter region not settled"],
+        "residues": {
+            "deg_a2": str(a2.degree),
+            "deg_a3": str(a3.degree),
+            "discriminant": rational_to_str(disc),
+        },
+    }

@@ -11,11 +11,13 @@ from fractions import Fraction
 import pytest
 
 from dortho import (
-    Case1Params,
-    Case2Params,
     DiffOperator,
     Poly,
+    case1_coeffs,
+    case1_operator,
     case2_coeffs,
+    case2_constants,
+    case2_operator,
     check_d_orthogonality,
     classify_solvability,
     corollary42_coeffs,
@@ -90,8 +92,7 @@ def test_criterion_02_recovery_round_trip():
 
 def test_criterion_03_case1_reproduction():
     with _Budget("criterion 3 (constant-coefficient family)", 10):
-        p = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
-        J = p.operator()
+        J = case1_operator(1, 0, 1, -2, -6)
         rt, report, _, _ = derive_recurrence(J, 26)
         assert report.passed
         for n in range(26):
@@ -128,18 +129,16 @@ def test_criterion_04_explicit_family_reproduction():
 
 def test_criterion_05_theorem_specialization():
     with _Budget("criterion 5 (quadratic-case specialization)", 2):
-        params = Case2Params(
-            Fraction(1), Fraction(0), Fraction(1, 24), Fraction(1), Fraction(-2), Fraction(1)
-        )
-        assert params.b_constants == (252, 192, 48)
-        assert params.f_constants == (60, 96, -96, -192, -64)
-        assert case2_coeffs(params, 25) == corollary42_coeffs(25)
+        J = case2_operator(1, 0, Fraction(1, 24), 1, -2, 1)
+        assert case2_constants(J) == ((252, 192, 48), (60, 96, -96, -192, -64))
+        assert J == corollary42_operator(1)
+        assert case2_coeffs(J, 25) == corollary42_coeffs(25)
 
 
 def test_criterion_06_expansion_identities():
     with _Budget("criterion 6 (shifted-operator expansions)", 10):
-        p1 = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
-        rep1 = verify_expansions(p1.operator(), generate(p1_tables(p1), 20), 15)
+        J1 = case1_operator(1, 0, 1, -2, -6)
+        rep1 = verify_expansions(J1, generate(case1_coeffs(J1, 30), 20), 15)
         assert rep1.passed
         rep2 = verify_expansions(
             corollary42_operator(Fraction(1)), generate(corollary42_coeffs(30), 20), 15
@@ -157,16 +156,9 @@ def test_criterion_06_expansion_identities():
         assert [e["n"] for e in initial] == [0, 1]
 
 
-def p1_tables(p):
-    from dortho import case1_coeffs
-
-    return case1_coeffs(p, 30)
-
-
 def test_criterion_07_appell_and_hahn():
     with _Budget("criterion 7 (Appell and Hahn properties)", 10):
-        p = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
-        seq1 = generate(p1_tables(p), 21)
+        seq1 = generate(case1_coeffs(case1_operator(1, 0, 1, -2, -6), 30), 21)
         for n in range(1, 21):
             assert seq1[n].derivative() == seq1[n - 1].scale(n)
         seq2 = generate(corollary42_coeffs(40), 26)
@@ -209,8 +201,7 @@ def test_criterion_09_negative_subcase():
         J = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])])
         with pytest.raises(NotTwoOrthogonal):
             derive_recurrence(J, 8)
-        res = classify_solvability(J)
-        assert res.tag == "no-solution"
+        assert classify_solvability(J)["solvability"] == "no-solution"
 
 
 def test_criterion_10_cli_golden():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dortho import RecurrenceTable, cli, eigenfam, lambda_at, seqkit
+from dortho import RecurrenceTable, cli, diffop, eigenfam, lambda_at, seqkit
 from dortho.polycore import rational_to_str
 
 from conftest import GOLDEN, run_cli
@@ -46,6 +46,18 @@ class TestEigen:
         r = run_cli("eigen", "--operator", "no_such_file.json", "-n", "3")
         assert r.returncode == 2
 
+    def test_lambda_is_read_off_lambda_poly(self, monkeypatch, capsys):
+        # lambda_n comes from lambda_poly(J, 0), the one source of every path
+        def refuse(*args):
+            raise AssertionError("lambda_at called")
+
+        for module in (diffop, cli, eigenfam, seqkit):
+            monkeypatch.setattr(module, "lambda_at", refuse, raising=False)
+        argv = ["eigen", "--operator", str(GOLDEN / "corollary_operator.json"), "-n", "3"]
+        assert cli.main(argv) == cli.EXIT_OK
+        golden = (GOLDEN / "eigen_corollary_n3.out").read_text()
+        assert capsys.readouterr() == (golden, "")
+
 
 class TestVerify:
     def test_explicit_family_passes(self):
@@ -76,6 +88,23 @@ class TestVerify:
     def test_bad_params_count(self):
         r = run_cli("verify", "--family", "case1", "--params", '["1"]', "-N", "5")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("command", ["verify", "duals"])
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("case1", "[1,0,0,1,1]", "linear coefficient a_1^[1] must be nonzero"),
+            ("case1", "[1,0,1,1,0]", "constant coefficient a_0^[3] must be nonzero"),
+            ("case2", "[1,0,0,1,-2,1]", "linear coefficient a_1^[1] must be nonzero"),
+            ("case2", "[1,0,1,1,1,1]", "(a_1^[3])^2 - 4 a_2^[3] a_0^[3] = -3"),
+        ],
+    )
+    def test_family_parameter_error_is_input_error(
+        self, capsys, command, family, params, message
+    ):
+        argv = [command, "--family", family, "--params", params]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
     @pytest.mark.parametrize(
         "params, relations",
@@ -253,6 +282,31 @@ class TestDuals:
     )
     def test_two_sources_are_input_error(self, argv, message):
         # neither source is read: the tables alone would fail with exit 1
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == (2, b"", message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("verify", "--operator", "corollary_operator.json", "-N", "3", "--params", "[1]"),
+                b"input error: --params needs --family\n",
+            ),
+            (
+                ("verify", "--operator", "corollary_operator.json", "-N", "3", "-M", "50"),
+                b"input error: -M needs --family\n",
+            ),
+            (
+                ("duals", "--tables", "mutated_tables.json", "-M", "6", "--params", "[1,2]"),
+                b"input error: --params needs --family\n",
+            ),
+            (("verify", "-N", "3", "--params", "[1]"), b"input error: --params needs --family\n"),
+            (("duals", "--params", "[1]"), b"input error: --params needs --family\n"),
+        ],
+    )
+    def test_option_the_source_does_not_read_is_input_error(self, argv, message):
+        # only --family reads --params, and only family mode probes to M:
+        # ignored, the first two would exit 0 and the third 1
         r = run_cli(*argv)
         assert (r.returncode, r.stdout, r.stderr) == (2, b"", message)
 
@@ -626,8 +680,8 @@ class TestAppell:
         alter_table(monkeypatch, "case1_coeffs", name, n)
         assert cli.main([*self.ARGV, "-N", "8", "-M", "2"]) == cli.EXIT_FAIL
         entries = json.loads(capsys.readouterr().out)["report"]["entries"]
-        params = eigenfam.Case1Params(*map(Fraction, (1, 0, 1, -2, -6)))
-        seq = seqkit.generate(eigenfam.case1_coeffs(params, 13), 9)  # the CLI's probe sequence
+        J = eigenfam.case1_operator(1, 0, 1, -2, -6)
+        seq = seqkit.generate(eigenfam.case1_coeffs(J, 13), 9)  # the CLI's probe sequence
         expected = []
         for k in range(9):
             q, p = seq[k + 1].derivative().scale(Fraction(1, k + 1)), seq[k]

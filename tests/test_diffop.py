@@ -192,24 +192,24 @@ class TestLambdaTable:
 class TestClassify:
     def test_derivative_is_lowering(self):
         c = classify(D)
-        assert c.tag == "derivative-like"
-        assert c.k == 1
+        assert c["class"] == "derivative-like"
+        assert c["k"] == 1
 
     def test_euler_type_degenerate(self):
         E = DiffOperator([Poly.zero(), X])
-        assert classify(E).tag == "degenerate"
+        assert classify(E)["class"] == "degenerate"
 
     def test_explicit_family_isomorphism(self):
         c = classify(corollary42_operator(1))
-        assert c.tag == "isomorphism"
-        assert c.certified_all_n
+        assert c["class"] == "isomorphism"
+        assert c["certified_all_n"] is True
 
     def test_vanishing_diagonal_sum(self):
         # a_0 = 1, a_1 = -x: lambda_n = 1 - n vanishes at n = 1
         J = DiffOperator([Poly.one(), Poly([0, -1])])
         c = classify(J)
-        assert c.tag == "degenerate"
-        assert "n=1" in str(c.witness)
+        assert c["class"] == "degenerate"
+        assert "n=1" in c["witness"]
 
     def test_isomorphism_iff_degree_preserved(self, rng):
         for _ in range(30):
@@ -219,12 +219,12 @@ class TestClassify:
             preserved = all(
                 J.apply_monomial(n).degree == n for n in range(bound)
             ) and not J.apply(Poly.one()).is_zero
-            if c.tag == "isomorphism":
+            if c["class"] == "isomorphism":
                 assert preserved
             elif preserved:
                 # degree preserved on a finite probe can still degenerate later;
                 # the closed-form certificate must then name a larger witness
-                assert not c.certified_all_n or c.witness is not None
+                assert not c["certified_all_n"] or "witness" in c
 
 
 class TestNonnegIntegerRoots:
@@ -256,7 +256,7 @@ class TestNonnegIntegerRoots:
 
     def test_operator_with_huge_coefficients_classifies(self):
         J = DiffOperator([Poly([10**80]), Poly([0, -3]), Poly([-2, -2, -2])])
-        assert classify(J).tag == "isomorphism"
+        assert classify(J)["class"] == "isomorphism"
 
 
 class TestJson:

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dortho import (
-    Case1Params,
-    Case2Params,
     DiffOperator,
     Poly,
     RecurrenceTable,
     VerificationReport,
     case1_coeffs,
+    case1_operator,
     case2_coeffs,
+    case2_constants,
+    case2_operator,
     classify_solvability,
     cli,
     corollary42_coeffs,
@@ -41,20 +42,17 @@ from dortho.diffop import classify, lambda_at, lambda_poly
 
 from conftest import operators, small_rationals
 
-CASE1 = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(-2), Fraction(-6))
-CORO_PARAMS = Case2Params(
-    Fraction(1), Fraction(0), Fraction(1, 24), Fraction(1), Fraction(-2), Fraction(1)
-)
+CASE1 = case1_operator(1, 0, 1, -2, -6)
+# corollary 4.2's operator as a case 2 one: a_1 = x/24, a_3 = (x - 1)^2
+CORO = case2_operator(1, 0, Fraction(1, 24), 1, -2, 1)
 # a_1 = 1 + x, a_3 = (x - 1)^2, lambda_n = 1 + n
-CASE2 = Case2Params(
-    Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(-2), Fraction(1)
-)
+CASE2 = case2_operator(1, 1, 1, 1, -2, 1)
 # a_3 = x: no 2-orthogonal eigenfamily
 LINEAR_CUBIC = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])])
 # a_3 = 1 + x: row 4 of its eigenpolynomials has two nonzero chi, at j = 0 and 1
 TWO_CHI = DiffOperator([Poly.one(), Poly([2, 1]), Poly([0, -2]), Poly([1, 1])])
 # operators whose eigenpolynomials are 2-orthogonal: derive_recurrence passes
-FAMILY_OPERATORS = [CASE1.operator(), CASE2.operator(), corollary42_operator(1)]
+FAMILY_OPERATORS = [CASE1, CASE2, corollary42_operator(1)]
 
 
 class TestEigenpoly:
@@ -67,7 +65,7 @@ class TestEigenpoly:
         assert eigenpoly(J, 3) == Poly([8, -24, 24, 1])
 
     def test_eigen_identity(self):
-        J = CASE1.operator()
+        J = CASE1
         for n in range(12):
             p = eigenpoly(J, n)
             assert J.apply(p) == p.scale(n + 1)
@@ -91,9 +89,9 @@ class TestEigenpoly:
 
 
 def reference_eigenpoly(J, n):
-    cls = classify(J)
-    if cls.tag != "isomorphism":
-        raise NotIsomorphism(f"operator classified as {cls.tag}")
+    tag = classify(J)["class"]
+    if tag != "isomorphism":
+        raise NotIsomorphism(f"operator classified as {tag}")
     lam = [lambda_at(J, 0, j) for j in range(n + 1)]
     for k in range(n):
         if lam[k] == lam[n]:
@@ -313,7 +311,7 @@ class TestSharedState:
     @pytest.mark.parametrize(
         "J, rt",
         [
-            (CASE1.operator(), case1_coeffs(CASE1, 30)),
+            (CASE1, case1_coeffs(CASE1, 30)),
             (corollary42_operator(1), corollary42_coeffs(30)),
         ],
     )
@@ -380,11 +378,9 @@ def family_operators(draw):
     a00, a01 = draw(small_rationals), draw(small_rationals)
     a11 = draw(nonzero_rationals)
     if kind == "case1":
-        return Case1Params(
-            a00, a01, a11, draw(small_rationals), draw(nonzero_rationals)
-        ).operator()
+        return case1_operator(a00, a01, a11, draw(small_rationals), draw(nonzero_rationals))
     s, r = draw(small_rationals), draw(small_rationals)  # a_3 = s (x - r)^2
-    return Case2Params(a00, a01, a11, s * r * r, -2 * s * r, s).operator()
+    return case2_operator(a00, a01, a11, s * r * r, -2 * s * r, s)
 
 
 class TestDeriveRecurrence:
@@ -401,7 +397,7 @@ class TestDeriveRecurrence:
             assert list(derive_recurrence(J, N)[2]) == list(reference_derive(J, N)[2])
 
     def test_case1_tables(self):
-        rt, rep, _, _ = derive_recurrence(CASE1.operator(), 26)
+        rt, rep, _, _ = derive_recurrence(CASE1, 26)
         assert rep.passed
         for n in range(26):
             assert rt.beta(n) == 0
@@ -431,8 +427,7 @@ class TestCase1Coeffs:
         assert all(rt.gamma(n + 1) == (n + 1) * (n + 2) for n in range(20))
 
     def test_zero_alpha_still_two_orthogonal(self):
-        p = Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(0), Fraction(-6))
-        rt = case1_coeffs(p, 10)
+        rt = case1_coeffs(case1_operator(1, 0, 1, 0, -6), 10)
         assert all(rt.alpha(n) == 0 for n in range(1, 11))
         assert all(rt.gamma(n) != 0 for n in range(1, 11))
 
@@ -442,33 +437,29 @@ class TestCase1Coeffs:
             assert rt.gamma(n + 1) / rt.gamma(n) == Fraction(n + 2, n)
 
     def test_zero_parameter_rejected(self):
-        with pytest.raises(ZeroParameter):
-            Case1Params(Fraction(1), Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-        with pytest.raises(ZeroParameter):
-            Case1Params(Fraction(1), Fraction(0), Fraction(1), Fraction(1), Fraction(0))
+        with pytest.raises(ZeroParameter, match=r"^linear coefficient a_1\^\[1\] must be nonzero$"):
+            case1_operator(1, 0, 0, 1, 1)
+        with pytest.raises(ZeroParameter, match=r"^constant coefficient a_0\^\[3\] must be nonzero$"):
+            case1_operator(1, 0, 1, 1, 0)
 
 
 class TestCase2Coeffs:
     def test_auxiliary_constants(self):
-        assert CORO_PARAMS.b_constants == (252, 192, 48)
-        assert CORO_PARAMS.f_constants == (60, 96, -96, -192, -64)
+        assert case2_constants(CORO) == ((252, 192, 48), (60, 96, -96, -192, -64))
 
     def test_specializes_to_explicit_family(self):
-        assert case2_coeffs(CORO_PARAMS, 25) == corollary42_coeffs(25)
+        assert CORO == corollary42_operator(1)
+        assert case2_coeffs(CORO, 25) == corollary42_coeffs(25)
 
     def test_discriminant_enforced(self):
-        with pytest.raises(DiscriminantNonzero):
-            Case2Params(
-                Fraction(1), Fraction(0), Fraction(1), Fraction(1), Fraction(1), Fraction(1)
-            )
+        with pytest.raises(DiscriminantNonzero, match=r"^\(a_1\^\[3\]\)\^2 - 4 a_2\^\[3\] a_0\^\[3\] = -3$"):
+            case2_operator(1, 0, 1, 1, 1, 1)
 
     def test_constant_cubic_degenerates_to_case1(self):
         # a_13 = a_23 = 0 must reproduce the constant-coefficient tables
-        p2 = Case2Params(
-            Fraction(1), Fraction(2), Fraction(3), Fraction(-6), Fraction(0), Fraction(0)
-        )
-        p1 = Case1Params(Fraction(1), Fraction(2), Fraction(3), Fraction(0), Fraction(-6))
-        assert case2_coeffs(p2, 15) == case1_coeffs(p1, 15)
+        J2 = case2_operator(1, 2, 3, -6, 0, 0)
+        J1 = case1_operator(1, 2, 3, 0, -6)
+        assert case2_coeffs(J2, 15) == case1_coeffs(J1, 15)
 
     @pytest.mark.parametrize(
         "values",
@@ -481,10 +472,9 @@ class TestCase2Coeffs:
     def test_matches_displayed_formulas(self, values):
         # the n-independent coefficients are computed once; every entry must
         # still equal the formulas as displayed, evaluated term by term
-        p = Case2Params(*map(Fraction, values))
-        a01, a11, a03, a13, a23 = p.a01, p.a11, p.a03, p.a13, p.a23
-        b0, b1, b2 = p.b_constants
-        f0, f1, f2, f3, f4 = p.f_constants
+        J = case2_operator(*map(Fraction, values))
+        a01, a11, a03, a13, a23 = map(Fraction, values[1:])
+        (b0, b1, b2), (f0, f1, f2, f3, f4) = case2_constants(J)
         N = 40
         beta = [-a23 * (n - 1) * n / (2 * a11) - a01 / a11 for n in range(N + 1)]
         alpha = [
@@ -501,14 +491,14 @@ class TestCase2Coeffs:
             for m in range(N)
         ]
         expected = RecurrenceTable.two_orthogonal(beta, alpha, gamma)
-        assert case2_coeffs(p, N) == expected
+        assert case2_coeffs(J, N) == expected
 
 
 @pytest.mark.parametrize(
     "make, coeffs, values",
     [
-        (Case1Params, case1_coeffs, (1, 2, 3, -2, -6)),
-        (Case2Params, case2_coeffs, (1, 0, 1, 1, -2, 1)),
+        (case1_operator, case1_coeffs, (1, 2, 3, -2, -6)),
+        (case2_operator, case2_coeffs, (1, 0, 1, 1, -2, 1)),
     ],
     ids=["case1", "case2"],
 )
@@ -516,6 +506,26 @@ def test_int_parameters_give_exact_tables(make, coeffs, values):
     # with / on int fields, case2's gamma_1 would be a binary float, not -1/3
     exact = coeffs(make(*map(Fraction, values)), 12)
     assert coeffs(make(*values), 12) == exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_operators(), st.integers(0, 12))
+def test_closed_forms_match_the_oracle(J, N):
+    # the two routes agree over the families' parameter space: where the
+    # oracle's table exists its entries are the closed forms', and where
+    # it stops at gamma_m = 0 the closed-form gamma_m is 0 (a case 1
+    # operator's a_3 is a nonzero constant; corollary 4.2's is case 2's)
+    closed = (case1_coeffs if J.a(3).degree == 0 else case2_coeffs)(J, N)
+    try:
+        oracle = derive_recurrence(J, N)[0]
+    except NotIsomorphism:  # lambda_n = a_0^[0] + n a_1^[1] vanishes at some n: no oracle
+        return
+    except NotTwoOrthogonal as exc:
+        assert str(exc) == f"gamma_{exc.n} = 0"
+        assert closed.gamma(exc.n) == 0
+        return
+    for name, ns in (("beta", range(N + 1)), ("alpha", range(1, N + 1)), ("gamma", range(1, N))):
+        assert [getattr(closed, name)(n) for n in ns] == [getattr(oracle, name)(n) for n in ns]
 
 
 class TestCorollaryCoeffs:
@@ -536,7 +546,7 @@ def steptwo_tables(J, rt):
 
 class TestStepTwo:
     def test_affine_lambda_second_difference(self):
-        t = steptwo_tables(CASE1.operator(), case1_coeffs(CASE1, 20))
+        t = steptwo_tables(CASE1, case1_coeffs(CASE1, 20))
         for n in range(10):
             assert t.A(n) == 0
             assert t.B(n) == 0  # constant beta
@@ -571,7 +581,7 @@ class TestStepTwo:
 class TestVerifyExpansions:
     def test_case1(self):
         rt = case1_coeffs(CASE1, 30)
-        rep = verify_expansions(CASE1.operator(), generate(rt, 20), 15)
+        rep = verify_expansions(CASE1, generate(rt, 20), 15)
         assert rep.passed
         names = {e["identity"] for e in rep.entries}
         assert "case1-second-order" in names
@@ -589,8 +599,8 @@ class TestVerifyExpansions:
         # the column recursion would run off the sequence's rows (IndexError)
         rt = case1_coeffs(CASE1, 30)
         with pytest.raises(ValueError, match="to degree 15; it stops at 8"):
-            verify_expansions(CASE1.operator(), generate(rt, 8), 10)
-        assert verify_expansions(CASE1.operator(), generate(rt, 15), 10).passed
+            verify_expansions(CASE1, generate(rt, 8), 10)
+        assert verify_expansions(CASE1, generate(rt, 15), 10).passed
 
     @pytest.mark.parametrize("short", ["beta", "alpha", "gamma"])
     def test_table_short_for_the_bands_is_missing_coefficient(self, short):
@@ -615,9 +625,9 @@ class TestVerifyExpansions:
             verify_expansions(J, generate(table(), N + 5), N)
 
     def test_integer_view_reads_zero_below_the_first_index(self):
-        p = Case2Params(*map(Fraction, ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4")))
-        rt = case2_coeffs(p, 12)
-        lams = [lambda_at(p.operator(), 0, n) for n in range(-4, 9)]
+        J = case2_operator(*map(Fraction, ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4")))
+        rt = case2_coeffs(J, 12)
+        lams = [lambda_at(J, 0, n) for n in range(-4, 9)]
         t, D, L = eigenfam._integer_view(generate(rt, 9), lams, 4)
         assert D > 1 and L > 1
         assert [t.beta(k) for k in (-3, -1)] == [0, 0]
@@ -678,10 +688,8 @@ class TestVerifyExpansions:
 
 class TestDifferenceEquations:
     def test_case1_tables_satisfy_them(self):
-        p = Case1Params(
-            Fraction(2), Fraction(3), Fraction(5, 2), Fraction(-1, 3), Fraction(7)
-        )
-        rt = case1_coeffs(p, 30)
+        J = case1_operator(2, 3, Fraction(5, 2), Fraction(-1, 3), 7)
+        rt = case1_coeffs(J, 30)
         for n in range(20):
             assert rt.beta(n + 4) - 2 * rt.beta(n + 3) + rt.beta(n + 2) == 0
             assert (
@@ -693,9 +701,9 @@ class TestDifferenceEquations:
             )
             assert (
                 -3
-                * p.a11
+                * J.acoef(1, 1)
                 * (rt.gamma(n + 1) - 2 * rt.gamma(n + 2) + rt.gamma(n + 3))
-                == p.a03
+                == J.acoef(0, 3)
             )
 
 
@@ -703,27 +711,26 @@ class TestClassifySolvability:
     def test_constant_cubic(self):
         J = DiffOperator([Poly.one(), Poly([0, 1]), Poly([1]), Poly([2])])
         res = classify_solvability(J)
-        assert res.tag == "case1"
-        assert any("forced" in note for note in res.notes)
+        assert res["solvability"] == "case1"
+        assert any("forced" in note for note in res["notes"])
 
     def test_linear_cubic_no_solution(self):
         J = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])])
-        assert classify_solvability(J).tag == "no-solution"
+        assert classify_solvability(J)["solvability"] == "no-solution"
 
     def test_no_cubic_reduced(self):
         J = DiffOperator([Poly.one(), Poly([2])])
-        assert classify_solvability(J).tag == "reduced"
+        assert classify_solvability(J)["solvability"] == "reduced"
 
     def test_quadratic_cubic_with_zero_discriminant(self):
         J = DiffOperator([Poly.one(), Poly([0, Fraction(1, 24)]), Poly.zero(), Poly([1, -2, 1])])
-        assert classify_solvability(J).tag == "case2"
+        assert classify_solvability(J)["solvability"] == "case2"
 
     def test_nonzero_discriminant_unclassified(self):
         J = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([1, 0, 1])])
         res = classify_solvability(J)
-        assert res.tag == "unclassified"
-        assert res.residues is not None
-        assert res.residues["discriminant"] == Fraction(-4)
+        assert res["solvability"] == "unclassified"
+        assert res["residues"]["discriminant"] == "-4"
 
 
 class TestHahn:

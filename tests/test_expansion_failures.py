@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from dortho import (
-    Case1Params,
     RecurrenceTable,
     case1_coeffs,
+    case1_operator,
     corollary42_coeffs,
     corollary42_operator,
     generate,
@@ -22,10 +22,10 @@ from dortho import (
 )
 
 N = 30
-CASE1 = Case1Params(*map(Fraction, (1, 0, 1, -2, -6)))
+CASE1 = case1_operator(1, 0, 1, -2, -6)
 FAMILIES = {
     "corollary42": (corollary42_operator(1), corollary42_coeffs(N + 5)),
-    "case1": (CASE1.operator(), case1_coeffs(CASE1, N + 5)),
+    "case1": (CASE1, case1_coeffs(CASE1, N + 5)),
 }
 
 # (family, table, index raised by 1, failing n per identity, report sha256)

@@ -6,13 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dortho import (
-    Case1Params,
-    Case2Params,
     MonicSequence,
     Poly,
     RecurrenceTable,
     case1_coeffs,
+    case1_operator,
     case2_coeffs,
+    case2_operator,
     check_d_orthogonality,
     corollary42_coeffs,
     corollary42_operator,
@@ -715,8 +715,8 @@ class TestDerivativeSequence:
         "rt",
         [
             corollary42_coeffs(40),
-            case1_coeffs(Case1Params(*map(Fraction, (1, 0, 1, -2, -6))), 40),
-            case2_coeffs(Case2Params(*map(Fraction, (1, 0, 1, 1, -2, 1))), 40),
+            case1_coeffs(case1_operator(1, 0, 1, -2, -6), 40),
+            case2_coeffs(case2_operator(1, 0, 1, 1, -2, 1), 40),
         ],
         ids=["corollary42", "case1", "case2"],
     )
