@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegreeViolation
-from .polycore import Poly, binomial, rational_to_str
+from .polycore import Poly, binomial, integer_horner, rational_to_str
 
 
 class DiffOperator:
@@ -184,27 +184,26 @@ def nonneg_integer_roots(q: Poly) -> list[int]:
     q(n) is monotone where its forward difference q(n+1) - q(n) keeps one
     sign, so the sign runs of q(n) follow from those of its differences by
     bisection: O(deg**2 * log(bound)) evaluations, however large the bound.
-    q is first scaled by the lcm of its denominators, which keeps every sign,
-    so every evaluation is a Fraction with denominator 1 rather than a long
-    fraction; Poly holds each coefficient as a Fraction, so the arithmetic
-    is still Fraction arithmetic."""
+    q is first scaled to integers by the lcm of its denominators, which
+    keeps every sign, so each difference is an integer list,
+    [n**j] (p(n+1) - p(n)) = sum_(i > j) C(i, j) [n**i] p(n), evaluated by
+    integer_horner."""
     if q.is_zero:
         raise ValueError("zero polynomial vanishes everywhere")
     if q.degree == 0:
         return []
-    q = q.scale(math.lcm(*(c.denominator for c in q.coeffs)))
-    lead = q.leading_coefficient
-    top = math.floor(1 + max(abs(c / lead) for c in q.coeffs))
-    tower = [q]
-    while tower[-1].degree > 0:
-        shifted = Poly.zero()  # tower[-1](n + 1), by Horner
-        for c in reversed(tower[-1].coeffs):
-            shifted = shifted * Poly([1, 1]) + Poly([c])
-        tower.append(shifted - tower[-1])
+    den = math.lcm(*(c.denominator for c in q.coeffs))
+    cs = [c.numerator * (den // c.denominator) for c in q.coeffs]
+    top = 1 + max(abs(c) // abs(cs[-1]) for c in cs)
+    tower = []  # q and its differences down to degree 1, highest coefficient first
+    while len(cs) > 1:
+        tower.append(cs[::-1])
+        deg = len(cs) - 1
+        cs = [sum(cs[i] * math.comb(i, j) for i in range(j + 1, deg + 1)) for j in range(deg)]
     runs = [(0, top, None)]  # (first n, last n, sign) for the constant
-    for p in reversed(tower[:-1]):
+    for p in reversed(tower):
         def sign(n, p=p):
-            v = p(n)
+            v = integer_horner(p, (n,))[0]
             return (v > 0) - (v < 0)
         merged = []
         for a, e, _ in runs:

@@ -22,7 +22,7 @@ from .errors import (
     NotTwoOrthogonal,
     ZeroParameter,
 )
-from .polycore import Poly, rational_to_str
+from .polycore import Poly, rational_to_str, writable
 from .report import VerificationReport
 from .seqkit import (
     MonicSequence,
@@ -37,7 +37,7 @@ from .seqkit import (
 
 
 def _eigen_solver(J: DiffOperator, N: int):
-    """Set up the eigen-oracle for degrees up to N; return (solve, lam).
+    """Set up the eigen-oracle for degrees up to N; return (solve, lam, E).
 
     The setup runs once: it classifies J (the classification screens the
     diagonal sum for integer roots, so it settles every degree at once)
@@ -45,44 +45,55 @@ def _eigen_solver(J: DiffOperator, N: int):
 
         [x**i] J(x**(i + t)) = lambda_(i+t)^[t] = lambda_poly(J, t) at n = i,
 
-    for t = 0..order and i = 0..N (Poly.values); lam is diagonal 0,
-    lambda_0..lambda_N.  solve(n, depth) raises EigenvalueCollision(k, n)
-    for the first k < n with lambda_k = lambda_n; otherwise it returns
-    [x**(n - m)] P_n for m = 0..min(depth, n), top down (all n + 1
-    coefficients by default), back-substituting row i of
-    J(P) = lambda_n P,
+    for t = 0..order and i = 0..N (Poly.int_values), as ints over E, the lcm
+    of their denominators; lam is diagonal 0, E lambda_0..E lambda_N.
+    solve(n, depth) raises EigenvalueCollision(k, n) on its first read for
+    the first k < n with lambda_k = lambda_n; otherwise it yields
+    [x**(n - m)] P_n for m = 0..min(depth, n), top down (all n + 1 by
+    default), as int pairs (num, den), den > 0, from row i of E J(P) = E lambda_n P,
 
-        (lambda_n - lambda_i) c_i = sum_(t >= 1) [x**i] J(x**(i + t)) * c_(i+t),
+        (E lambda_n - E lambda_i) c_i = sum_(t >= 1) E [x**i] J(x**(i + t)) * c_(i+t),
 
     over t <= order only, since [x**i] J(x**j) = 0 for j > i + order
     when deg a_v <= v.  Row i reads only the coefficients above it, so the
-    top depth coefficients cost depth rows whatever n is.
+    top depth coefficients cost depth rows whatever n is.  The last order
+    coefficients are ints over one den, times row i's pivot, then one gcd.
     """
     tag = classify(J)["class"]
     if tag != "isomorphism":
         raise NotIsomorphism(f"operator classified as {tag}")
     order = J.order
-    diag = [lambda_poly(J, t).values(range(N + 1)) for t in range(order + 1)]
+    diag = [lambda_poly(J, t).int_values(range(N + 1)) for t in range(order + 1)]
+    E = math.lcm(*(den for _, den in diag))
+    diag = [[v * (E // den) for v in ints] for ints, den in diag]
     lam = diag[0]
     first: dict = {}
     for j, value in enumerate(lam):
         first.setdefault(value, j)
 
-    def solve(n: int, depth: Optional[int] = None) -> list:
+    def solve(n: int, depth: Optional[int] = None):
         k = first[lam[n]]
         if k < n:
             raise EigenvalueCollision(k, n)
-        top = [Fraction(1)]  # top[m] = [x**(n - m)] P_n
+        window, den = [1], 1  # the last order coefficients over den
+        yield 1, 1
         for m in range(1, (n if depth is None else min(n, depth)) + 1):
             i = n - m
-            rhs = Fraction(0)
+            num = 0
             for t in range(1, min(m, order) + 1):
-                if top[m - t]:
-                    rhs += diag[t][i] * top[m - t]
-            top.append(rhs / (lam[n] - lam[i]))
-        return top
+                num += diag[t][i] * window[-t]
+            d = lam[n] - lam[i]
+            if d < 0:
+                d, num = -d, -num
+            den *= d
+            window = [v * d for v in window[max(len(window) - order + 1, 0) :]] + [num]
+            g = math.gcd(den, *window)
+            if g > 1:
+                den //= g
+                window = [v // g for v in window]
+            yield window[-1], den
 
-    return solve, lam
+    return solve, lam, E
 
 
 def eigenpoly(J: DiffOperator, n: int) -> Poly:
@@ -91,15 +102,17 @@ def eigenpoly(J: DiffOperator, n: int) -> Poly:
     Classifies J, evaluates the diagonals of J's matrix on the monomials
     (lambda_poly(J, t) at 0..n, t <= order; lambda_0..lambda_n is the
     first), then solves the triangular system for the non-leading
-    coefficients from the top down.  J does not raise degree, so the
-    system is banded: row i involves only c_(i+1)..c_(i+order).
-    Requires the eigenvalues below n to differ from lambda_n; the first
-    equal one is reported as EigenvalueCollision(k, n).
+    coefficients from the top down (_eigen_solver).  J does not raise
+    degree, so the system is banded: row i involves only
+    c_(i+1)..c_(i+order).  Requires the eigenvalues below n to differ from
+    lambda_n; the first equal one is reported as EigenvalueCollision(k, n).
+    A coefficient too long to write out raises OutputTooLarge (writable) as
+    the solve produces it, so no further row is solved.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    solve, _ = _eigen_solver(J, n)
-    return Poly(reversed(solve(n)))
+    solve, _, _ = _eigen_solver(J, n)
+    return Poly(reversed([writable(Fraction(*c)) for c in solve(n)]))
 
 
 def derive_recurrence(J: DiffOperator, N: int):
@@ -117,6 +130,8 @@ def derive_recurrence(J: DiffOperator, N: int):
         beta_k      = T_k(1) - T_(k+1)(1)
         alpha_k     = T_k(2) - T_(k+1)(2) - beta_k T_k(1)
         gamma_(k-1) = T_k(3) - T_(k+1)(3) - beta_k T_k(2) - alpha_k T_(k-1)(1).
+    With T_n as ints over one denominator q_n and L = lcm(q_k, q_(k+1)), the
+    three are ints over L, L q_k and L q_k q_(k-1): one Fraction each.
 
     The sequence Q of that table is then proved to be P to degree N + 1:
     column n of J's matrix in Q's basis (operator_column) must be
@@ -137,22 +152,34 @@ def derive_recurrence(J: DiffOperator, N: int):
     cache already holds J's levels, so verify_expansions on Q reuses
     them.
     """
-    solve, lam = _eigen_solver(J, N + 1)
-    T = [solve(n, 3) + [Fraction(0)] * (3 - min(n, 3)) for n in range(N + 2)]
-    beta = [T[k][1] - T[k + 1][1] for k in range(N + 1)]
-    alpha = [T[k][2] - T[k + 1][2] - beta[k] * T[k][1] for k in range(1, N + 1)]
-    gamma = [
-        T[k][3] - T[k + 1][3] - beta[k] * T[k][2] - alpha[k - 1] * T[k - 1][1]
-        for k in range(2, N + 1)
-    ]
+    solve, lam, E = _eigen_solver(J, N + 1)
+    T = []  # T[n] = (q_n, q_n T_n(1), q_n T_n(2), q_n T_n(3))
+    for n in range(N + 2):
+        top = list(solve(n, 3))[1:]
+        q = math.lcm(*(den for _, den in top))
+        T.append((q, *(num * (q // den) for num, den in top), 0, 0, 0)[:4])
+    beta, alpha, gamma = [], [], []
+    for k in range(N + 1):
+        (q, a, b, c), (q1, a1, b1, c1) = T[k], T[k + 1]
+        L = math.lcm(q, q1)
+        s, s1 = L // q, L // q1
+        bn = a * s - a1 * s1  # beta_k L
+        an = (b * s - b1 * s1) * q - bn * a  # alpha_k L q_k
+        beta.append(Fraction(bn, L))
+        if k:
+            alpha.append(Fraction(an, L * q))
+        if k > 1:
+            q0, a0 = T[k - 1][:2]
+            gn = ((c * s - c1 * s1) * q - bn * b) * q0 - an * a0  # gamma_(k-1) L q_k q_(k-1)
+            gamma.append(Fraction(gn, L * q * q0))
     rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
     seq = generate(rt, N + 1)
     for n in range(N + 2):
         col = operator_column(seq, J.coeffs, n)
-        if not _column_is(col, {n: lam[n]}):
+        if not _column_is(col, {n: _Ratio(lam[n], E)}):
             vec, den = col
             j = min(vec.keys() - {n})
-            chi = Fraction(vec[j], den) / (lam[j] - lam[n])
+            chi = Fraction(vec[j] * E, den * (lam[j] - lam[n]))
             raise NotTwoOrthogonal(
                 f"chi_({n - 2},{j}) = {rational_to_str(chi)} != 0", n=n - 2, nu=j
             )
@@ -163,7 +190,7 @@ def derive_recurrence(J: DiffOperator, N: int):
         if g == 0:
             raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
     report.record("gamma-nonvanishing", (1, N - 1), True)
-    return rt, report, seq, lam
+    return rt, report, seq, [Fraction(v, E) for v in lam]
 
 
 # -- closed-form families --------------------------------------------------

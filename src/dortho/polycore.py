@@ -8,8 +8,8 @@ zero polynomial is the empty tuple and has degree -1.
 
 The dense kernels (add, sub, mul, scale, derivative, evaluation) are the
 methods of `Poly` and work on its coefficient tuples directly; they are
-the package's only polynomial arithmetic.  `Poly.values` evaluates at many
-integers at once, on integers over one denominator.
+the package's only polynomial arithmetic.  `Poly.int_values` evaluates at
+many integers at once, on integers over one denominator.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ def rational_to_str(r) -> str:
         raise OutputTooLarge(
             f"an exact result has more than {limit} digits, the output limit"
         ) from exc
+
+
+def writable(r: Fraction) -> Fraction:
+    """r, unless it is too long to write (rational_to_str raises); an int
+    below 8**k has at most k digits, so only r past 3k bits is tried."""
+    screen = 3 * sys.get_int_max_str_digits()  # 0: no limit
+    if screen and max(r.numerator.bit_length(), r.denominator.bit_length()) > screen:
+        rational_to_str(r)
+    return r
 
 
 _ZERO = Fraction(0)
@@ -189,19 +198,17 @@ class Poly:
             acc = acc * x0 + c
         return acc
 
+    def int_values(self, ns: Iterable[int]) -> tuple:
+        """(ints, den), p(n) = ints[i] / den at the i-th n of ns: integer_horner
+        on the coefficients scaled by den, the lcm of their denominators."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in reversed(self.coeffs)]
+        return integer_horner(ints, ns), den
+
     def values(self, ns: Iterable[int]) -> list:
-        """p(n) for each integer n in ns: Horner on the coefficients scaled
-        to integers by the lcm of their denominators, then one Fraction."""
-        cs = self.coeffs
-        den = math.lcm(*(c.denominator for c in cs))
-        ints = [c.numerator * (den // c.denominator) for c in reversed(cs)]
-        out = []
-        for n in ns:
-            acc = 0
-            for c in ints:
-                acc = acc * n + c
-            out.append(Fraction(acc, den))
-        return out
+        """p(n) for each integer n in ns: int_values, then one Fraction each."""
+        ints, den = self.int_values(ns)
+        return [Fraction(v, den) for v in ints]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -230,6 +237,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
+
+
+def integer_horner(ints: list, ns: Iterable[int]) -> list:
+    """Horner's rule at each integer n of ns, ints the coefficients, highest first."""
+    out = []
+    for n in ns:
+        acc = 0
+        for c in ints:
+            acc = acc * n + c
+        out.append(acc)
+    return out
 
 
 def binomial(n: int, r: int) -> Fraction:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -56,7 +55,7 @@ from .errors import (
     InsufficientDegree,
     MissingCoefficient,
 )
-from .polycore import Poly, _coerce, rational_from_json, rational_to_str
+from .polycore import Poly, _coerce, rational_from_json, rational_to_str, writable
 from .report import VerificationReport
 
 
@@ -397,17 +396,14 @@ def dual_moments(seq: MonicSequence, d: int) -> list:
     D and then divides den and the vector by their one gcd.  A moment
     becomes a Fraction only when it is output.
 
-    A moment too long to write out raises OutputTooLarge (rational_to_str)
-    as it is produced, so a caller that writes the moments does no further
-    work for a result it cannot write.  An int of at most 3k bits is below
-    8**k, so it has at most k digits: only a moment whose numerator or
-    denominator passes 3 bits per allowed digit goes through rational_to_str.
+    A moment too long to write out raises OutputTooLarge (writable) as it
+    is produced, so a caller that writes the moments does no further work
+    for a result it cannot write.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     top = seq.N
     D, rows = seq.integer_rows
-    screen = 3 * sys.get_int_max_str_digits()  # 0: no limit
     w = max((k - j for k, row in enumerate(rows) for j, _ in row), default=0)
     moments = [[] for _ in range(d)]
     vec, den = [1], 1
@@ -429,11 +425,7 @@ def dual_moments(seq: MonicSequence, d: int) -> list:
                 nxt = [v // g for v in nxt]
             vec = nxt
         for i in range(d):
-            moment = Fraction(vec[i], den) if i < len(vec) else Fraction(0)
-            bits = max(moment.numerator.bit_length(), moment.denominator.bit_length())
-            if screen and bits > screen:
-                rational_to_str(moment)
-            moments[i].append(moment)
+            moments[i].append(writable(Fraction(vec[i] if i < len(vec) else 0, den)))
     return moments
 
 
@@ -569,17 +561,6 @@ def _recurrence_report(seq: MonicSequence, d: int, M: int) -> VerificationReport
     return report
 
 
-def _times_x(col: dict, rows) -> dict:
-    """X col over a sequence's x-rows: each e_j becomes
-    e_(j+1) + sum_((k, c) in rows[j]) c e_k."""
-    out: dict = {}
-    for j, v in col.items():
-        out[j + 1] = out.get(j + 1, 0) + v
-        for k, c in rows[j]:
-            out[k] = out.get(k, 0) + c * v
-    return out
-
-
 def derivative_sequence(seq: MonicSequence) -> MonicSequence:
     """Normalized derivative sequence Q_n = P'_(n+1) / (n+1), rows first.
 
@@ -594,24 +575,39 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
     x Q_(k-1) gives row k - 1 of Q and the next F:
 
         x Q_(k-1) - Q_k = (S_k - A_k) / (k+1),   F_k = (S_k + k A_k) / (k+1).
+
+    It runs on seq.integer_rows, fraction-free as in operator_column: each
+    F_k and row of Q is an int dict over one denominator, the lcm M of those
+    it reads, reduced by one gcd (_reduced); Fractions come at the end.
     """
     if seq.N < 1:
         raise ValueError("need at least P_1")
-    rows = seq.x_rows
-    tails = [{}]  # tails[k] = F_k
-    qrows: list = []
+    D, rows = seq.integer_rows
+    tails = [({}, 1)]  # tails[k] = F_k
+    qrows: list = []  # Q's rows as (vec, den)
     for k in range(1, seq.N):
-        a = _times_x(tails[k - 1], qrows)
-        for j, c in rows[k - 1]:
-            a[j] = a.get(j, 0) - c
-            for i, v in tails[j].items():
+        fvec, fden = tails[k - 1]
+        lower = [(j, c, tails[j]) for j, c in rows[k - 1]]
+        M = math.lcm(
+            fden * math.lcm(*(qrows[i][1] for i in fvec)),
+            D * math.lcm(*(tden for _, _, (_, tden) in lower)),
+        )
+        a: dict = {}  # M A_k
+        for i, f in fvec.items():
+            a[i + 1] = a.get(i + 1, 0) + f * (M // fden)
+            qvec, qden = qrows[i]
+            f *= M // (fden * qden)
+            for j, v in qvec.items():
+                a[j] = a.get(j, 0) + f * v
+        for j, c, (tvec, tden) in lower:
+            a[j] = a.get(j, 0) - c * (M // D)
+            c *= M // (D * tden)
+            for i, v in tvec.items():
                 a[i] = a.get(i, 0) - c * v
-        s = {j - 1: j * c for j, c in rows[k] if j}
-        keys = sorted(a.keys() | s.keys())
-        qrows.append(
-            tuple((j, v) for j in keys if (v := (s.get(j, 0) - a.get(j, 0)) / (k + 1)))
-        )
-        tails.append(
-            {j: v for j in keys if (v := (s.get(j, 0) + k * a.get(j, 0)) / (k + 1))}
-        )
-    return MonicSequence(qrows)
+        s = {j - 1: j * c * (M // D) for j, c in rows[k] if j}  # M S_k
+        keys = a.keys() | s.keys()
+        qrows.append(_reduced({j: s.get(j, 0) - a.get(j, 0) for j in keys}, M * (k + 1)))
+        tails.append(_reduced({j: s.get(j, 0) + k * a.get(j, 0) for j in keys}, M * (k + 1)))
+    return MonicSequence(
+        tuple((j, Fraction(v, den)) for j, v in sorted(vec.items())) for vec, den in qrows
+    )

@@ -529,6 +529,57 @@ class TestBadRanges:
         assert err == "input error: an exact result has more than 4300 digits, the output limit\n"
         assert out == ""
 
+    # case 2 with 1,141-digit entries: a_3 = s (x - r)**2
+    LARGE_S = Fraction(3**200, 7**150)
+    LARGE_R = Fraction(10**250 + 1, 11**200)
+
+    @pytest.mark.parametrize(
+        "a1, a2, code, err",
+        [
+            (
+                ["1/2", "-2/3"],
+                [],
+                cli.EXIT_INPUT,
+                "input error: an exact result has more than 4300 digits, the output limit\n",
+            ),
+            # lambda_n = 1 + n (n - 400) / 7, so lambda_0 = lambda_400: the
+            # collision is reported before any coefficient is solved
+            (
+                ["0", "-399/7"],
+                ["0", "0", "2/7"],
+                cli.EXIT_FAIL,
+                "error: eigenvalue at index 0 equals eigenvalue at index 400\n",
+            ),
+        ],
+    )
+    def test_eigen_stops_at_the_first_coefficient_past_the_digit_limit(
+        self, tmp_path, monkeypatch, capsys, a1, a2, code, err
+    ):
+        # coefficient m of P_400 has 129, 479, 855, ... digits and passes the
+        # limit at m = 16, so the solve stops there, not after 401 coefficients
+        s, r = self.LARGE_S, self.LARGE_R
+        a3 = [str(v) for v in (s * r * r, -2 * s * r, s)]
+        path = tmp_path / "operator.json"
+        path.write_text(json.dumps({"a": [["1/3"], a1, a2, a3]}))
+        solved = []
+        setup = eigenfam._eigen_solver
+
+        def counted(J, N):
+            solve, lam, E = setup(J, N)
+
+            def counting(n, depth=None):
+                for c in solve(n, depth):
+                    solved.append(c)
+                    yield c
+
+            return counting, lam, E
+
+        monkeypatch.setattr(eigenfam, "_eigen_solver", counted)
+        argv = ["eigen", "--operator", str(path), "-n", "400"]
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == ("", err)
+        assert len(solved) < 20
+
 
 class TestOutFlag:
     def test_out_writes_file(self, tmp_path):

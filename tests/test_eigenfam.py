@@ -120,8 +120,8 @@ def eigen_outcome(make):
 
 def solved_sequence(J, N):
     """P_0..P_N from one eigen-solver setup, as derive_recurrence reads them."""
-    solve, _ = eigenfam._eigen_solver(J, N)
-    return [Poly(reversed(solve(n))) for n in range(N + 1)]
+    solve, _, _ = eigenfam._eigen_solver(J, N)
+    return [Poly(reversed([Fraction(*c) for c in solve(n)])) for n in range(N + 1)]
 
 
 class TestAgainstReference:
@@ -417,6 +417,130 @@ class TestDeriveRecurrence:
         J = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])])
         with pytest.raises(NotTwoOrthogonal):
             derive_recurrence(J, 8)
+
+
+# Reference for the integer eigen-oracle: the Fraction route it replaced.
+# The same diagonals, evaluated as Fractions (Poly.values), the same
+# top-down back-substitution in Fractions, and derive_recurrence's table,
+# column check and chi witness formed from those Fractions.
+
+
+def reference_solver(J, N):
+    """(solve, lam): solve(n, depth) is the list of Fractions
+    [x**(n - m)] P_n, m = 0..min(depth, n); lam is lambda_0..lambda_N."""
+    tag = classify(J)["class"]
+    if tag != "isomorphism":
+        raise NotIsomorphism(f"operator classified as {tag}")
+    order = J.order
+    diag = [lambda_poly(J, t).values(range(N + 1)) for t in range(order + 1)]
+    lam = diag[0]
+
+    def solve(n, depth=None):
+        k = lam.index(lam[n])
+        if k < n:
+            raise EigenvalueCollision(k, n)
+        top = [Fraction(1)]
+        for m in range(1, (n if depth is None else min(n, depth)) + 1):
+            i = n - m
+            rhs = Fraction(0)
+            for t in range(1, min(m, order) + 1):
+                rhs += diag[t][i] * top[m - t]
+            top.append(rhs / (lam[n] - lam[i]))
+        return top
+
+    return solve, lam
+
+
+def reference_fraction_derive(J, N):
+    """derive_recurrence's (table, report, sequence, lam) by the Fraction route."""
+    solve, lam = reference_solver(J, N + 1)
+    T = [solve(n, 3) + [Fraction(0)] * (3 - min(n, 3)) for n in range(N + 2)]
+    beta = [T[k][1] - T[k + 1][1] for k in range(N + 1)]
+    alpha = [T[k][2] - T[k + 1][2] - beta[k] * T[k][1] for k in range(1, N + 1)]
+    gamma = [
+        T[k][3] - T[k + 1][3] - beta[k] * T[k][2] - alpha[k - 1] * T[k - 1][1]
+        for k in range(2, N + 1)
+    ]
+    rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
+    seq = generate(rt, N + 1)
+    for n in range(N + 2):
+        vec, den = seqkit.operator_column(seq, J.coeffs, n)
+        if {j: Fraction(v, den) for j, v in vec.items()} != {n: lam[n]}:
+            j = min(vec.keys() - {n})
+            chi = Fraction(vec[j], den) / (lam[j] - lam[n])
+            raise NotTwoOrthogonal(
+                f"chi_({n - 2},{j}) = {rational_to_str(chi)} != 0", n=n - 2, nu=j
+            )
+    report = VerificationReport()
+    for k in range(N):
+        report.record("four-term-shape", k, True)
+    for m, g in enumerate(gamma, start=1):
+        if g == 0:
+            raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
+    report.record("gamma-nonvanishing", (1, N - 1), True)
+    return rt, report, seq, lam
+
+
+def integer_solved(J, N, depth):
+    """The integer solver's coefficients of P_0..P_N as Fractions, with its
+    eigenvalues E lambda_n over E."""
+    solve, lam, E = eigenfam._eigen_solver(J, N)
+    return [[Fraction(*c) for c in solve(n, depth)] for n in range(N + 1)], [
+        Fraction(v, E) for v in lam
+    ]
+
+
+# a case 2 operator with 300-digit and larger entries: a_3 = s (x - r)**2
+HUGE_S = Fraction(3**700 + 1, 7**360)
+HUGE_R = Fraction(10**300 + 7, 11**290)
+HUGE = case2_operator(
+    Fraction(1, 3), Fraction(1, 2), Fraction(-2, 3), HUGE_S * HUGE_R**2, -2 * HUGE_S * HUGE_R,
+    HUGE_S,
+)
+
+
+class TestIntegerOracle:
+    """The integer solver and table against the Fraction route they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operators(max_order=4), st.integers(0, 12), st.sampled_from([None, 0, 1, 3]))
+    def test_solver_matches_fraction_route(self, J, N, depth):
+        def reference():
+            solve, lam = reference_solver(J, N)
+            return [solve(n, depth) for n in range(N + 1)], lam
+
+        assert eigen_outcome(lambda: integer_solved(J, N, depth)) == eigen_outcome(reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operators(max_order=4), st.integers(0, 12))
+    def test_eigenpoly_matches_fraction_route(self, J, n):
+        def reference():
+            return Poly(reversed(reference_solver(J, n)[0](n)))
+
+        assert eigen_outcome(lambda: eigenpoly(J, n)) == eigen_outcome(reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(operators(max_order=4), family_operators()), st.integers(0, 12))
+    @example(LINEAR_CUBIC, 4)  # chi_(3,1) = 1/4
+    @example(TWO_CHI, 8)  # chi_(3,0) = -4/3
+    def test_derive_matches_fraction_route(self, J, N):
+        got = derive_outcome(lambda: derive_recurrence(J, N))
+        assert got == derive_outcome(lambda: reference_fraction_derive(J, N))
+        if isinstance(got[0], dict):
+            assert derive_recurrence(J, N)[3] == reference_fraction_derive(J, N)[3]
+
+    def test_huge_entries(self):
+        # entries of hundreds of digits: the window's and the table's
+        # denominators are reduced by gcds of that size
+        assert min(len(str(c.denominator)) for c in HUGE.a(3).coeffs) >= 300
+        assert integer_solved(HUGE, 9, None) == (
+            [reference_solver(HUGE, 9)[0](n) for n in range(10)],
+            reference_solver(HUGE, 9)[1],
+        )
+        assert eigenpoly(HUGE, 5) == Poly(reversed(reference_solver(HUGE, 5)[0](5)))
+        got, ref = derive_recurrence(HUGE, 10), reference_fraction_derive(HUGE, 10)
+        assert got[0] == ref[0] and got[3] == ref[3]
+        assert got[1].to_json() == ref[1].to_json()
 
 
 class TestCase1Coeffs:

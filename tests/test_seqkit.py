@@ -737,6 +737,92 @@ class TestDerivativeSequence:
         assert check_d_orthogonality(dseq, 2, 6).passed
 
 
+# Reference for the integer derivative-sequence kernel: the Fraction route it
+# replaced, the same recursion with every F_k and row of Q held as a dict of
+# Fractions and X applied over Q's rows entry by entry.
+
+
+def reference_fraction_derivative_rows(seq):
+    if seq.N < 1:
+        raise ValueError("need at least P_1")
+    rows = seq.x_rows
+    tails = [{}]
+    qrows = []
+    for k in range(1, seq.N):
+        a = {}
+        for j, v in tails[k - 1].items():  # X F_(k-1) over Q's rows
+            a[j + 1] = a.get(j + 1, 0) + v
+            for i, c in qrows[j]:
+                a[i] = a.get(i, 0) + c * v
+        for j, c in rows[k - 1]:
+            a[j] = a.get(j, 0) - c
+            for i, v in tails[j].items():
+                a[i] = a.get(i, 0) - c * v
+        s = {j - 1: j * c for j, c in rows[k] if j}
+        keys = sorted(a.keys() | s.keys())
+        qrows.append(
+            tuple((j, v) for j in keys if (v := (s.get(j, 0) - a.get(j, 0)) / (k + 1)))
+        )
+        tails.append(
+            {j: v for j in keys if (v := (s.get(j, 0) + k * a.get(j, 0)) / (k + 1))}
+        )
+    return tuple(qrows)
+
+
+def derivative_rows(route, seq):
+    """route(seq)'s rows as (j, Fraction) tuples, or the ValueError it raised."""
+    try:
+        rows = route(seq)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return tuple(tuple((j, Fraction(c)) for j, c in row) for row in rows)
+
+
+class TestIntegerDerivativeRows:
+    """derivative_sequence's integer recursion against the Fraction route."""
+
+    @staticmethod
+    def assert_matches(seq):
+        assert derivative_rows(lambda s: derivative_sequence(s).x_rows, seq) == (
+            derivative_rows(reference_fraction_derivative_rows, seq)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(banded_tables(), banded_tables(wide=True)))
+    def test_banded_tables(self, table):
+        rt, N = table
+        self.assert_matches(generate(rt, N))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), st.data())
+    def test_dense_tables(self, d, N, data):
+        # every entry of every level drawn nonzero: rows d + 1 terms wide
+        rt = RecurrenceTable(
+            d,
+            data.draw(st.lists(nonzero_small_rationals, min_size=N + 1, max_size=N + 1)),
+            [
+                data.draw(st.lists(nonzero_small_rationals, min_size=N, max_size=N))
+                for _ in range(d)
+            ],
+        )
+        self.assert_matches(generate(rt, N))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_sequences())
+    def test_dense_sequences(self, polys):
+        self.assert_matches(MonicSequence(structure_coeffs(polys)))
+
+    def test_huge_entries(self):
+        # 300-digit numerators and denominators: the pairs are reduced by
+        # gcds of that size
+        N = 8
+        beta = [Fraction(10**300 + 7 * k, 7**360 + k) for k in range(N + 1)]
+        alpha = [Fraction(-(3**650) - k, 11**290 * (k + 1)) for k in range(N)]
+        gamma = [Fraction(2**1000 + k, 10**300 + 3 * k) for k in range(N)]
+        seq = generate(RecurrenceTable.two_orthogonal(beta, alpha, gamma), N)
+        self.assert_matches(seq)
+
+
 class TestTableJson:
     def test_round_trip_d2(self, coro_rt):
         assert RecurrenceTable.from_json(coro_rt.to_json()) == coro_rt
