@@ -292,7 +292,7 @@ def case2_coeffs(J: DiffOperator, N: int) -> RecurrenceTable:
     )
 
 
-def corollary42_operator(a00=Fraction(0)) -> DiffOperator:
+def corollary42_operator(a00) -> DiffOperator:
     """Corollary 4.2's operator: case 2 with a_1 = x/24 and a_3 = (x - 1)^2."""
     return case2_operator(a00, 0, Fraction(1, 24), 1, -2, 1)
 
@@ -435,41 +435,38 @@ def verify_expansions(
     images), and the differential relations of the family J belongs to,
     if any, on the four-term sequence seq.  seq reaching a degree below
     N + 5 is a ValueError, as is a wider row (_integer_view).  The bands
-    read seq's rows 0..N + 4 and lambda_n for -4 <= n <= N + 4: J's
-    diagonal sum lambda_poly(J, 0), evaluated once at those n (Poly.values;
-    a negative n takes the polynomial's extension).
+    read seq's rows 0..N + 4 and lambda_n for -4 <= n <= N + 5.
 
-    The three shift bands are evaluated once, on the integer view of seq
+    Every band is evaluated once, on the integer view of seq and lambda
     (_integer_view): with D the lcm of seq's row denominators
-    (seq.integer_rows), beta~ = D beta, alpha~ = D**2 alpha,
-    gamma~ = D**3 gamma and lambda~ = L lambda, with a_3^[3] as
-    L a_3^[3].  The view is the table of D**n P_n(x/D), the sequence
-    x Q_n = Q_(n+1) + beta~_n Q_n + alpha~_n Q_(n-1) + gamma~_n Q_(n-2),
+    (seq.integer_rows) and L that of lambda's coefficients,
+    beta~ = D beta, alpha~ = D**2 alpha, gamma~ = D**3 gamma and
+    lambda~ = L lambda.  The view is the table of D**n P_n(x/D), the
+    sequence x Q_n = Q_(n+1) + beta~_n Q_n + alpha~_n Q_(n-1) + gamma~_n Q_(n-2),
     under the operator L J, whose eigenvalues are lambda~.  Every displayed
-    entry is linear in lambda (or, at the shift-3 top, in a_3^[3]) and
-    weighted-homogeneous, with x-weight 1 for beta, 2 for alpha and 3 for
-    gamma, so entry j of the shift-k band of P_m comes out as exactly
-    L D**(m + k - j) times its rational value (m = n for shifts 1 and 2,
-    m = n + 2 for shift 3).  Each entry goes to check_expansions as that
-    unreduced pair, and the column check cross-multiplies it: no gcd is
-    taken, and a Fraction is built only for a failing column's witness.
+    shift entry is linear in lambda and weighted-homogeneous, with x-weight
+    1 for beta, 2 for alpha and 3 for gamma, so entry j of the shift-k band
+    of P_m comes out as exactly L D**(m + k - j) times its rational value
+    (m = n for shifts 1 and 2, m = n + 2 for shift 3).  The initial images
+    are linear in a_3 instead; read with a_i^[3] as A D**(3 - i) a_i^[3], A
+    the lcm of their denominators, entry j of J^(3)(P_n) is A D**(n + 3 - j)
+    times its value.  Each entry goes to check_expansions as that unreduced
+    pair, which the column check cross-multiplies: no gcd is taken, and a
+    Fraction is built only for a failing column's witness.  J^(3)(P_1) has
+    a_4's term too, so its displayed image is checked for J.order <= 3 only.
     """
     if seq.N < N + 5:
         raise ValueError(
             f"verify_expansions to N = {N} needs the sequence to degree {N + 5}; "
             f"it stops at {seq.N}"
         )
-    lams = lambda_poly(J, 0).values(range(-4, N + 5))
-    t, D, L = _integer_view(seq, lams, N)
+    t, D, L = _integer_view(seq, J, N)
     scales = [L * D**w for w in range(10)]  # L D**w; a band's weights are 0..9
 
     def unscaled(band, top):  # band's entry j at n has weight n + top - j
-        return lambda n: [
-            (j, _Ratio(v.numerator, v.denominator * scales[n + top - j]))
-            for j, v in band(n)
-        ]
+        return lambda n: [(j, _Ratio(v, scales[n + top - j])) for j, v in band(n)]
 
-    shift1, shift2, shift3 = _shift_bands(t, L * J.acoef(3, 3))
+    shift1, shift2, shift3 = _shift_bands(t)
     J3 = J.shifted(3)
     shifts = [
         ("shift1-expansion", J.shifted(1), 0, unscaled(shift1, 1)),
@@ -478,17 +475,24 @@ def verify_expansions(
     ]
     report = VerificationReport()
     check_expansions(report, seq, range(N + 1), shifts)
-    initial = _shift3_initial(J, seq).get
-    check_expansions(report, seq, (0, 1), [("shift3-initial", J3, 0, initial)])
+    a3 = [J.acoef(i, 3) for i in range(4)]
+    A = math.lcm(*(c.denominator for c in a3))
+    a3 = [c.numerator * (A // c.denominator) * D ** (3 - i) for i, c in enumerate(a3)]
+    initial = {
+        n: [(j, _Ratio(v, A * D ** (n + 3 - j))) for j, v in band]
+        for n, band in _shift3_initial(t, a3).items()
+    }
+    ns = (0, 1) if J.order <= 3 else (0,)
+    check_expansions(report, seq, ns, [("shift3-initial", J3, 0, initial.get)])
     check_expansions(report, seq, range(N + 1), _family_identities(J))
     return report
 
 
-def _shift_bands(t: _Tables, a33) -> tuple:
+def _shift_bands(t: _Tables) -> tuple:
     """The displayed bands (shift1, shift2, shift3) over t's accessors:
     n -> the (j, c_j) of J^(1)(P_n), J^(2)(P_n) and J^(3)(P_(n+2)), in the
-    ring t reads from.  a33 is the top entry of the shift-3 band: J's
-    coefficient a_3^[3], or L a_3^[3] on the integer view (_integer_view)."""
+    ring t reads from.  The shift-3 top entry is the third difference of
+    lambda, A(n + 5) - A(n + 4), which is J's a_3^[3] when J.order <= 3."""
     lam = t.lam
 
     def shift1(n):
@@ -511,7 +515,7 @@ def _shift_bands(t: _Tables, a33) -> tuple:
 
     def shift3(n):  # applied to P_(n+2)
         return [
-            (n + 5, a33),
+            (n + 5, t.A(n + 5) - t.A(n + 4)),
             (
                 n + 4,
                 t.A(n + 4) * t.beta(n + 2)
@@ -596,15 +600,18 @@ def _shift_bands(t: _Tables, a33) -> tuple:
     return shift1, shift2, shift3
 
 
-def _integer_view(seq: MonicSequence, lams: list, N: int) -> tuple:
+def _integer_view(seq: MonicSequence, J: DiffOperator, N: int) -> tuple:
     """(t, D, L): the _Tables t over the integer view of seq's rows 0..N + 4
-    and of lams = [lambda_(-4), ..., lambda_(N+4)], all that the bands of
+    and of J's eigenvalues lambda_(-4)..lambda_(N+5), all that the bands of
     verify_expansions to N read,
 
         beta~_k = D beta_k,  alpha~_k = D**2 alpha_k,  gamma~_k = D**3 gamma_k,
         lambda~_n = L lambda_n,
 
-    with (D, rows) = seq.integer_rows and L the lcm of lams' denominators.
+    with (D, rows) = seq.integer_rows, beta_k row k's entry at k, alpha_k
+    row k's at k - 1 and gamma_k row k + 1's at k - 1, and (lambda~, L) =
+    lambda_poly(J, 0).int_values.  Each value is formed once, and each
+    accessor reads 0 below the first index (the P_(-i) = 0 convention).
     A row with an entry below k - 2 is a ValueError: the bands are d = 2's.
     """
     D, rows = seq.integer_rows
@@ -612,17 +619,7 @@ def _integer_view(seq: MonicSequence, lams: list, N: int) -> tuple:
     for k, row in enumerate(rows):
         if min(row, default=k) < k - 2:
             raise ValueError(f"x*P_{k} reaches P_{min(row)}: the bands are d = 2's")
-    L = math.lcm(*(v.denominator for v in lams))
-    lam = {n: v.numerator * (L // v.denominator) for n, v in enumerate(lams, -4)}
-    return _Tables(*_four_term(rows, D), lam.__getitem__), D, L
-
-
-def _four_term(rows: list, D) -> tuple:
-    """Accessors k -> D beta_k, D**2 alpha_k, D**3 gamma_k over rows, the
-    dicts j -> c_(k,j) D of four-term x-rows scaled by D (D = 1 for the
-    Fraction rows): beta_k is row k's entry at k, alpha_k row k's at k - 1
-    and gamma_k row k + 1's at k - 1.  Each value is formed once, and each
-    accessor reads 0 below the first index (the P_(-i) = 0 convention)."""
+    lams, L = lambda_poly(J, 0).int_values(range(-4, N + 6))
     beta = [row.get(k, 0) for k, row in enumerate(rows)]
     alpha = [D * row.get(k - 1, 0) for k, row in enumerate(rows)]
     gamma = [D * D * rows[k + 1].get(k - 1, 0) for k in range(len(rows) - 1)]
@@ -630,7 +627,8 @@ def _four_term(rows: list, D) -> tuple:
     def reader(values):
         return lambda k: values[k] if k >= 0 else 0
 
-    return reader(beta), reader(alpha), reader(gamma)
+    lam = dict(zip(range(-4, N + 6), lams)).__getitem__
+    return _Tables(reader(beta), reader(alpha), reader(gamma), lam), D, L
 
 
 class _Ratio(NamedTuple):
@@ -642,15 +640,15 @@ class _Ratio(NamedTuple):
     denominator: int
 
 
-def _shift3_initial(J: DiffOperator, seq: MonicSequence) -> dict:
+def _shift3_initial(t: _Tables, a3) -> dict:
     """The two displayed initial images of the thrice-shifted operator:
-    n -> the (j, c_j) of J^(3)(P_n) for n = 0, 1, over the beta_0..beta_3,
-    alpha_1..alpha_3, gamma_1 and gamma_2 of seq's four-term rows."""
-    a33, a23, a13, a03 = (J.acoef(v, 3) for v in (3, 2, 1, 0))
-    beta, alpha, gamma = _four_term([dict(row) for row in seq.x_rows[:4]], 1)
-    b0, b1, b2, b3 = map(beta, range(4))
-    al1, al2, al3 = map(alpha, range(1, 4))
-    g1, g2 = map(gamma, range(1, 3))
+    n -> the (j, c_j) of J^(3)(P_n) for n = 0, 1, over t's beta_0..beta_3,
+    alpha_1..alpha_3, gamma_1 and gamma_2 and a3 = (a_0^[3], ..., a_3^[3]),
+    in the ring t reads from."""
+    a03, a13, a23, a33 = a3
+    b0, b1, b2, b3 = map(t.beta, range(4))
+    al1, al2, al3 = map(t.alpha, range(1, 4))
+    g1, g2 = map(t.gamma, range(1, 3))
     return {
         0: [
             (3, a33),

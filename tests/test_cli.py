@@ -76,6 +76,22 @@ class TestVerify:
         )
         assert_golden(r, "verify_case1.out", 0)
 
+    def test_powers_of_the_case1_operator_pass(self):
+        # J**2 and J**4 of the case 1 operator of verify_case1.out (orders 6
+        # and 12) have its eigenpolynomials, so the same table; past order 3
+        # the displayed image of P_1 under the thrice-shifted operator leaves
+        # out a_4's term, so only P_0's is checked
+        tables = []
+        for name in ("case1_squared_operator.json", "case1_fourth_power_operator.json"):
+            r = run_cli("verify", "--operator", name, "-N", "12")
+            assert (r.returncode, r.stderr) == (0, b"")
+            out = json.loads(r.stdout)
+            assert out["report"]["passed"]
+            initial = [e["n"] for e in out["report"]["entries"] if e["identity"] == "shift3-initial"]
+            assert initial == [0]
+            tables.append(out["tables"])
+        assert tables[0] == tables[1]
+
     def test_linear_cubic_fails(self):
         r = run_cli("verify", "--operator", "linear_cubic.json", "-N", "8")
         assert_golden(r, "verify_linear_cubic.out", 1)

@@ -38,7 +38,7 @@ from dortho.errors import (
     NotTwoOrthogonal,
     ZeroParameter,
 )
-from dortho.diffop import classify, lambda_at, lambda_poly
+from dortho.diffop import classify, from_action, lambda_at, lambda_poly
 
 from conftest import operators, small_rationals
 
@@ -316,12 +316,15 @@ class TestSharedState:
         ],
     )
     def test_verify_expansions_reads_each_lambda_once(self, monkeypatch, J, rt):
-        # lambda_(-4)..lambda_19 come from one evaluation of lambda_poly(J, 0)
+        # lambda_(-4)..lambda_20 come from one integer evaluation of
+        # lambda_poly(J, 0), and no eigenvalue is read as a Fraction
         diagonals = self.count(monkeypatch, eigenfam, "lambda_poly")
-        evaluated = self.count(monkeypatch, Poly, "values")
+        evaluated = self.count(monkeypatch, Poly, "int_values")
+        fractions = self.count(monkeypatch, Poly, "values")
         assert verify_expansions(J, generate(rt, 20), 15).passed
         assert diagonals == [(J, 0)]
-        assert [ns for _, ns in evaluated] == [range(-4, 20)]
+        assert [ns for _, ns in evaluated] == [range(-4, 21)]
+        assert fractions == []
 
 
 def reference_derive(J, N):
@@ -751,9 +754,11 @@ class TestVerifyExpansions:
     def test_integer_view_reads_zero_below_the_first_index(self):
         J = case2_operator(*map(Fraction, ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4")))
         rt = case2_coeffs(J, 12)
-        lams = [lambda_at(J, 0, n) for n in range(-4, 9)]
-        t, D, L = eigenfam._integer_view(generate(rt, 9), lams, 4)
+        t, D, L = eigenfam._integer_view(generate(rt, 9), J, 4)
         assert D > 1 and L > 1
+        assert [t.lam(n) for n in range(-4, 10)] == [
+            L * lambda_at(J, 0, n) for n in range(-4, 10)
+        ]
         assert [t.beta(k) for k in (-3, -1)] == [0, 0]
         assert [t.alpha(k) for k in (-2, 0)] == [0, 0]
         assert [t.gamma(k) for k in (-3, 0)] == [0, 0]
@@ -780,6 +785,23 @@ class TestVerifyExpansions:
         report = verify_expansions(J, seq, N).to_json()
         assert report == verify_expansions(J, prefix, N).to_json()
         assert report["passed"] is not raise_gamma
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_operators(), st.sampled_from([2, 3]), st.integers(0, 5))
+    def test_powers_of_a_family_operator(self, J, k, N):
+        # J**k (order up to 3k) has J's eigenpolynomials when its eigenvalues
+        # lambda_n**k stay apart: whenever derive_recurrence proves them
+        # 2-orthogonal, every displayed band holds, the shift-3 top entry
+        # being the third difference of lambda_n**k, not a_3^[3]
+        images = [Poly.monomial(n) for n in range(3 * k + 1)]
+        for _ in range(k):
+            images = [J.apply(p) for p in images]
+        Jk = from_action(images)
+        try:
+            _, _, seq, _ = derive_recurrence(Jk, N + 5)
+        except (EigenvalueCollision, NotIsomorphism, NotTwoOrthogonal):
+            return
+        assert verify_expansions(Jk, seq, N).passed
 
     def test_d3_sequence_is_value_error(self):
         # a five-term row among the first N + 5 has no place in the d = 2 bands

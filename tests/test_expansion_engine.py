@@ -12,11 +12,13 @@ The second is operator_column's recursion run on Fractions: every column
 the integer kernel caches must equal it, and must keep the kernel's
 representation, (vec, den) with den > 0, no zero entry and one gcd.
 
-The third is the displayed band formulas run on the table's Fractions:
-their run on the sequence's integer view that verify_expansions evaluates
-must give every entry scaled by exactly its weight's factor L D**w.
+The third is the displayed band formulas, and the two initial images of
+the thrice-shifted operator, run on the table's Fractions: their run on
+the sequence's integer view that verify_expansions evaluates must give
+every entry scaled by exactly its weight's factor, L D**w or A D**w.
 """
 
+import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -36,6 +38,7 @@ from dortho import (
     seqkit,
     verify_expansions,
 )
+from dortho.diffop import lambda_at
 
 from conftest import operators, polys
 
@@ -229,38 +232,119 @@ def test_integer_columns_match_the_fraction_reference(case):
             assert {j: Fraction(v, den) for j, v in vec.items()} == expected
 
 
-# distinct small denominators and frequent zeros, so c and L are rarely 1
+# distinct small denominators and frequent zeros, so D, L and A are rarely 1
 view_entries = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4, 5, 7, 9))),
 )
 
 
+@st.composite
+def view_operators(draw):
+    """An operator of order 0..5 with a_v of degree v, entries view_entries."""
+    order = draw(st.integers(0, 5))
+    return DiffOperator(
+        [
+            Poly(draw(st.lists(view_entries, min_size=v + 1, max_size=v + 1)))
+            for v in range(order + 1)
+        ]
+    )
+
+
+def reference_shift3_initial(J, seq):
+    """The displayed images J^(3)(P_0) and J^(3)(P_1), n -> the (j, c_j),
+    evaluated in Fractions on J's a_3 and seq's x-rows."""
+    a33, a23, a13, a03 = (J.acoef(v, 3) for v in (3, 2, 1, 0))
+    rows = [dict(row) for row in seq.x_rows[:4]]
+    b0, b1, b2, b3 = (rows[k].get(k, 0) for k in range(4))
+    al1, al2, al3 = (rows[k].get(k - 1, 0) for k in range(1, 4))
+    g1, g2 = (rows[k + 1].get(k - 1, 0) for k in range(1, 3))
+    return {
+        0: [
+            (3, a33),
+            (2, (b0 + b1 + b2) * a33 + a23),
+            (
+                1,
+                a33 * (al1 + al2 + b0**2 + b1 * b0 + b1**2) + (b0 + b1) * a23 + a13,
+            ),
+            (
+                0,
+                a33 * (al1 * (2 * b0 + b1) + b0**3 + g1)
+                + al1 * a23
+                + b0 * (b0 * a23 + a13)
+                + a03,
+            ),
+        ],
+        1: [
+            (4, a33),
+            (3, (b1 + b2 + b3) * a33 + a23),
+            (
+                2,
+                a33 * (al1 + al2 + al3 + b1**2 + b2 * b1 + b2**2)
+                + (b1 + b2) * a23
+                + a13,
+            ),
+            (
+                1,
+                a33 * (2 * (al1 + al2) * b1 + al2 * b2 + b1**3 + g1 + g2)
+                + al1 * b0 * a33
+                + (al1 + al2) * a23
+                + b1 * (b1 * a23 + a13)
+                + a03,
+            ),
+            (
+                0,
+                al1
+                * (a33 * (al2 + b0**2 + b1 * b0 + b1**2) + (b0 + b1) * a23 + a13)
+                + al1**2 * a33
+                + g1 * ((b0 + b1 + b2) * a33 + a23),
+            ),
+        ],
+    }
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(0, 6).flatmap(
-        lambda N: st.tuples(
-            st.just(N),
-            tables(N + 5, view_entries),
-            st.lists(view_entries, min_size=N + 9, max_size=N + 9),
-        )
-    ),
-    view_entries,
+    st.integers(0, 6).flatmap(lambda N: st.tuples(st.just(N), tables(N + 5, view_entries))),
+    view_operators(),
 )
-def test_integer_view_equals_the_fraction_bands(case, a33):
+def test_integer_view_equals_the_fraction_bands(case, J):
     # the displayed band formulas run twice: on the table's Fractions and on
     # the integer view of its sequence, where entry j of the shift-k band of
-    # P_m must be exactly L D**(m + k - j) times the Fraction entry, as an int
-    N, rt, lambdas = case
-    lam = dict(zip(range(-4, N + 5), lambdas)).__getitem__
-    t, D, L = eigenfam._integer_view(generate(rt, N + 5), lambdas, N)
-    fractions = eigenfam._Tables(rt.beta, rt.alpha, rt.gamma, lam)
-    exact = eigenfam._shift_bands(fractions, a33)
-    scaled = eigenfam._shift_bands(t, L * a33)
+    # P_m must be exactly L D**(m + k - j) times the Fraction entry, and
+    # entry j of the initial image of P_n, read with a_i^[3] as
+    # A D**(3 - i) a_i^[3], exactly A D**(n + 3 - j) times it, as an int
+    N, rt = case
+    seq = generate(rt, N + 5)
+    t, D, L = eigenfam._integer_view(seq, J, N)
+    lam = functools.partial(lambda_at, J, 0)
+    exact = eigenfam._shift_bands(eigenfam._Tables(rt.beta, rt.alpha, rt.gamma, lam))
+    scaled = eigenfam._shift_bands(t)
     for top, exact_band, scaled_band in zip((1, 2, 5), exact, scaled, strict=True):
         for n in range(N + 1):
             terms = zip(exact_band(n), scaled_band(n), strict=True)
             for (j, v), (j_view, v_view) in terms:
                 assert j_view == j
                 assert v_view == v * L * D ** (n + top - j)
-                assert j == n + 5 or type(v_view) is int
+                assert type(v_view) is int
+    a3 = [J.acoef(i, 3) for i in range(4)]
+    A = math.lcm(*(c.denominator for c in a3))
+    initial = eigenfam._shift3_initial(t, [int(c * A) * D ** (3 - i) for i, c in enumerate(a3)])
+    for n, band in reference_shift3_initial(J, seq).items():
+        for (j, v), (j_view, v_view) in zip(band, initial[n], strict=True):
+            assert j_view == j
+            assert v_view == v * A * D ** (n + 3 - j)
+            assert type(v_view) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators(max_order=3), st.integers(0, 8))
+def test_shift3_top_entry_is_the_displayed_a33(J, n):
+    # the band's top entry is the third difference of lambda, which for
+    # order <= 3 is the paper's a_3^[3]
+    lam = functools.partial(lambda_at, J, 0)
+    def zero(k):
+        return 0
+
+    shift3 = eigenfam._shift_bands(eigenfam._Tables(zero, zero, zero, lam))[2]
+    assert shift3(n)[0] == (n + 5, J.acoef(3, 3))
