@@ -286,13 +286,13 @@ def cmd_verify(args) -> int:
         # derive mode: recover the tables from the eigen-oracle first
         J = _load_operator(args.operator)
         try:
-            rt, shape_report, seq, _ = eigenfam.derive_recurrence(J, N + 5)
+            rt, shape_report, seq, diag = eigenfam.derive_recurrence(J, N + 5)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
         report = VerificationReport()
         report.extend(shape_report)
-        report.extend(eigenfam.verify_expansions(J, seq, N))
+        report.extend(eigenfam.verify_expansions(J, seq, N, diag))
         out = {"mode": "derive", "N": N, "tables": rt.to_json()}
     else:
         if not args.family:
@@ -300,7 +300,7 @@ def cmd_verify(args) -> int:
         J, table_factory = _family_setup(args.family, _parse_params(args.params))
         # the independent oracle recovers its own table first
         try:
-            rt_oracle, _, oracle_seq, lam = eigenfam.derive_recurrence(J, N)
+            rt_oracle, _, oracle_seq, diag = eigenfam.derive_recurrence(J, N)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
@@ -310,12 +310,12 @@ def cmd_verify(args) -> int:
         rt = table_factory(max(N + 5, probe_deg))
         full = seqkit.generate(rt, max(N + 5, probe_deg))
         full.start_columns_from(oracle_seq)
-        report = eigenfam.verify_expansions(J, full, N)
+        report = eigenfam.verify_expansions(J, full, N, diag)
 
         # eigen identity + the closed-form table against the oracle's
         seq = seqkit.MonicSequence(full.x_rows[:probe_deg])
-        eigen = [("eigen-identity", J, 0, lambda n: [(n, lam[n])])]
-        eigenfam.check_expansions(report, full, range(N + 1), eigen)
+        eigen = [("eigen-identity", J, 0, 0, lambda n: [(n, diag.at(0, n))])]
+        eigenfam.check_expansions(report, full, range(N + 1), diag.A, eigen)
         report.extend(_tables_match_report(rt, rt_oracle, N))
 
         # d-orthogonality of the family and of its derivative sequence

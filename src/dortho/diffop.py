@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegreeViolation
 from .polycore import Poly, binomial, integer_horner, rational_to_str
@@ -175,27 +175,90 @@ def lambda_poly(J: DiffOperator, k: int) -> Poly:
     return total
 
 
+class Diagonals(NamedTuple):
+    """J's order + 1 diagonals on the monomials over one denominator, as
+    diagonals builds them: rows[t][n - lo] = A lambda_(n+t)^[t]."""
+
+    A: int
+    lo: int
+    rows: list
+
+    def at(self, t: int, n: int) -> int:
+        """A lambda_(n+t)^[t]; IndexError outside the build's indices."""
+        if n < self.lo:
+            raise IndexError(f"diagonal {t} is built from n = {self.lo}, not {n}")
+        return self.rows[t][n - self.lo]
+
+
+def diagonals(J: DiffOperator, lo: int, hi: int) -> Diagonals:
+    """J's matrix on the monomials, diagonal by diagonal, on integers: for
+    t = 0..order (t = 0 alone, all zero, for the zero operator) and every
+    integer n with lo <= n < max(hi, order + 1), lo <= 0,
+
+        A lambda_(n+t)^[t] = sum_j C(n + t, j + t) A a_j^[j+t],
+
+    which is [x**n] A J(x**(n+t)) for n >= 0, and A lambda_poly(J, t) at
+    every n.  A is the lcm of the denominators of J's coefficients and
+    C(m, r) is an integer at every integer m (its product form), so each
+    value is one int sum.  The build always reaches 0..order, the values
+    classify's root screen reads."""
+    A = math.lcm(*(c.denominator for a in J.coeffs for c in a.coeffs))
+    hi = max(hi, J.order + 1)
+    rows = []
+    for t in range(max(J.order, 0) + 1):  # the zero operator's diagonal 0 is 0
+        terms = [
+            (j + t, c.numerator * (A // c.denominator))
+            for j in range(J.order - t + 1)
+            if (c := J.acoef(j, j + t))
+        ]
+        rows.append([sum(v * _binomial(n + t, r) for r, v in terms) for n in range(lo, hi)])
+    return Diagonals(A, lo, rows)
+
+
+def _binomial(m: int, r: int) -> int:
+    """C(m, r) = m (m - 1) ... (m - r + 1) / r! at any integer m, r >= 0."""
+    return math.comb(m, r) if m >= 0 else (-1) ** r * math.comb(r - m - 1, r)
+
+
 # -- classification --------------------------------------------------------
 
 
-def nonneg_integer_roots(q: Poly) -> list[int]:
-    """All nonnegative integer roots of q, exactly, up to the Cauchy bound.
+def nonneg_integer_roots(values: list) -> list[int]:
+    """All nonnegative integer roots, exactly, of the polynomial p of degree
+    at most m whose values at 0..m are the ints values (p.int_values gives
+    them for a rational p, at any positive scale).
 
-    q(n) is monotone where its forward difference q(n+1) - q(n) keeps one
-    sign, so the sign runs of q(n) follow from those of its differences by
-    bisection: O(deg**2 * log(bound)) evaluations, however large the bound.
-    q is first scaled to integers by the lcm of its denominators, which
-    keeps every sign, so each difference is an integer list,
-    [n**j] (p(n+1) - p(n)) = sum_(i > j) C(i, j) [n**i] p(n), evaluated by
+    The forward differences of the values give p in the binomial basis,
+    p(n) = sum_k (Delta**k p)(0) C(n, k), and so deg! p(n) on the
+    monomials, an integer list.  A polynomial q(n) is monotone where its
+    forward difference q(n+1) - q(n) keeps one sign, so the sign runs of
+    p(n) up to the Cauchy bound follow from those of its differences by
+    bisection: O(deg**2 * log(bound)) evaluations, however large the
+    bound.  Each difference is an integer list,
+    [n**j] (q(n+1) - q(n)) = sum_(i > j) C(i, j) [n**i] q(n), evaluated by
     integer_horner."""
-    if q.is_zero:
+    newton, diffs = [], list(values)
+    while diffs:
+        newton.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    while newton and not newton[-1]:
+        newton.pop()
+    if not newton:
         raise ValueError("zero polynomial vanishes everywhere")
-    if q.degree == 0:
+    deg = len(newton) - 1
+    if deg == 0:
         return []
-    den = math.lcm(*(c.denominator for c in q.coeffs))
-    cs = [c.numerator * (den // c.denominator) for c in q.coeffs]
+    cs = [0] * (deg + 1)  # deg! p on the monomials
+    falling = [1]  # n (n - 1) ... (n - k + 1)
+    for k, d in enumerate(newton):
+        w = d * (math.factorial(deg) // math.factorial(k))
+        for i, c in enumerate(falling):
+            cs[i] += w * c
+        falling = [0, *falling]
+        for i in range(len(falling) - 1):
+            falling[i] -= k * falling[i + 1]
     top = 1 + max(abs(c) // abs(cs[-1]) for c in cs)
-    tower = []  # q and its differences down to degree 1, highest coefficient first
+    tower = []  # p and its differences down to degree 1, highest coefficient first
     while len(cs) > 1:
         tower.append(cs[::-1])
         deg = len(cs) - 1
@@ -222,7 +285,7 @@ def nonneg_integer_roots(q: Poly) -> list[int]:
     return [n for a, e, s in runs if s == 0 for n in range(a, e + 1)]
 
 
-def classify(J: DiffOperator) -> dict:
+def classify(J: DiffOperator, diag: Diagonals | None = None) -> dict:
     """Decide isomorphism / derivative-like(k) / degenerate, as the JSON
     object the CLI prints: "class", then "k" (the derivative order of a
     lowering operator) and "witness" (the first failing index or condition
@@ -231,16 +294,20 @@ def classify(J: DiffOperator) -> dict:
     The diagonal sums (polynomial in n) are screened for nonnegative
     integer roots, which settles nonvanishing for all n at once; only the
     zero operator, which has no diagonal sum, is classified without it
-    (certified_all_n false).
+    (certified_all_n false).  The screen reads each sum's values at
+    0..order off diag, J's diagonals (a caller that has built them passes
+    them in), or off a build of its own.
     """
     if J.order < 0:
         return {"class": "degenerate", "witness": "zero operator", "certified_all_n": False}
+    if diag is None:
+        diag = diagonals(J, 0, J.order + 1)
 
-    lam0 = lambda_poly(J, 0)
-    if lam0.is_zero:
-        roots0 = None
-    else:
-        roots0 = nonneg_integer_roots(lam0)
+    def roots(t):  # None when diagonal t vanishes identically
+        values = [diag.at(t, n) for n in range(J.order + 1)]
+        return nonneg_integer_roots(values) if any(values) else None
+
+    roots0 = roots(0)
     if roots0 == []:
         return {"class": "isomorphism", "certified_all_n": True}
 
@@ -262,8 +329,7 @@ def classify(J: DiffOperator) -> dict:
                 "witness": f"coefficient {nu} has degree {J.a(nu).degree} > {nu - k}",
                 "certified_all_n": True,
             }
-    lamk = lambda_poly(J, k)
-    rootsk = None if lamk.is_zero else nonneg_integer_roots(lamk)
+    rootsk = roots(k)
     if rootsk == []:
         return {"class": "derivative-like", "k": k, "certified_all_n": True}
     witness = rootsk[0] if rootsk else 0

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .diffop import DiffOperator, classify, lambda_poly
+from .diffop import Diagonals, DiffOperator, classify, diagonals
 from .errors import (
     DiscriminantNonzero,
     EigenvalueCollision,
@@ -24,49 +24,44 @@ from .errors import (
 )
 from .polycore import Poly, rational_to_str, writable
 from .report import VerificationReport
-from .seqkit import (
-    MonicSequence,
-    RecurrenceTable,
-    _column_is,
-    generate,
-    operator_column,
-)
+from .seqkit import MonicSequence, RecurrenceTable, generate, operator_column
 
 
 # -- eigen-oracle ----------------------------------------------------------
 
 
-def _eigen_solver(J: DiffOperator, N: int):
-    """Set up the eigen-oracle for degrees up to N; return (solve, lam, E).
+def _eigen_solver(J: DiffOperator, N: int, diag: Optional[Diagonals] = None):
+    """Set up the eigen-oracle for degrees up to N; return (solve, lam, A).
 
     The setup runs once: it classifies J (the classification screens the
     diagonal sum for integer roots, so it settles every degree at once)
-    and evaluates the diagonals of J's matrix on the monomials,
+    and reads the diagonals of J's matrix on the monomials,
 
-        [x**i] J(x**(i + t)) = lambda_(i+t)^[t] = lambda_poly(J, t) at n = i,
+        [x**i] J(x**(i + t)) = lambda_(i+t)^[t],
 
-    for t = 0..order and i = 0..N (Poly.int_values), as ints over E, the lcm
-    of their denominators; lam is diagonal 0, E lambda_0..E lambda_N.
-    solve(n, depth) raises EigenvalueCollision(k, n) on its first read for
-    the first k < n with lambda_k = lambda_n; otherwise it yields
-    [x**(n - m)] P_n for m = 0..min(depth, n), top down (all n + 1 by
-    default), as int pairs (num, den), den > 0, from row i of E J(P) = E lambda_n P,
+    for t = 0..order and i = 0..N, as ints over A (diffop.diagonals), from
+    diag or from a build of its own; classify reads the same build.  lam
+    is diagonal 0, A lambda_0..A lambda_N.  solve(n, depth) raises
+    EigenvalueCollision(k, n) on its first read for the first k < n with
+    lambda_k = lambda_n; otherwise it yields [x**(n - m)] P_n for
+    m = 0..min(depth, n), top down (all n + 1 by default), as int pairs
+    (num, den), den > 0, from row i of A J(P) = A lambda_n P,
 
-        (E lambda_n - E lambda_i) c_i = sum_(t >= 1) E [x**i] J(x**(i + t)) * c_(i+t),
+        (A lambda_n - A lambda_i) c_i = sum_(t >= 1) A [x**i] J(x**(i + t)) * c_(i+t),
 
     over t <= order only, since [x**i] J(x**j) = 0 for j > i + order
     when deg a_v <= v.  Row i reads only the coefficients above it, so the
     top depth coefficients cost depth rows whatever n is.  The last order
     coefficients are ints over one den, times row i's pivot, then one gcd.
     """
-    tag = classify(J)["class"]
+    if diag is None:
+        diag = diagonals(J, 0, N + 1)
+    tag = classify(J, diag)["class"]
     if tag != "isomorphism":
         raise NotIsomorphism(f"operator classified as {tag}")
     order = J.order
-    diag = [lambda_poly(J, t).int_values(range(N + 1)) for t in range(order + 1)]
-    E = math.lcm(*(den for _, den in diag))
-    diag = [[v * (E // den) for v in ints] for ints, den in diag]
-    lam = diag[0]
+    rows = [row[-diag.lo :] for row in diag.rows]  # from i = 0
+    lam = rows[0][: N + 1]
     first: dict = {}
     for j, value in enumerate(lam):
         first.setdefault(value, j)
@@ -81,7 +76,7 @@ def _eigen_solver(J: DiffOperator, N: int):
             i = n - m
             num = 0
             for t in range(1, min(m, order) + 1):
-                num += diag[t][i] * window[-t]
+                num += rows[t][i] * window[-t]
             d = lam[n] - lam[i]
             if d < 0:
                 d, num = -d, -num
@@ -93,14 +88,14 @@ def _eigen_solver(J: DiffOperator, N: int):
                 window = [v // g for v in window]
             yield window[-1], den
 
-    return solve, lam, E
+    return solve, lam, diag.A
 
 
 def eigenpoly(J: DiffOperator, n: int) -> Poly:
     """The unique monic degree-n polynomial P with J(P) = lambda_n * P.
 
     Classifies J, evaluates the diagonals of J's matrix on the monomials
-    (lambda_poly(J, t) at 0..n, t <= order; lambda_0..lambda_n is the
+    (diffop.diagonals at 0..n, t <= order; lambda_0..lambda_n is the
     first), then solves the triangular system for the non-leading
     coefficients from the top down (_eigen_solver).  J does not raise
     degree, so the system is banded: row i involves only
@@ -134,9 +129,9 @@ def derive_recurrence(J: DiffOperator, N: int):
     three are ints over L, L q_k and L q_k q_(k-1): one Fraction each.
 
     The sequence Q of that table is then proved to be P to degree N + 1:
-    column n of J's matrix in Q's basis (operator_column) must be
-    lambda_n e_n for every n <= N + 1, compared by cross-multiplication
-    as in check_expansions.  The eigenvalues below each lambda_n
+    column n of J's matrix in Q's basis (operator_column, at the scale
+    (J.coeffs, A, 0)) must be {n: A lambda_n}, compared by == as in
+    check_expansions.  The eigenvalues below each lambda_n
     differ from it (the solver's collision screen), so the monic
     eigenpolynomial of each degree is unique and Q_n = P_n; Q's rows are
     P's, four-term by construction.  If column n is the first to fail,
@@ -145,14 +140,17 @@ def derive_recurrence(J: DiffOperator, N: int):
     the first row of P that is not four-term.  Write P_n - Q_n = sum_j r_j Q_j;
     then column n is lambda_n e_n + sum_j r_j (lambda_n - lambda_j) e_j, and
     lambda_j != lambda_n, so the first nonzero chi, chi_(n-2,j) = -r_j at the
-    smallest such j, is read off the column without building a polynomial.
+    smallest such j, is read off the column without building a polynomial:
+    entry j is A D**(n - j) (lambda_n - lambda_j) r_j, D Q's (weighted_rows).
 
-    Returns (RecurrenceTable, VerificationReport, Q, lam), lam the solver's
-    lambda_0..lambda_(N+1) (lambda_poly(J, 0) at 0..N + 1).  Q's column
+    Returns (RecurrenceTable, VerificationReport, Q, diag), diag J's
+    diagonals at -4 <= n <= N + 5 (diffop.diagonals), the one build that
+    classify, the solver and verify_expansions to N read.  Q's column
     cache already holds J's levels, so verify_expansions on Q reuses
     them.
     """
-    solve, lam, E = _eigen_solver(J, N + 1)
+    diag = diagonals(J, -4, N + 6)
+    solve, lam, A = _eigen_solver(J, N + 1, diag)
     T = []  # T[n] = (q_n, q_n T_n(1), q_n T_n(2), q_n T_n(3))
     for n in range(N + 2):
         top = list(solve(n, 3))[1:]
@@ -174,12 +172,12 @@ def derive_recurrence(J: DiffOperator, N: int):
             gamma.append(Fraction(gn, L * q * q0))
     rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
     seq = generate(rt, N + 1)
+    D = seq.weighted_rows[0]
     for n in range(N + 2):
-        col = operator_column(seq, J.coeffs, n)
-        if not _column_is(col, {n: _Ratio(lam[n], E)}):
-            vec, den = col
-            j = min(vec.keys() - {n})
-            chi = Fraction(vec[j] * E, den * (lam[j] - lam[n]))
+        col = operator_column(seq, (J.coeffs, A, 0), n)
+        if col != {n: lam[n]}:
+            j = min(col.keys() - {n})
+            chi = Fraction(col[j], D ** (n - j) * (lam[j] - lam[n]))
             raise NotTwoOrthogonal(
                 f"chi_({n - 2},{j}) = {rational_to_str(chi)} != 0", n=n - 2, nu=j
             )
@@ -190,7 +188,7 @@ def derive_recurrence(J: DiffOperator, N: int):
         if g == 0:
             raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
     report.record("gamma-nonvanishing", (1, N - 1), True)
-    return rt, report, seq, [Fraction(v, E) for v in lam]
+    return rt, report, seq, diag
 
 
 # -- closed-form families --------------------------------------------------
@@ -381,50 +379,44 @@ class _Tables:
 # -- expansion verification ------------------------------------------------
 
 
-def check_expansions(report: VerificationReport, seq: MonicSequence, ns, identities):
+def check_expansions(
+    report: VerificationReport, seq: MonicSequence, ns, A: int, identities
+):
     """Check displayed expansions L(P_(n+s)) = sum_j c_j P_j exactly.
 
-    identities lists (name, L, s, band), where band(n) gives the (j, c_j)
-    of the right-hand side, each c_j a rational read through .numerator
-    and .denominator (an int, a Fraction or an unreduced _Ratio); terms
-    with j < 0 (P_(-i) = 0) or c_j = 0 are left out.  Records one entry
-    per n in ns and identity, n outermost.
+    identities lists (name, L, e, s, band): L's columns are read at the
+    scale key (L.coeffs, A, e) (operator_column), so entry j of column
+    n + s is A D**(n + s + e - j) times L's matrix entry, D the sequence's,
+    and band(n) gives the (j, c_j) of the right-hand side at that same
+    scale, each c_j an int or a Fraction; terms with j < 0 (P_(-i) = 0) or
+    c_j = 0 are left out.  Records one entry per n in ns and identity, n
+    outermost.
 
     Basis expansions are unique, so the identity holds exactly when the
-    band, summed per j, equals column n + s of L's matrix (operator_column),
-    entries outside the band included.  The column is an integer vector
-    over one denominator, so the comparison is on key sets and, per entry,
-    vec[j] * c_j.denominator == c_j.numerator * den; a sum of two terms at
-    one j is formed the same way, as an unreduced pair.  Only a failing
-    column builds L(P_(n+s)) and the right-hand side as polynomials, for
+    band, summed per j, equals the column, entries outside the band
+    included: one ==, no gcd.  Only a failing column builds L(P_(n+s)) and
+    the right-hand side as polynomials, each c_j divided by its scale, for
     the witness.
     """
     for n in ns:
-        for name, L, s, band in identities:
-            terms = [(j, c) for j, c in band(n) if j >= 0 and c.numerator]
+        for name, L, e, s, band in identities:
+            terms = [(j, c) for j, c in band(n) if j >= 0 and c]
             expected: dict = {}
             for j, c in terms:
-                if j in expected:
-                    e = expected[j]
-                    c = _Ratio(
-                        e.numerator * c.denominator + c.numerator * e.denominator,
-                        e.denominator * c.denominator,
-                    )
-                expected[j] = c
-            if _column_is(
-                operator_column(seq, L.coeffs, n + s),
-                {j: c for j, c in expected.items() if c.numerator},
-            ):
+                expected[j] = expected[j] + c if j in expected else c
+            column = operator_column(seq, (L.coeffs, A, e), n + s)
+            if column == {j: c for j, c in expected.items() if c}:
                 report.record(name, n, True)
                 continue
+            D = Fraction(seq.weighted_rows[0])
             rhs = Poly.zero()
             for j, c in terms:
-                rhs = rhs + seq[j].scale(Fraction(c.numerator, c.denominator))
+                rhs = rhs + seq[j].scale(c / (A * D ** (n + s + e - j)))
             report.check(name, n, L.apply(seq[n + s]), rhs)
 
 
 def verify_expansions(
-    J: DiffOperator, seq: MonicSequence, N: int
+    J: DiffOperator, seq: MonicSequence, N: int, diag: Optional[Diagonals] = None
 ) -> VerificationReport:
     """Verify the shifted-operator basis expansions exactly.
 
@@ -435,56 +427,59 @@ def verify_expansions(
     images), and the differential relations of the family J belongs to,
     if any, on the four-term sequence seq.  seq reaching a degree below
     N + 5 is a ValueError, as is a wider row (_integer_view).  The bands
-    read seq's rows 0..N + 4 and lambda_n for -4 <= n <= N + 5.
+    read seq's rows 0..N + 4 and lambda_n for -4 <= n <= N + 5, from diag,
+    J's diagonals (derive_recurrence's reach that far), or from a build of
+    its own.
 
     Every band is evaluated once, on the integer view of seq and lambda
-    (_integer_view): with D the lcm of seq's row denominators
-    (seq.integer_rows) and L that of lambda's coefficients,
-    beta~ = D beta, alpha~ = D**2 alpha, gamma~ = D**3 gamma and
-    lambda~ = L lambda.  The view is the table of D**n P_n(x/D), the
-    sequence x Q_n = Q_(n+1) + beta~_n Q_n + alpha~_n Q_(n-1) + gamma~_n Q_(n-2),
-    under the operator L J, whose eigenvalues are lambda~.  Every displayed
+    (_integer_view): with D seq's (weighted_rows) and A the lcm of the
+    denominators of J's coefficients, beta~ = D beta, alpha~ = D**2 alpha,
+    gamma~ = D**3 gamma and lambda~ = A lambda.  The view is the table of
+    D**n P_n(x/D), the sequence
+    x Q_n = Q_(n+1) + beta~_n Q_n + alpha~_n Q_(n-1) + gamma~_n Q_(n-2),
+    under the operator A J, whose eigenvalues are lambda~.  Every displayed
     shift entry is linear in lambda and weighted-homogeneous, with x-weight
     1 for beta, 2 for alpha and 3 for gamma, so entry j of the shift-k band
-    of P_m comes out as exactly L D**(m + k - j) times its rational value
-    (m = n for shifts 1 and 2, m = n + 2 for shift 3).  The initial images
-    are linear in a_3 instead; read with a_i^[3] as A D**(3 - i) a_i^[3], A
-    the lcm of their denominators, entry j of J^(3)(P_n) is A D**(n + 3 - j)
-    times its value.  Each entry goes to check_expansions as that unreduced
-    pair, which the column check cross-multiplies: no gcd is taken, and a
-    Fraction is built only for a failing column's witness.  J^(3)(P_1) has
-    a_4's term too, so its displayed image is checked for J.order <= 3 only.
+    of P_m comes out as exactly A D**(m + k - j) times its rational value
+    (m = n for shifts 1 and 2, m = n + 2 for shift 3): the scale of J^(k)'s
+    column m at the key (J.coeffs[k:], A, k).  The initial images are
+    linear in a_3 instead; read with a_i^[3] as A D**(3 - i) a_i^[3],
+    entry j of J^(3)(P_n) is A D**(n + 3 - j) times its value, the same
+    scale.  So each band is compared with its column as it comes out.  The
+    family relations' bands are Fractions; each entry is multiplied by its
+    scale, one product.  J^(3)(P_1) has a_4's term too, so its displayed
+    image is checked for J.order <= 3 only.
     """
     if seq.N < N + 5:
         raise ValueError(
             f"verify_expansions to N = {N} needs the sequence to degree {N + 5}; "
             f"it stops at {seq.N}"
         )
-    t, D, L = _integer_view(seq, J, N)
-    scales = [L * D**w for w in range(10)]  # L D**w; a band's weights are 0..9
-
-    def unscaled(band, top):  # band's entry j at n has weight n + top - j
-        return lambda n: [(j, _Ratio(v, scales[n + top - j])) for j, v in band(n)]
-
+    if diag is None:
+        diag = diagonals(J, -4, N + 6)
+    A = diag.A
+    t, D = _integer_view(seq, diag, N)
     shift1, shift2, shift3 = _shift_bands(t)
     J3 = J.shifted(3)
     shifts = [
-        ("shift1-expansion", J.shifted(1), 0, unscaled(shift1, 1)),
-        ("shift2-expansion", J.shifted(2), 0, unscaled(shift2, 2)),
-        ("shift3-expansion", J3, 2, unscaled(shift3, 5)),
+        ("shift1-expansion", J.shifted(1), 1, 0, shift1),
+        ("shift2-expansion", J.shifted(2), 2, 0, shift2),
+        ("shift3-expansion", J3, 3, 2, shift3),
     ]
     report = VerificationReport()
-    check_expansions(report, seq, range(N + 1), shifts)
+    check_expansions(report, seq, range(N + 1), A, shifts)
     a3 = [J.acoef(i, 3) for i in range(4)]
-    A = math.lcm(*(c.denominator for c in a3))
     a3 = [c.numerator * (A // c.denominator) * D ** (3 - i) for i, c in enumerate(a3)]
-    initial = {
-        n: [(j, _Ratio(v, A * D ** (n + 3 - j))) for j, v in band]
-        for n, band in _shift3_initial(t, a3).items()
-    }
+    initial = _shift3_initial(t, a3)
     ns = (0, 1) if J.order <= 3 else (0,)
-    check_expansions(report, seq, ns, [("shift3-initial", J3, 0, initial.get)])
-    check_expansions(report, seq, range(N + 1), _family_identities(J))
+    check_expansions(report, seq, ns, A, [("shift3-initial", J3, 3, 0, initial.get)])
+    scales = [A * D**w for w in range(6)]  # a relation's weights are 0..5
+
+    def scaled(band, e):  # band's entry j at n has weight n + e - j
+        return lambda n: [(j, c * scales[n + e - j]) for j, c in band(n)]
+
+    family = [(name, L, e, s, scaled(band, e)) for name, L, e, s, band in _family_identities(J)]
+    check_expansions(report, seq, range(N + 1), A, family)
     return report
 
 
@@ -600,44 +595,34 @@ def _shift_bands(t: _Tables) -> tuple:
     return shift1, shift2, shift3
 
 
-def _integer_view(seq: MonicSequence, J: DiffOperator, N: int) -> tuple:
-    """(t, D, L): the _Tables t over the integer view of seq's rows 0..N + 4
+def _integer_view(seq: MonicSequence, diag: Diagonals, N: int) -> tuple:
+    """(t, D): the _Tables t over the integer view of seq's rows 0..N + 4
     and of J's eigenvalues lambda_(-4)..lambda_(N+5), all that the bands of
     verify_expansions to N read,
 
         beta~_k = D beta_k,  alpha~_k = D**2 alpha_k,  gamma~_k = D**3 gamma_k,
-        lambda~_n = L lambda_n,
+        lambda~_n = A lambda_n,
 
-    with (D, rows) = seq.integer_rows, beta_k row k's entry at k, alpha_k
-    row k's at k - 1 and gamma_k row k + 1's at k - 1, and (lambda~, L) =
-    lambda_poly(J, 0).int_values.  Each value is formed once, and each
-    accessor reads 0 below the first index (the P_(-i) = 0 convention).
-    A row with an entry below k - 2 is a ValueError: the bands are d = 2's.
+    with (D, rows) = seq.weighted_rows, beta~_k row k's entry at k,
+    alpha~_k row k's at k - 1 and gamma~_k row k + 1's at k - 1, and
+    lambda~ diagonal 0 of diag, J's diagonals over A.  Each accessor reads
+    0 below the first index (the P_(-i) = 0 convention).  A row with an
+    entry below k - 2 is a ValueError: the bands are d = 2's.
     """
-    D, rows = seq.integer_rows
+    D, rows = seq.weighted_rows
     rows = [dict(row) for row in rows[: N + 5]]
     for k, row in enumerate(rows):
         if min(row, default=k) < k - 2:
             raise ValueError(f"x*P_{k} reaches P_{min(row)}: the bands are d = 2's")
-    lams, L = lambda_poly(J, 0).int_values(range(-4, N + 6))
     beta = [row.get(k, 0) for k, row in enumerate(rows)]
-    alpha = [D * row.get(k - 1, 0) for k, row in enumerate(rows)]
-    gamma = [D * D * rows[k + 1].get(k - 1, 0) for k in range(len(rows) - 1)]
+    alpha = [row.get(k - 1, 0) for k, row in enumerate(rows)]
+    gamma = [rows[k + 1].get(k - 1, 0) for k in range(len(rows) - 1)]
 
     def reader(values):
         return lambda k: values[k] if k >= 0 else 0
 
-    lam = dict(zip(range(-4, N + 6), lams)).__getitem__
-    return _Tables(reader(beta), reader(alpha), reader(gamma), lam), D, L
-
-
-class _Ratio(NamedTuple):
-    """numerator / denominator with denominator > 0, not reduced: a band
-    coefficient read, as an int or a Fraction is, through these two names,
-    formed without a gcd."""
-
-    numerator: int
-    denominator: int
+    lam = {n: diag.at(0, n) for n in range(-4, N + 6)}.__getitem__
+    return _Tables(reader(beta), reader(alpha), reader(gamma), lam), D
 
 
 def _shift3_initial(t: _Tables, a3) -> dict:
@@ -696,7 +681,9 @@ def _shift3_initial(t: _Tables, a3) -> dict:
 def _family_identities(J: DiffOperator) -> list:
     """The displayed differential relations of the family J belongs to, if
     J is corollary 4.2's operator or a case 1 operator (a_1 linear, a_2 and
-    a_3 constant)."""
+    a_3 constant), as check_expansions' (name, L, e, s, band) with each band
+    in Fractions.  e is the scale exponent of L's columns: L's coefficients
+    are J^(e)'s where they coincide, so the two share their columns."""
     if J.order != 3:
         return []
     if J.a(1).degree == 1 and J.a(2).degree <= 0 and J.a(3).degree == 0:
@@ -715,8 +702,8 @@ def _family_identities(J: DiffOperator) -> list:
             ]
 
         return [
-            ("case1-second-order", L, 0, second_order),
-            ("case1-appell-derivative", D, 0, lambda n: [(n - 1, n)]),
+            ("case1-second-order", L, 1, 0, second_order),  # L is J^(1)
+            ("case1-appell-derivative", D, 0, 0, lambda n: [(n - 1, n)]),
         ]
     if J == corollary42_operator(J.acoef(0, 0)):
         sq = Poly([1, -2, 1])  # (x-1)^2
@@ -770,8 +757,8 @@ def _family_identities(J: DiffOperator) -> list:
             ]
 
         return [
-            ("corollary-second-order", L1, 0, second_order),
-            ("corollary-first-order", L2, 0, first_order),
+            ("corollary-second-order", L1, 1, 0, second_order),
+            ("corollary-first-order", L2, 2, 0, first_order),  # L2 is J^(2)
         ]
     return []
 

@@ -22,14 +22,15 @@ sigma_nu(m, n) = <u_nu, P_m P_n> follow from the mixed-moment recurrence
 which is exact by the delta-duality definition of the dual sequence and
 forms no polynomial product.
 
-Both loops, like the column kernel (operator_column), run on integers
-(fraction-free, as in Bareiss's elimination).  The rows are scaled by D,
-the lcm of their denominators, so each c_(k,j) is the integer c_(k,j) D
-over D.  The expansion of x**n is one integer vector over one
-denominator, and sigma_nu(m, .) = S_m / den_m with S_m an integer list.
-Each step divides the new vector and its denominator by their one gcd,
-which leaves the denominator equal to the lcm of the reduced values'
-denominators.
+Both loops run on integers (fraction-free, as in Bareiss's elimination).
+The rows are scaled by D, the lcm of their denominators, so each c_(k,j)
+is the integer c_(k,j) D over D.  The expansion of x**n is one integer
+vector over one denominator, and sigma_nu(m, .) = S_m / den_m with S_m an
+integer list.  Each step divides the new vector and its denominator by
+their one gcd, which leaves the denominator equal to the lcm of the
+reduced values' denominators.  The column kernel (operator_column) takes
+the idea to its end: on the weighted rows D**(k + 1 - j) c_(k,j) every
+quantity it forms carries a known power of D, so it divides nothing.
 
 A banded sequence needs no pairing.  When row k has no entry below k - d,
 x**k P_n has no component below P_(n - k d), so sigma_nu(m, n) = 0 for
@@ -179,15 +180,16 @@ class MonicSequence:
 
     integer_rows is the integer view of the x-rows, (D, rows) as
     _integer_rows gives it, computed on its first read and kept; the
-    moment, pairing and column kernels all read it.
+    moment, pairing and derivative kernels read it.  weighted_rows is the
+    weighted view the column kernel and the bands read, (D, rows) with row
+    k's (j, c_(k,j)) as (j, D**(k + 1 - j) c_(k,j)): the x-rows of
+    D**n P_n(x/D), integers since k + 1 - j >= 1.
 
     columns caches operator-matrix columns over this sequence's x-rows,
-    keyed by coefficient tuple; operator_column fills it,
-    start_columns_from may start it from another sequence's, and it lives
-    as long as the sequence.  A column is a pair (vec, den): vec maps
-    j to a nonzero int, den > 0 and gcd(den, *vec.values()) == 1, so entry
-    j is vec[j] / den and each rational column has one such pair, whatever
-    D the integer view has.
+    keyed by the scale key (coeffs, A, e) operator_column reads them at;
+    operator_column fills it, start_columns_from may start it from another
+    sequence's, and it lives as long as the sequence.  A column is a dict
+    j -> nonzero int, at a scale set by the key and D.
     """
 
     def __init__(self, x_rows: Sequence):
@@ -219,17 +221,36 @@ class MonicSequence:
     def integer_rows(self) -> tuple:
         return _integer_rows(self.x_rows)
 
+    @functools.cached_property
+    def weighted_rows(self) -> tuple:
+        D, rows = self.integer_rows
+        powers = [1]  # D**(k - j) up to the widest row
+        for _ in range(max((k - row[0][0] for k, row in enumerate(rows) if row), default=0)):
+            powers.append(powers[-1] * D)
+        return D, tuple(
+            tuple((j, c * powers[k - j]) for j, c in row) for k, row in enumerate(rows)
+        )
+
     def start_columns_from(self, other: "MonicSequence") -> None:
         """Start the column cache from other's when this sequence's x-rows
-        begin with all of other's; otherwise do nothing.
+        begin with all of other's and the two have the same D; otherwise do
+        nothing.
 
         Each of other's cached columns read only other's rows, so it is
-        also this sequence's.  Sharing is all or nothing: if any of other's
-        rows differs, this sequence computes all of its own columns.  Each
-        key gets a new list holding the same column pairs (operator_column
-        never changes a cached column), so the two caches then grow apart.
+        also this sequence's, at the same scale when D is the same.  More
+        rows can bring new denominators, so D can grow past other's (case
+        1 with parameters [1/3, 1/2, -2/3, 3/4, 5/4] at N = 0: D is 4 on
+        the oracle's one row and 16 on the closed form's); then nothing is
+        shared.  Sharing is all
+        or nothing: if any of other's rows differs, this sequence computes
+        all of its own columns.  Each key gets a new list holding the same
+        columns (operator_column never changes a cached column), so the two
+        caches then grow apart.
         """
-        if self.x_rows[: other.N] == other.x_rows:
+        if (
+            self.x_rows[: other.N] == other.x_rows
+            and self.integer_rows[0] == other.integer_rows[0]
+        ):
             self.columns = {key: list(cols) for key, cols in other.columns.items()}
 
 
@@ -295,91 +316,81 @@ def _integer_rows(x_rows) -> tuple:
     )
 
 
-def operator_column(seq: MonicSequence, coeffs: tuple, n: int) -> tuple:
-    """Column n of the matrix of the operator L with coefficient polynomials
-    coeffs, in the sequence's basis, from its x-rows alone: the pair
-    (vec, den) with L(P_n) = sum_j (vec[j] / den) P_j, vec holding only
-    nonzero ints, den > 0 and gcd(den, *vec.values()) == 1.
+def operator_column(seq: MonicSequence, key: tuple, n: int) -> dict:
+    """Column n of the matrix of the operator L in the sequence's basis, at
+    the scale key = (coeffs, A, e) sets: coeffs are L's coefficient
+    polynomials, and with L(P_n) = sum_j l_(j,n) P_j and D the sequence's
+    (weighted_rows), the column maps each j with l_(j,n) != 0 to the int
+    A D**(n + e - j) l_(j,n).  Every entry is an integer when A coeffs[v]
+    has integer coefficients and deg coeffs[v] <= e + v for every v
+    (column 0 raises ValueError otherwise); L(P_n) has degree at most
+    n + e then, so every power of D is nonnegative.
 
-    Level i of L has coefficients coeffs[i:], so level i of J is J.shifted(i).
-    The rule L^(i)(x p) = L^(i+1)(p) + x L^(i)(p) and the x-row of P_n give
-    each level's matrix column by column,
+    Level i of L has coefficients coeffs[i:] and is kept at the key
+    (coeffs[i:], A, e + i), so level i of J at (J.coeffs, A, 0) is
+    J.shifted(i) at its own key (J.coeffs[i:], A, i).  The rule
+    L^(i)(x p) = L^(i+1)(p) + x L^(i)(p) and the x-row of P_n give each
+    level's matrix column by column; over the weighted rows c~_(k,j) =
+    D**(k + 1 - j) c_(k,j) every term lands at its scale with no division,
 
-        column 0      = b_i(X) e_0
-        column n + 1  = X col_n + (column n of level i + 1)
-                        - sum_((k, c) in row n) c col_k,
+        column 0      = sum_l A D**(e - l) b_l X~**l e_0     (Horner)
+        column n + 1  = X~ col_n + (column n of level i + 1)
+                        - sum_((k, c~) in row n) c~ col_k,
 
-    where X is multiplication by x and the level past the order is zero.
-    The recursion runs on the sequence's integer rows (seq.integer_rows),
-    each c_(k,j) as the integer c_(k,j) D over D, fraction-free: X col_n
-    lies over den_n D, the upper column over its own den and c col_k over
-    D den_k, so column n + 1 is summed in integers over the lcm of those
-    denominators and then divided by its one gcd with them.  That
-    reduction leaves den the lcm of the entries' reduced denominators, so
-    the pair does not depend on D.  Columns are cached on the sequence
-    by coefficient tail, so J, J^(1), J^(2) and J^(3) share four levels.
+    b_l the coefficients of coeffs[0], X~ e_j = e_(j+1) + sum_k c~_(j,k) e_k,
+    and the level past the order zero.  The upper column carries no factor:
+    its key's e is one more.  Columns are cached on the sequence by key, so
+    J, J^(1), J^(2) and J^(3) share four levels.
     """
-    cols = seq.columns.setdefault(coeffs, [])
-    D, rows = seq.integer_rows
+    cols = seq.columns.setdefault(key, [])
+    if n < len(cols):
+        return cols[n]
+    coeffs, A, e = key
+    rows = seq.weighted_rows[1]
     while len(cols) <= n:
         m = len(cols)
         if m == 0:
-            vec, den = {}, 1
-            for c in reversed(coeffs[0].coeffs if coeffs else ()):  # Horner
-                out: dict = {}
-                common = math.lcm(den * D, c.denominator)
-                _add_times_x(out, vec, rows, D, common // (den * D))
-                out[0] = out.get(0, 0) + c.numerator * (common // c.denominator)
-                vec, den = _reduced(out, common)
+            D = seq.weighted_rows[0]
+            out: dict = {}
+            b = coeffs[0].coeffs if coeffs else ()
+            for l in range(len(b) - 1, -1, -1):  # Horner
+                out = _times_x(out, rows)
+                if b[l]:
+                    v, r = divmod(A * b[l].numerator, b[l].denominator)
+                    if r or l > e:
+                        raise ValueError(f"no integer column at the scale A = {A}, e = {e}")
+                    out[0] = out.get(0, 0) + v * D ** (e - l)
         else:
-            prev, prev_den = cols[m - 1]
-            upper, upper_den = (
-                operator_column(seq, coeffs[1:], m - 1) if len(coeffs) > 1 else ({}, 1)
-            )
-            lower = [(cols[k], c) for k, c in rows[m - 1]]
-            common = D * math.lcm(prev_den, *(k_den for (_, k_den), _ in lower))
-            common = math.lcm(common, upper_den)
-            out = {}
-            _add_times_x(out, prev, rows, D, common // (prev_den * D))
-            s = common // upper_den
-            for j, v in upper.items():
-                out[j] = out.get(j, 0) + s * v
-            for (col, k_den), c in lower:
-                s = c * (common // (D * k_den))
-                for j, v in col.items():
-                    out[j] = out.get(j, 0) - s * v
-            vec, den = _reduced(out, common)
-        cols.append((vec, den))
+            out = _times_x(cols[m - 1], rows)
+            if len(coeffs) > 1:
+                for j, v in operator_column(seq, (coeffs[1:], A, e + 1), m - 1).items():
+                    out[j] = out.get(j, 0) + v
+            for k, c in rows[m - 1]:
+                for j, v in cols[k].items():
+                    out[j] = out.get(j, 0) - c * v
+        cols.append({j: v for j, v in out.items() if v})
     return cols[n]
 
 
-def _add_times_x(out: dict, vec: dict, rows, D: int, s: int) -> None:
-    """out += s D X vec over integer rows scaled by D: each e_j of vec
-    becomes D e_(j+1) + sum_((k, c) in rows[j]) c e_k."""
+def _times_x(vec: dict, rows) -> dict:
+    """X~ vec over the weighted rows: each e_j of vec becomes
+    e_(j+1) + sum_((k, c~) in rows[j]) c~ e_k."""
+    out: dict = {}
     for j, v in vec.items():
-        v *= s
-        out[j + 1] = out.get(j + 1, 0) + v * D
+        out[j + 1] = out.get(j + 1, 0) + v
         for k, c in rows[j]:
             out[k] = out.get(k, 0) + c * v
+    return out
 
 
 def _reduced(out: dict, den: int) -> tuple:
-    """The column (vec, den) of out / den: zeros dropped, one gcd divided out."""
+    """The pair (vec, den) of out / den: zeros dropped, one gcd divided out."""
     vec = {j: v for j, v in out.items() if v}
     g = math.gcd(den, *vec.values())
     if g > 1:
         den //= g
         vec = {j: v // g for j, v in vec.items()}
     return vec, den
-
-
-def _column_is(column: tuple, expected: dict) -> bool:
-    """Whether the column (vec, den) equals expected, a dict j -> nonzero
-    rational, compared by cross-multiplication: no Fraction is formed."""
-    vec, den = column
-    return vec.keys() == expected.keys() and all(
-        v * expected[j].denominator == expected[j].numerator * den for j, v in vec.items()
-    )
 
 
 def dual_moments(seq: MonicSequence, d: int) -> list:
@@ -576,7 +587,7 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
 
         x Q_(k-1) - Q_k = (S_k - A_k) / (k+1),   F_k = (S_k + k A_k) / (k+1).
 
-    It runs on seq.integer_rows, fraction-free as in operator_column: each
+    It runs on seq.integer_rows, fraction-free as the moment kernels: each
     F_k and row of Q is an int dict over one denominator, the lcm M of those
     it reads, reduced by one gcd (_reduced); Fractions come at the end.
     """

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -710,11 +711,69 @@ class TestSharedColumns:
         rt = table_factory(self.N + 5)
         fresh = seqkit.generate(rt, self.N + 5)
         reference = eigenfam.verify_expansions(J, fresh, self.N)
-        eigen = [("eigen-identity", J, 0, lambda n: [(n, lambda_at(J, 0, n))])]
-        eigenfam.check_expansions(reference, fresh, range(self.N + 1), eigen)
+        # the eigen identity's band at its column's scale: A lambda_n, A the
+        # lcm of the denominators of J's coefficients
+        A = math.lcm(*(c.denominator for a in J.coeffs for c in a.coeffs))
+        eigen = [("eigen-identity", J, 0, 0, lambda n: [(n, A * lambda_at(J, 0, n))])]
+        eigenfam.check_expansions(reference, fresh, range(self.N + 1), A, eigen)
         expected = reference.to_json()["entries"]
         assert entries[: len(expected)] == expected
         assert entries[len(expected)]["identity"] == "beta-match"
+
+
+class TestSharingAcrossD:
+    """At small N the closed-form sequence's D is a strict multiple of the
+    oracle's (its rows past the oracle's bring new denominators), so the
+    column scale A D**(n + e - j) differs and no column is shared; the
+    output is that of a run that never shares.  Every run passes, and a
+    column compared at the wrong scale would fall back to the polynomial
+    check (which passes too), so no operator may be applied either."""
+
+    PARAMS = {
+        "case1": '["1/3","1/2","-2/3","3/4","5/4"]',  # D 4 vs 16 at N = 0
+        "case2": '["1/3","1/2","-2/3","3/4","-3/2","3/4"]',  # D 4 vs 256 at N = 0, 1
+    }
+
+    @pytest.mark.parametrize("family", sorted(PARAMS))
+    @pytest.mark.parametrize("N", range(4))
+    def test_output_equals_the_unshared_run(self, monkeypatch, capsys, family, N):
+        argv = ["verify", "--family", family, "--params", self.PARAMS[family]]
+        argv += ["-N", str(N), "-M", "2"]
+        applied = []
+        apply = diffop.DiffOperator.apply
+        monkeypatch.setattr(
+            diffop.DiffOperator, "apply", lambda L, p: applied.append(L) or apply(L, p)
+        )
+        assert cli.main(argv) == cli.EXIT_OK
+        shared = capsys.readouterr()
+        assert applied == []
+        monkeypatch.setattr(seqkit.MonicSequence, "start_columns_from", lambda seq, other: None)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr() == shared
+
+
+class TestDeriveFailureText:
+    """A failing derive run names its first nonzero chi, read off the
+    failing column at its scale, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "a, N, err",
+        [
+            # a_3 = x: no 2-orthogonal eigenfamily
+            ([["1"], ["0", "1"], [], ["0", "1"]], 10, "chi_(3,1) = 1/4 != 0"),
+            # an order-4 operator with rational entries
+            (
+                [["1"], ["1/2", "1/3"], ["1/5"], ["1/7"], ["0", "0", "0", "0", "1/11"]],
+                6,
+                "chi_(2,0) = -17973/131600 != 0",
+            ),
+        ],
+    )
+    def test_stderr_names_the_first_chi(self, tmp_path, capsys, a, N, err):
+        path = tmp_path / "operator.json"
+        path.write_text(json.dumps({"a": a}))
+        assert cli.main(["verify", "--operator", str(path), "-N", str(N)]) == cli.EXIT_FAIL
+        assert capsys.readouterr() == ("", f"verification failure: {err}\n")
 
 
 class TestAppell:

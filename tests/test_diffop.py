@@ -240,19 +240,27 @@ class TestNonnegIntegerRoots:
         for r in roots:
             q = q * Poly([-r, 1])
         q = q * Poly([*extra, 1])
+        # the screen reads q's values at 0..deg q, as ints at one scale
+        values = q.int_values(range(q.degree + 1))[0]
         if q.degree == 0:
-            assert nonneg_integer_roots(q) == []
+            assert nonneg_integer_roots(values) == []
             return
         lead = q.leading_coefficient
         top = int(1 + max(abs(c / lead) for c in q.coeffs))
-        assert nonneg_integer_roots(q) == [n for n in range(top + 1) if q(n) == 0]
+        assert nonneg_integer_roots(values) == [n for n in range(top + 1) if q(n) == 0]
 
     def test_huge_cauchy_bound(self):
         # roots near 10**40 and a tiny leading coefficient: trial up to the
         # bound would never end
         a = 10**40
-        assert nonneg_integer_roots(Poly([-a * (a + 7), 2 * a + 7, -1])) == [a, a + 7]
-        assert nonneg_integer_roots(Poly([3, -1, Fraction(1, 10**99)])) == []
+        q = Poly([-a * (a + 7), 2 * a + 7, -1])
+        assert nonneg_integer_roots(q.int_values(range(3))[0]) == [a, a + 7]
+        q = Poly([3, -1, Fraction(1, 10**99)])
+        assert nonneg_integer_roots(q.int_values(range(3))[0]) == []
+        # values past the degree add nothing
+        assert nonneg_integer_roots([0, 1, 2, 3, 4]) == [0]
+        with pytest.raises(ValueError):
+            nonneg_integer_roots([0, 0, 0])
 
     def test_operator_with_huge_coefficients_classifies(self):
         J = DiffOperator([Poly([10**80]), Poly([0, -3]), Poly([-2, -2, -2])])

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from dortho.errors import (
     NotTwoOrthogonal,
     ZeroParameter,
 )
+from dortho import diffop
 from dortho.diffop import classify, from_action, lambda_at, lambda_poly
 
 from conftest import operators, small_rationals
@@ -53,6 +55,12 @@ LINEAR_CUBIC = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])
 TWO_CHI = DiffOperator([Poly.one(), Poly([2, 1]), Poly([0, -2]), Poly([1, 1])])
 # operators whose eigenpolynomials are 2-orthogonal: derive_recurrence passes
 FAMILY_OPERATORS = [CASE1, CASE2, corollary42_operator(1)]
+
+
+def lcm_denominator(J):
+    """A, the lcm of the denominators of J's coefficients: J's columns and
+    diagonals are kept over it."""
+    return math.lcm(*(c.denominator for a in J.coeffs for c in a.coeffs))
 
 
 class TestEigenpoly:
@@ -173,21 +181,36 @@ class TestSharedState:
 
     @staticmethod
     def count_columns(monkeypatch):
-        """(sequence, coefficient tail, n) of each column computed.  The
-        wrapper goes where seqkit's recursion looks operator_column up and
-        where eigenfam, which imports it, does."""
+        """(sequence, scale key, n) of each column computed, the key
+        (coefficient tail, A, e).  The wrapper goes where seqkit's recursion
+        looks operator_column up and where eigenfam, which imports it, does."""
         computed = []
         column = seqkit.operator_column
 
-        def counted(seq, coeffs, n):
-            before = len(seq.columns.get(coeffs, ()))
-            out = column(seq, coeffs, n)
-            computed.extend((seq, coeffs, m) for m in range(before, len(seq.columns[coeffs])))
+        def counted(seq, key, n):
+            before = len(seq.columns.get(key, ()))
+            out = column(seq, key, n)
+            computed.extend((seq, key, m) for m in range(before, len(seq.columns[key])))
             return out
 
         monkeypatch.setattr(seqkit, "operator_column", counted)
         monkeypatch.setattr(eigenfam, "operator_column", counted)
         return computed
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """(J, lo, hi) of each build of J's diagonals (diffop.diagonals),
+        wherever it is looked up: in diffop (classify) and in eigenfam."""
+        built = []
+        build = diffop.diagonals
+
+        def counted(J, lo, hi):
+            built.append((J, lo, hi))
+            return build(J, lo, hi)
+
+        monkeypatch.setattr(diffop, "diagonals", counted)
+        monkeypatch.setattr(eigenfam, "diagonals", counted)
+        return built
 
     def test_eigen_sequence_classifies_once(self, monkeypatch):
         # the solve reads only the diagonals of J's matrix, so no image
@@ -215,11 +238,11 @@ class TestSharedState:
             assert cli.main(argv) == cli.EXIT_OK
             assert len(classified) == 1
             assert imaged == []
-            keys = [(coeffs, m) for _, coeffs, m in computed]
+            keys = [(key, m) for _, key, m in computed]
             assert len(keys) == len(set(keys))
             # derive_recurrence(J, 17) checks J's columns to 18, so J^(1)'s to
             # 17; verify_expansions alone reads J^(1) only to column 12
-            assert (J.coeffs[1:], 17) in keys
+            assert ((J.coeffs[1:], lcm_denominator(J), 1), 17) in keys
 
     @pytest.mark.parametrize(
         "family, params",
@@ -246,54 +269,48 @@ class TestSharedState:
         if params is not None:
             argv += ["--params", params]
         assert cli.main(argv) == cli.EXIT_OK
-        keys = [(coeffs, m) for _, coeffs, m in computed]
+        keys = [(key, m) for _, key, m in computed]
         assert len(keys) == len(set(keys))
         assert len({id(seq) for seq, _, _ in computed}) == 2  # Q and the closed form's
         J = cli._family_setup(family, cli._parse_params(params))[0]
         # derive_recurrence(J, 12) checks J's columns to 13, so J^(1)'s to 12
-        assert (oracle[0], J.coeffs[1:], 12) in computed
+        assert (oracle[0], (J.coeffs[1:], lcm_denominator(J), 1), 12) in computed
 
     @pytest.mark.parametrize("J", FAMILY_OPERATORS)
     def test_derive_recurrence_builds_no_polynomial(self, monkeypatch, J):
         # the table comes from the solver's top coefficients and is proved by
-        # J's columns, and a failing column names its chi; only the fixed
-        # handful of Poly operations of one classify call and of J's order + 1
-        # diagonals (lambda_poly) remains, whatever N is
+        # J's columns, and a failing column names its chi; classify's root
+        # screen and the solver read one integer build of J's diagonals, so
+        # no Poly operation runs at all, classify included, whatever N is
         classified = self.count(monkeypatch, eigenfam, "classify")
-        diagonals = self.count(monkeypatch, eigenfam, "lambda_poly")
+        built = self.count_builds(monkeypatch)
+        polys = self.count(monkeypatch, diffop, "lambda_poly")
         routes = [
             self.count(monkeypatch, seqkit, "structure_coeffs"),
             self.count(monkeypatch, seqkit, "expand_in_basis"),
         ]
         ops = [
             self.count(monkeypatch, Poly, name)
-            for name in ("__add__", "__sub__", "scale", "__mul__")
+            for name in ("__add__", "__sub__", "scale", "__mul__", "int_values")
         ]
-
-        def poly_ops(run):
-            for calls in ops:
-                calls.clear()
-            run()
-            return [len(calls) for calls in ops]
 
         def failing(N):
             with pytest.raises(NotTwoOrthogonal, match=r"^chi_\(3,1\) = 1/4 != 0$"):
                 derive_recurrence(LINEAR_CUBIC, N)
 
-        for op, run in (
-            (J, lambda: derive_recurrence(J, 10)),
-            (J, lambda: derive_recurrence(J, 30)),
-            (LINEAR_CUBIC, lambda: failing(10)),
-            (LINEAR_CUBIC, lambda: failing(30)),
+        for op, N, run in (
+            (J, 10, lambda: derive_recurrence(J, 10)),
+            (J, 30, lambda: derive_recurrence(J, 30)),
+            (LINEAR_CUBIC, 10, lambda: failing(10)),
+            (LINEAR_CUBIC, 30, lambda: failing(30)),
         ):
-            alone = poly_ops(lambda: classify(op))
-            ts = range(op.order + 1)
-            band = poly_ops(lambda: [lambda_poly(op, t) for t in ts])
             classified.clear()
-            diagonals.clear()
-            assert poly_ops(run) == [a + b for a, b in zip(alone, band)]
+            built.clear()
+            run()
+            assert [len(calls) for calls in ops] == [0] * 5
             assert len(classified) == 1
-            assert [t for _, t in diagonals] == list(ts)
+            assert built == [(op, -4, N + 6)]
+        assert polys == []
         assert routes == [[], []]
 
     @settings(max_examples=150, deadline=None)
@@ -301,12 +318,22 @@ class TestSharedState:
     def test_diagonals_match_lambda_at_and_images(self, J, N):
         # diagonal t of J's matrix on the monomials, as the solver reads it:
         # lambda_poly(J, t) at n is lambda_at(J, t, n), negative n included,
-        # and for n >= 0 the entry [x**n] J(x**(n + t))
+        # and for n >= 0 the entry [x**n] J(x**(n + t)); the integer build
+        # over A (diffop.diagonals) gives the same values, from n = -4 to
+        # past the order
+        diag = diffop.diagonals(J, -4, N + 1)
+        assert diag.A == lcm_denominator(J)
+        top = max(N + 1, J.order + 1)
         for t in range(J.order + 1):
-            values = lambda_poly(J, t).values(range(-4, N + 1))
-            assert values == [lambda_at(J, t, n) for n in range(-4, N + 1)]
+            values = lambda_poly(J, t).values(range(-4, top))
+            assert values == [lambda_at(J, t, n) for n in range(-4, top)]
             images = [J.apply_monomial(n + t).coeff(n) for n in range(N + 1)]
-            assert values[4:] == images
+            assert values[4 : N + 5] == images
+            built = [diag.at(t, n) for n in range(-4, top)]
+            assert all(type(v) is int for v in built)
+            assert [Fraction(v, diag.A) for v in built] == values
+        with pytest.raises(IndexError):
+            diag.at(0, -5)
 
     @pytest.mark.parametrize(
         "J, rt",
@@ -316,15 +343,15 @@ class TestSharedState:
         ],
     )
     def test_verify_expansions_reads_each_lambda_once(self, monkeypatch, J, rt):
-        # lambda_(-4)..lambda_20 come from one integer evaluation of
-        # lambda_poly(J, 0), and no eigenvalue is read as a Fraction
-        diagonals = self.count(monkeypatch, eigenfam, "lambda_poly")
+        # lambda_(-4)..lambda_20 come from one integer build of J's
+        # diagonals, and no eigenvalue is read through lambda_poly or a Poly
+        built = self.count_builds(monkeypatch)
+        polys = self.count(monkeypatch, diffop, "lambda_poly")
         evaluated = self.count(monkeypatch, Poly, "int_values")
         fractions = self.count(monkeypatch, Poly, "values")
         assert verify_expansions(J, generate(rt, 20), 15).passed
-        assert diagonals == [(J, 0)]
-        assert [ns for _, ns in evaluated] == [range(-4, 21)]
-        assert fractions == []
+        assert built == [(J, -4, 21)]
+        assert polys == evaluated == fractions == []
 
 
 def reference_derive(J, N):
@@ -466,11 +493,14 @@ def reference_fraction_derive(J, N):
     ]
     rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
     seq = generate(rt, N + 1)
+    A, D = lcm_denominator(J), seq.weighted_rows[0]
     for n in range(N + 2):
-        vec, den = seqkit.operator_column(seq, J.coeffs, n)
-        if {j: Fraction(v, den) for j, v in vec.items()} != {n: lam[n]}:
-            j = min(vec.keys() - {n})
-            chi = Fraction(vec[j], den) / (lam[j] - lam[n])
+        # entry j of the column is A D**(n - j) times J's matrix entry
+        col = seqkit.operator_column(seq, (J.coeffs, A, 0), n)
+        col = {j: Fraction(v, A * D ** (n - j)) for j, v in col.items()}
+        if col != {n: lam[n]}:
+            j = min(col.keys() - {n})
+            chi = col[j] / (lam[j] - lam[n])
             raise NotTwoOrthogonal(
                 f"chi_({n - 2},{j}) = {rational_to_str(chi)} != 0", n=n - 2, nu=j
             )
@@ -482,6 +512,12 @@ def reference_fraction_derive(J, N):
             raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
     report.record("gamma-nonvanishing", (1, N - 1), True)
     return rt, report, seq, lam
+
+
+def derived_lambdas(diag, N):
+    """lambda_0..lambda_(N+1) as Fractions, from the diagonals that
+    derive_recurrence(J, N) returns."""
+    return [Fraction(diag.at(0, n), diag.A) for n in range(N + 2)]
 
 
 def integer_solved(J, N, depth):
@@ -530,7 +566,8 @@ class TestIntegerOracle:
         got = derive_outcome(lambda: derive_recurrence(J, N))
         assert got == derive_outcome(lambda: reference_fraction_derive(J, N))
         if isinstance(got[0], dict):
-            assert derive_recurrence(J, N)[3] == reference_fraction_derive(J, N)[3]
+            diag = derive_recurrence(J, N)[3]
+            assert derived_lambdas(diag, N) == reference_fraction_derive(J, N)[3]
 
     def test_huge_entries(self):
         # entries of hundreds of digits: the window's and the table's
@@ -542,7 +579,7 @@ class TestIntegerOracle:
         )
         assert eigenpoly(HUGE, 5) == Poly(reversed(reference_solver(HUGE, 5)[0](5)))
         got, ref = derive_recurrence(HUGE, 10), reference_fraction_derive(HUGE, 10)
-        assert got[0] == ref[0] and got[3] == ref[3]
+        assert got[0] == ref[0] and derived_lambdas(got[3], 10) == ref[3]
         assert got[1].to_json() == ref[1].to_json()
 
 
@@ -754,10 +791,12 @@ class TestVerifyExpansions:
     def test_integer_view_reads_zero_below_the_first_index(self):
         J = case2_operator(*map(Fraction, ("1/3", "1/2", "-2/3", "3/4", "-3/2", "3/4")))
         rt = case2_coeffs(J, 12)
-        t, D, L = eigenfam._integer_view(generate(rt, 9), J, 4)
-        assert D > 1 and L > 1
+        diag = diffop.diagonals(J, -4, 10)
+        t, D = eigenfam._integer_view(generate(rt, 9), diag, 4)
+        A = diag.A
+        assert D > 1 and A > 1
         assert [t.lam(n) for n in range(-4, 10)] == [
-            L * lambda_at(J, 0, n) for n in range(-4, 10)
+            A * lambda_at(J, 0, n) for n in range(-4, 10)
         ]
         assert [t.beta(k) for k in (-3, -1)] == [0, 0]
         assert [t.alpha(k) for k in (-2, 0)] == [0, 0]

@@ -9,13 +9,14 @@ the column check must give the same report, entry for entry and witness
 for witness, and must apply an operator only to a failing column.
 
 The second is operator_column's recursion run on Fractions: every column
-the integer kernel caches must equal it, and must keep the kernel's
-representation, (vec, den) with den > 0, no zero entry and one gcd.
+the integer kernel caches must equal it times its scale, entry j of
+column n at the key (coeffs, A, e) an int equal to A D**(n + e - j) times
+the Fraction entry, with no zero entry.
 
 The third is the displayed band formulas, and the two initial images of
 the thrice-shifted operator, run on the table's Fractions: their run on
 the sequence's integer view that verify_expansions evaluates must give
-every entry scaled by exactly its weight's factor, L D**w or A D**w.
+every entry scaled by exactly its weight's factor, A D**w.
 """
 
 import functools
@@ -32,6 +33,7 @@ from dortho import (
     RecurrenceTable,
     VerificationReport,
     derivative_sequence,
+    diffop,
     eigenfam,
     expand_in_basis,
     generate,
@@ -45,14 +47,35 @@ from conftest import operators, polys
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
-def reference_check_expansions(report, seq, ns, identities):
+def reference_check_expansions(report, seq, ns, A, identities):
+    # each band coefficient at the scale of L's column, A D**(n + s + e - j),
+    # divided back to its rational value
+    D = Fraction(seq.weighted_rows[0])
     for n in ns:
-        for name, L, s, band in identities:
+        for name, L, e, s, band in identities:
             rhs = Poly.zero()
             for j, c in band(n):
-                if j >= 0 and c.numerator:
-                    rhs = rhs + seq[j].scale(Fraction(c.numerator, c.denominator))
+                if j >= 0 and c:
+                    rhs = rhs + seq[j].scale(c / (A * D ** (n + s + e - j)))
             report.check(name, n, L.apply(seq[n + s]), rhs)
+
+
+def at_scale(seq, identities):
+    """(A, identities) as check_expansions reads them, from (name, L, s,
+    band) with rational bands: A the lcm of the denominators of every L's
+    coefficients, each L at its least scale exponent e (deg a_v <= e + v)
+    and each c_j multiplied by A D**(n + s + e - j)."""
+    A = math.lcm(*(c.denominator for _, L, _, _ in identities for a in L.coeffs for c in a.coeffs))
+    D = Fraction(seq.weighted_rows[0])
+    scaled = []
+    for name, L, s, band in identities:
+        e = max([0, *(a.degree - v for v, a in enumerate(L.coeffs))])
+
+        def at(n, band=band, w=s + e):
+            return [(j, c * A * D ** (n + w - j)) for j, c in band(n)]
+
+        scaled.append((name, L, e, s, at))
+    return A, scaled
 
 
 def tables(size, entries=rationals):
@@ -147,14 +170,17 @@ def relaxed_operators(draw):
 )
 def test_random_bands_around_the_true_expansion(rt, ops):
     seq = generate(rt, TOP)
-    identities = [
-        (f"{kind}-{i}", L, s, band_around(seq, L, s, kind))
-        for i, (L, s, kind) in enumerate(ops)
-    ]
+    A, identities = at_scale(
+        seq,
+        [
+            (f"{kind}-{i}", L, s, band_around(seq, L, s, kind))
+            for i, (L, s, kind) in enumerate(ops)
+        ],
+    )
     engine = VerificationReport()
-    _, applied = run_counted(eigenfam.check_expansions, engine, seq, NS, identities)
+    _, applied = run_counted(eigenfam.check_expansions, engine, seq, NS, A, identities)
     reference = VerificationReport()
-    reference_check_expansions(reference, seq, NS, identities)
+    reference_check_expansions(reference, seq, NS, A, identities)
     assert_same_report(engine, applied, reference)
 
 
@@ -221,18 +247,23 @@ def column_cases(draw):
 @given(column_cases())
 def test_integer_columns_match_the_fraction_reference(case):
     seq, coeffs, n = case
-    seqkit.operator_column(seq, coeffs, n)
-    # level i is computed to column n - i
-    assert set(seq.columns) == {coeffs[i:] for i in range(min(len(coeffs), n + 1))}
-    for coeffs, cols in seq.columns.items():
+    # the least scale at which every column is an integer one: A the lcm of
+    # the coefficients' denominators, e the least with deg a_v <= e + v
+    A = math.lcm(*(c.denominator for a in coeffs for c in a.coeffs))
+    e = max([0, *(a.degree - v for v, a in enumerate(coeffs))])
+    seqkit.operator_column(seq, (coeffs, A, e), n)
+    # level i is computed to column n - i, at the scale (A, e + i)
+    levels = range(min(len(coeffs), n + 1))
+    assert set(seq.columns) == {(coeffs[i:], A, e + i) for i in levels}
+    D = seq.weighted_rows[0]
+    for (coeffs, A, e), cols in seq.columns.items():
         reference = reference_columns(seq.x_rows, coeffs, len(cols) - 1)
-        for (vec, den), expected in zip(cols, reference, strict=True):
-            assert den > 0 and all(vec.values())
-            assert math.gcd(den, *vec.values()) == 1
-            assert {j: Fraction(v, den) for j, v in vec.items()} == expected
+        for m, (col, expected) in enumerate(zip(cols, reference, strict=True)):
+            assert all(type(v) is int and v for v in col.values())
+            assert col == {j: v * A * D ** (m + e - j) for j, v in expected.items()}
 
 
-# distinct small denominators and frequent zeros, so D, L and A are rarely 1
+# distinct small denominators and frequent zeros, so D and A are rarely 1
 view_entries = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4, 5, 7, 9))),
@@ -311,12 +342,15 @@ def reference_shift3_initial(J, seq):
 def test_integer_view_equals_the_fraction_bands(case, J):
     # the displayed band formulas run twice: on the table's Fractions and on
     # the integer view of its sequence, where entry j of the shift-k band of
-    # P_m must be exactly L D**(m + k - j) times the Fraction entry, and
+    # P_m must be exactly A D**(m + k - j) times the Fraction entry, and
     # entry j of the initial image of P_n, read with a_i^[3] as
-    # A D**(3 - i) a_i^[3], exactly A D**(n + 3 - j) times it, as an int
+    # A D**(3 - i) a_i^[3], exactly A D**(n + 3 - j) times it, as an int;
+    # A is the lcm of the denominators of J's coefficients
     N, rt = case
     seq = generate(rt, N + 5)
-    t, D, L = eigenfam._integer_view(seq, J, N)
+    diag = diffop.diagonals(J, -4, N + 6)
+    t, D = eigenfam._integer_view(seq, diag, N)
+    A = diag.A
     lam = functools.partial(lambda_at, J, 0)
     exact = eigenfam._shift_bands(eigenfam._Tables(rt.beta, rt.alpha, rt.gamma, lam))
     scaled = eigenfam._shift_bands(t)
@@ -325,10 +359,9 @@ def test_integer_view_equals_the_fraction_bands(case, J):
             terms = zip(exact_band(n), scaled_band(n), strict=True)
             for (j, v), (j_view, v_view) in terms:
                 assert j_view == j
-                assert v_view == v * L * D ** (n + top - j)
+                assert v_view == v * A * D ** (n + top - j)
                 assert type(v_view) is int
     a3 = [J.acoef(i, 3) for i in range(4)]
-    A = math.lcm(*(c.denominator for c in a3))
     initial = eigenfam._shift3_initial(t, [int(c * A) * D ** (3 - i) for i, c in enumerate(a3)])
     for n, band in reference_shift3_initial(J, seq).items():
         for (j, v), (j_view, v_view) in zip(band, initial[n], strict=True):
