@@ -298,9 +298,10 @@ def cmd_verify(args) -> int:
         if not args.family:
             raise InputError("verify needs --family or --operator")
         J, table_factory = _family_setup(args.family, _parse_params(args.params))
-        # the independent oracle recovers its own table first
+        # the independent oracle's table first, tied to the closed form's below
         try:
-            rt_oracle, _, oracle_seq, diag = eigenfam.derive_recurrence(J, N)
+            rt_oracle, diag = eigenfam.oracle_table(J, N)
+            eigenfam.check_gamma(rt_oracle, N)
         except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
             sys.stderr.write(f"verification failure: {exc}\n")
             return EXIT_FAIL
@@ -309,7 +310,6 @@ def cmd_verify(args) -> int:
         probe_deg = max(N + 1, seqkit.probe_degree(2, M) + 1)
         rt = table_factory(max(N + 5, probe_deg))
         full = seqkit.generate(rt, max(N + 5, probe_deg))
-        full.start_columns_from(oracle_seq)
         report = eigenfam.verify_expansions(J, full, N, diag)
 
         # eigen identity + the closed-form table against the oracle's

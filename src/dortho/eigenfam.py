@@ -110,47 +110,26 @@ def eigenpoly(J: DiffOperator, n: int) -> Poly:
     return Poly(reversed([writable(Fraction(*c)) for c in solve(n)]))
 
 
-def derive_recurrence(J: DiffOperator, N: int):
-    """Recover the d=2 recurrence tables of J's monic eigenpolynomials P_n.
+def oracle_table(J: DiffOperator, N: int) -> tuple:
+    """The eigen-oracle's d=2 table of J's monic eigenpolynomials P_n,
+    read with no P_n built, and the diagonals it read: (RecurrenceTable, diag).
 
-    The rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j must have the four-term
-    shape, chi_(k-1,j) = c_(k,j) = 0 for j < k - 2, with every
-    gamma_m = c_(m+1,m-1) nonzero; beta_k = c_(k,k), alpha_m = c_(m,m-1).
-
-    No P_n is built, whether the checks pass or fail.  The solver gives
-    only the top coefficients T_n(m) = [x**(n-m)] P_n, m <= 3 (T_n(m) = 0
-    for m > n), and comparing x^k, x^(k-1), x^(k-2) in the four-term row
-    gives
+    The solver (_eigen_solver, which raises NotIsomorphism and
+    EigenvalueCollision) gives only the top coefficients T_n(m) =
+    [x**(n-m)] P_n, m <= 3 (T_n(m) = 0 for m > n), and comparing x^k,
+    x^(k-1), x^(k-2) in the four-term row of x*P_k gives, for k <= N,
 
         beta_k      = T_k(1) - T_(k+1)(1)
         alpha_k     = T_k(2) - T_(k+1)(2) - beta_k T_k(1)
         gamma_(k-1) = T_k(3) - T_(k+1)(3) - beta_k T_k(2) - alpha_k T_(k-1)(1).
     With T_n as ints over one denominator q_n and L = lcm(q_k, q_(k+1)), the
-    three are ints over L, L q_k and L q_k q_(k-1): one Fraction each.
-
-    The sequence Q of that table is then proved to be P to degree N + 1:
-    column n of J's matrix in Q's basis (operator_column, at the scale
-    (J.coeffs, A, 0)) must be {n: A lambda_n}, compared by == as in
-    check_expansions.  The eigenvalues below each lambda_n
-    differ from it (the solver's collision screen), so the monic
-    eigenpolynomial of each degree is unique and Q_n = P_n; Q's rows are
-    P's, four-term by construction.  If column n is the first to fail,
-    Q_k = P_k for k < n, and P_n - Q_n is a nonzero polynomial of degree
-    at most n - 4 (the three coefficients below x^n match), so row n - 1 is
-    the first row of P that is not four-term.  Write P_n - Q_n = sum_j r_j Q_j;
-    then column n is lambda_n e_n + sum_j r_j (lambda_n - lambda_j) e_j, and
-    lambda_j != lambda_n, so the first nonzero chi, chi_(n-2,j) = -r_j at the
-    smallest such j, is read off the column without building a polynomial:
-    entry j is A D**(n - j) (lambda_n - lambda_j) r_j, D Q's (weighted_rows).
-
-    Returns (RecurrenceTable, VerificationReport, Q, diag), diag J's
-    diagonals at -4 <= n <= N + 5 (diffop.diagonals), the one build that
-    classify, the solver and verify_expansions to N read.  Q's column
-    cache already holds J's levels, so verify_expansions on Q reuses
-    them.
+    three are ints over L, L q_k and L q_k q_(k-1): one Fraction each.  The
+    table is P's if P is four-term to degree N + 1, which derive_recurrence
+    proves.  diag is J's diagonals at -4 <= n <= N + 5 (diffop.diagonals),
+    the one build that classify, the solver and verify_expansions to N read.
     """
     diag = diagonals(J, -4, N + 6)
-    solve, lam, A = _eigen_solver(J, N + 1, diag)
+    solve, _, _ = _eigen_solver(J, N + 1, diag)
     T = []  # T[n] = (q_n, q_n T_n(1), q_n T_n(2), q_n T_n(3))
     for n in range(N + 2):
         top = list(solve(n, 3))[1:]
@@ -170,23 +149,58 @@ def derive_recurrence(J: DiffOperator, N: int):
             q0, a0 = T[k - 1][:2]
             gn = ((c * s - c1 * s1) * q - bn * b) * q0 - an * a0  # gamma_(k-1) L q_k q_(k-1)
             gamma.append(Fraction(gn, L * q * q0))
-    rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
+    return RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma), diag
+
+
+def check_gamma(rt: RecurrenceTable, N: int) -> None:
+    """Raise NotTwoOrthogonal("gamma_m = 0") at the first m < N with
+    gamma_m = 0 in rt: the regularity a 2-orthogonal sequence needs."""
+    for m in range(1, N):
+        if rt.gamma(m) == 0:
+            raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
+
+
+def derive_recurrence(J: DiffOperator, N: int):
+    """Recover the d=2 recurrence tables of J's monic eigenpolynomials P_n
+    (oracle_table) and prove them, with no P_n built.
+
+    The rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j must have the four-term
+    shape, chi_(k-1,j) = c_(k,j) = 0 for j < k - 2, with every
+    gamma_m = c_(m+1,m-1) nonzero (check_gamma, after the shape).
+    The table's sequence Q is proved to be P to degree N + 1:
+    column n of J's matrix in Q's basis (operator_column, at the scale
+    (J.coeffs, A, 0)) must be {n: A lambda_n}, compared by == as in
+    check_expansions.  The eigenvalues below each lambda_n
+    differ from it (the solver's collision screen), so the monic
+    eigenpolynomial of each degree is unique and Q_n = P_n; Q's rows are
+    P's, four-term by construction.  If column n is the first to fail,
+    Q_k = P_k for k < n, and P_n - Q_n is a nonzero polynomial of degree
+    at most n - 4 (the three coefficients below x^n match), so row n - 1 is
+    the first row of P that is not four-term.  Write P_n - Q_n = sum_j r_j Q_j;
+    then column n is lambda_n e_n + sum_j r_j (lambda_n - lambda_j) e_j, and
+    lambda_j != lambda_n, so the first nonzero chi, chi_(n-2,j) = -r_j at the
+    smallest such j, is read off the column without building a polynomial:
+    entry j is A D**(n - j) (lambda_n - lambda_j) r_j, D Q's (weighted_rows).
+
+    Returns (RecurrenceTable, VerificationReport, Q, diag), diag as
+    oracle_table gives it.  Q's column cache holds J's levels, so
+    verify_expansions on Q reuses them.
+    """
+    rt, diag = oracle_table(J, N)
     seq = generate(rt, N + 1)
     D = seq.weighted_rows[0]
     for n in range(N + 2):
-        col = operator_column(seq, (J.coeffs, A, 0), n)
-        if col != {n: lam[n]}:
+        col = operator_column(seq, (J.coeffs, diag.A, 0), n)
+        if col != {n: diag.at(0, n)}:
             j = min(col.keys() - {n})
-            chi = Fraction(col[j], D ** (n - j) * (lam[j] - lam[n]))
+            chi = Fraction(col[j], D ** (n - j) * (diag.at(0, j) - diag.at(0, n)))
             raise NotTwoOrthogonal(
                 f"chi_({n - 2},{j}) = {rational_to_str(chi)} != 0", n=n - 2, nu=j
             )
+    check_gamma(rt, N)
     report = VerificationReport()
     for k in range(N):
         report.record("four-term-shape", k, True)
-    for m, g in enumerate(gamma, start=1):
-        if g == 0:
-            raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
     report.record("gamma-nonvanishing", (1, N - 1), True)
     return rt, report, seq, diag
 
@@ -396,7 +410,8 @@ def check_expansions(
     band, summed per j, equals the column, entries outside the band
     included: one ==, no gcd.  Only a failing column builds L(P_(n+s)) and
     the right-hand side as polynomials, each c_j divided by its scale, for
-    the witness.
+    the witness; if the two agree, the column kernel is at fault, and that
+    is a RuntimeError, not a pass.
     """
     for n in ns:
         for name, L, e, s, band in identities:
@@ -412,7 +427,10 @@ def check_expansions(
             rhs = Poly.zero()
             for j, c in terms:
                 rhs = rhs + seq[j].scale(c / (A * D ** (n + s + e - j)))
-            report.check(name, n, L.apply(seq[n + s]), rhs)
+            lhs = L.apply(seq[n + s])
+            if lhs == rhs:
+                raise RuntimeError(f"{name} at {n}: column and band differ, polynomials agree")
+            report.check(name, n, lhs, rhs)
 
 
 def verify_expansions(

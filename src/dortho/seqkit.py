@@ -180,16 +180,15 @@ class MonicSequence:
 
     integer_rows is the integer view of the x-rows, (D, rows) as
     _integer_rows gives it, computed on its first read and kept; the
-    moment, pairing and derivative kernels read it.  weighted_rows is the
-    weighted view the column kernel and the bands read, (D, rows) with row
-    k's (j, c_(k,j)) as (j, D**(k + 1 - j) c_(k,j)): the x-rows of
+    moment and pairing kernels read it.  weighted_rows is the weighted view
+    the column, band and derivative kernels read, (D, rows) with row k's
+    (j, c_(k,j)) as (j, D**(k + 1 - j) c_(k,j)): the x-rows of
     D**n P_n(x/D), integers since k + 1 - j >= 1.
 
     columns caches operator-matrix columns over this sequence's x-rows,
     keyed by the scale key (coeffs, A, e) operator_column reads them at;
-    operator_column fills it, start_columns_from may start it from another
-    sequence's, and it lives as long as the sequence.  A column is a dict
-    j -> nonzero int, at a scale set by the key and D.
+    only operator_column fills it, and it lives as long as the sequence.  A
+    column is a dict j -> nonzero int, at a scale set by the key and D.
     """
 
     def __init__(self, x_rows: Sequence):
@@ -230,28 +229,6 @@ class MonicSequence:
         return D, tuple(
             tuple((j, c * powers[k - j]) for j, c in row) for k, row in enumerate(rows)
         )
-
-    def start_columns_from(self, other: "MonicSequence") -> None:
-        """Start the column cache from other's when this sequence's x-rows
-        begin with all of other's and the two have the same D; otherwise do
-        nothing.
-
-        Each of other's cached columns read only other's rows, so it is
-        also this sequence's, at the same scale when D is the same.  More
-        rows can bring new denominators, so D can grow past other's (case
-        1 with parameters [1/3, 1/2, -2/3, 3/4, 5/4] at N = 0: D is 4 on
-        the oracle's one row and 16 on the closed form's); then nothing is
-        shared.  Sharing is all
-        or nothing: if any of other's rows differs, this sequence computes
-        all of its own columns.  Each key gets a new list holding the same
-        columns (operator_column never changes a cached column), so the two
-        caches then grow apart.
-        """
-        if (
-            self.x_rows[: other.N] == other.x_rows
-            and self.integer_rows[0] == other.integer_rows[0]
-        ):
-            self.columns = {key: list(cols) for key, cols in other.columns.items()}
 
 
 @dataclass(frozen=True)
@@ -587,21 +564,23 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
 
         x Q_(k-1) - Q_k = (S_k - A_k) / (k+1),   F_k = (S_k + k A_k) / (k+1).
 
-    It runs on seq.integer_rows, fraction-free as the moment kernels: each
-    F_k and row of Q is an int dict over one denominator, the lcm M of those
-    it reads, reduced by one gcd (_reduced); Fractions come at the end.
+    It runs on seq.weighted_rows, the integer rows of D**n P_n(x/D), whose
+    derivative sequence is D**n Q_n(x/D): the recursion reads no D, and
+    Q's Fractions divide row k's entry at j by D**(k + 1 - j).  Each F_k
+    and scaled row of Q is an int dict over one denominator, the lcm M of
+    those it reads, reduced by one gcd (_reduced).
     """
     if seq.N < 1:
         raise ValueError("need at least P_1")
-    D, rows = seq.integer_rows
+    D, rows = seq.weighted_rows
     tails = [({}, 1)]  # tails[k] = F_k
-    qrows: list = []  # Q's rows as (vec, den)
+    qrows: list = []  # Q's scaled rows as (vec, den)
     for k in range(1, seq.N):
         fvec, fden = tails[k - 1]
         lower = [(j, c, tails[j]) for j, c in rows[k - 1]]
         M = math.lcm(
             fden * math.lcm(*(qrows[i][1] for i in fvec)),
-            D * math.lcm(*(tden for _, _, (_, tden) in lower)),
+            *(tden for _, _, (_, tden) in lower),
         )
         a: dict = {}  # M A_k
         for i, f in fvec.items():
@@ -611,14 +590,15 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
             for j, v in qvec.items():
                 a[j] = a.get(j, 0) + f * v
         for j, c, (tvec, tden) in lower:
-            a[j] = a.get(j, 0) - c * (M // D)
-            c *= M // (D * tden)
+            a[j] = a.get(j, 0) - c * M
+            c *= M // tden
             for i, v in tvec.items():
                 a[i] = a.get(i, 0) - c * v
-        s = {j - 1: j * c * (M // D) for j, c in rows[k] if j}  # M S_k
+        s = {j - 1: j * c * M for j, c in rows[k] if j}  # M S_k
         keys = a.keys() | s.keys()
         qrows.append(_reduced({j: s.get(j, 0) - a.get(j, 0) for j in keys}, M * (k + 1)))
         tails.append(_reduced({j: s.get(j, 0) + k * a.get(j, 0) for j in keys}, M * (k + 1)))
     return MonicSequence(
-        tuple((j, Fraction(v, den)) for j, v in sorted(vec.items())) for vec, den in qrows
+        tuple((j, Fraction(v, den * D ** (k + 1 - j))) for j, v in sorted(vec.items()))
+        for k, (vec, den) in enumerate(qrows)
     )

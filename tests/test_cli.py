@@ -668,11 +668,11 @@ class TestTablesMatchWitness:
 
 
 class TestSharedColumns:
-    """Family mode shares the oracle's columns only when the closed-form rows
-    start with the oracle's rows.  A table altered at one entry gives the
-    report that a sequence with no shared column gives, witnesses included;
-    entries the oracle does not tabulate (beta_(N+1), gamma_N) leave the rows
-    it proved alone, so those columns are shared and still give that report."""
+    """Family mode checks J's columns on the closed-form sequence alone, so
+    a table altered at one entry gives the report of verify_expansions and
+    the eigen identity on a fresh sequence of that table, witnesses
+    included, whether or not the entry lies in the oracle's table (beta_(N+1)
+    and gamma_N do not), before the table match."""
 
     N, M = 8, 2
     FAMILIES = {
@@ -722,12 +722,11 @@ class TestSharedColumns:
 
 
 class TestSharingAcrossD:
-    """At small N the closed-form sequence's D is a strict multiple of the
-    oracle's (its rows past the oracle's bring new denominators), so the
-    column scale A D**(n + e - j) differs and no column is shared; the
-    output is that of a run that never shares.  Every run passes, and a
-    column compared at the wrong scale would fall back to the polynomial
-    check (which passes too), so no operator may be applied either."""
+    """Parameters whose rows bring new denominators as the sequence grows,
+    so D, and with it each column's scale A D**(n + e - j), depends on how
+    far the sequence reaches (D is 4 on the first row and 16 or 256 on the
+    closed form's at N = 0).  Every run passes, and no operator is applied:
+    a column compared at the wrong scale would raise in check_expansions."""
 
     PARAMS = {
         "case1": '["1/3","1/2","-2/3","3/4","5/4"]',  # D 4 vs 16 at N = 0
@@ -745,11 +744,55 @@ class TestSharingAcrossD:
             diffop.DiffOperator, "apply", lambda L, p: applied.append(L) or apply(L, p)
         )
         assert cli.main(argv) == cli.EXIT_OK
-        shared = capsys.readouterr()
         assert applied == []
-        monkeypatch.setattr(seqkit.MonicSequence, "start_columns_from", lambda seq, other: None)
-        assert cli.main(argv) == cli.EXIT_OK
-        assert capsys.readouterr() == shared
+
+
+class TestColumnFault:
+    """A column that differs from its band while the polynomials agree can
+    only be a column-kernel fault: the run exits 3 naming the identity and
+    n, rather than recording a pass."""
+
+    def test_doubled_shift1_columns_exit_3(self, monkeypatch, capsys):
+        J = eigenfam.corollary42_operator(1)
+        column = eigenfam.operator_column
+
+        def doubled(seq, key, n):
+            out = column(seq, key, n)
+            if key[0] == J.coeffs[1:] and key[2] == 1:
+                return {j: 2 * v for j, v in out.items()}
+            return out
+
+        monkeypatch.setattr(eigenfam, "operator_column", doubled)
+        argv = ["verify", "--family", "corollary42", "-N", "4", "-M", "2"]
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        assert capsys.readouterr() == (
+            "",
+            "internal error: RuntimeError: shift1-expansion at 0: "
+            "column and band differ, polynomials agree\n",
+        )
+
+
+class TestFamilyOracleFailureText:
+    """Family mode's oracle failures, byte for byte: the oracle's table
+    screens gamma, the closed form's probe reports regularity, and a
+    degenerate operator stops at classification."""
+
+    REPORT = "228101a2b76b9b5173e557faf50ae0266b481fc9c214d72c1d5a6a37ffc63c4d"
+
+    @pytest.mark.parametrize(
+        "family, params, N, digest, err",
+        [
+            ("case2", "[1,0,1,0,0,1]", 5, None, "gamma_1 = 0"),
+            ("case2", "[1,0,1,0,0,1]", 1, REPORT, "regularity at (1, 0, 2)"),
+            ("corollary42", "[-3]", 5, None, "operator classified as degenerate"),
+        ],
+    )
+    def test_output(self, capsys, family, params, N, digest, err):
+        argv = ["verify", "--family", family, "--params", params, "-N", str(N), "-M", "2"]
+        assert cli.main(argv) == cli.EXIT_FAIL
+        out, stderr = capsys.readouterr()
+        assert (hashlib.sha256(out.encode()).hexdigest() if out else None) == digest
+        assert stderr == f"verification failure: {err}\n"
 
 
 class TestDeriveFailureText:

@@ -253,28 +253,24 @@ class TestSharedState:
         ],
     )
     def test_family_mode_computes_each_column_once(self, monkeypatch, tmp_path, family, params):
-        # The oracle runs first; the closed-form rows start with its rows, so
-        # the closed-form sequence reads every column the oracle proved
+        # The oracle hands over only its table; J's columns are computed on
+        # the closed-form sequence alone, each once, and the eigen identity
+        # reads J's levels the shift bands filled
         computed = self.count_columns(monkeypatch)
-        oracle = []
-        derive = eigenfam.derive_recurrence
-
-        def kept(J, N):
-            result = derive(J, N)
-            oracle.append(result[2])
-            return result
-
-        monkeypatch.setattr(eigenfam, "derive_recurrence", kept)
+        tables = self.count(monkeypatch, eigenfam, "oracle_table")
+        derived = self.count(monkeypatch, eigenfam, "derive_recurrence")
         argv = ["verify", "--family", family, "-N", "12", "--out", str(tmp_path / "out")]
         if params is not None:
             argv += ["--params", params]
         assert cli.main(argv) == cli.EXIT_OK
         keys = [(key, m) for _, key, m in computed]
         assert len(keys) == len(set(keys))
-        assert len({id(seq) for seq, _, _ in computed}) == 2  # Q and the closed form's
+        assert len({id(seq) for seq, _, _ in computed}) == 1  # the closed form's
+        assert len(tables) == 1
+        assert derived == []
         J = cli._family_setup(family, cli._parse_params(params))[0]
-        # derive_recurrence(J, 12) checks J's columns to 13, so J^(1)'s to 12
-        assert (oracle[0], (J.coeffs[1:], lcm_denominator(J), 1), 12) in computed
+        A = lcm_denominator(J)
+        assert {(J.coeffs, A, 0), (J.coeffs[1:], A, 1)} <= {key for key, _ in keys}
 
     @pytest.mark.parametrize("J", FAMILY_OPERATORS)
     def test_derive_recurrence_builds_no_polynomial(self, monkeypatch, J):

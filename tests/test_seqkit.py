@@ -15,7 +15,6 @@ from dortho import (
     case2_operator,
     check_d_orthogonality,
     corollary42_coeffs,
-    corollary42_operator,
     derivative_sequence,
     dual_moments,
     expand_in_basis,
@@ -403,63 +402,6 @@ class TestStructureCoeffs:
         seq = MonicSequence(structure_coeffs(polys))
         assert seq.N == len(polys) - 1
         assert [seq[n] for n in range(len(polys))] == polys
-
-
-class TestStartColumnsFrom:
-    """A sequence starts its column cache from another's only when its
-    x-rows begin with all of the other's and the two have the same D."""
-
-    J = corollary42_operator(1)
-    KEY = (J.coeffs, 24, 0)  # J's columns over A = 24, the lcm of its denominators
-
-    def test_shares_the_columns_of_a_prefix(self, coro_rt):
-        short = generate(coro_rt, 6)
-        seqkit.operator_column(short, self.KEY, 5)
-        full = generate(coro_rt, 10)
-        full.start_columns_from(short)
-        assert full.columns == short.columns
-        for key, cols in full.columns.items():
-            # a new list per key, holding the same columns
-            assert cols is not short.columns[key]
-            assert all(a is b for a, b in zip(cols, short.columns[key], strict=True))
-        seqkit.operator_column(full, self.KEY, 8)
-        assert len(short.columns[self.KEY]) == 6
-
-    def test_shares_nothing_when_a_row_differs_or_is_missing(self, coro_rt):
-        short = generate(coro_rt, 6)
-        seqkit.operator_column(short, self.KEY, 5)
-        data = coro_rt.to_json()
-        data["alpha"][4] = "1"  # alpha_5 is in row 5, the last of short's rows
-        altered = generate(RecurrenceTable.from_json(data), 10)
-        altered.start_columns_from(short)
-        shorter = generate(coro_rt, 5)
-        shorter.start_columns_from(short)
-        assert altered.columns == shorter.columns == {}
-
-    def test_shares_nothing_when_d_grows(self, coro_rt):
-        # rows past the shorter sequence's bring the denominator 7, so the
-        # longer one's D is a strict multiple of the shorter one's and each
-        # entry's scale A D**(n + e - j) differs: nothing is shared, and the
-        # columns it computes are those of a sequence that never shared
-        short = generate(coro_rt, 6)
-        seqkit.operator_column(short, self.KEY, 5)
-        extra = tuple(
-            ((k - 1, Fraction(1, 7)), (k, Fraction(k, 7))) for k in range(6, 10)
-        )
-        longer = MonicSequence(short.x_rows + extra)
-        alone = MonicSequence(short.x_rows + extra)
-        D, own = longer.integer_rows[0], short.integer_rows[0]
-        assert D % own == 0 and D > own
-        longer.start_columns_from(short)
-        assert longer.columns == {}
-        for n in range(10):
-            assert seqkit.operator_column(longer, self.KEY, n) == seqkit.operator_column(
-                alone, self.KEY, n
-            )
-        # J's own columns are diagonal (A lambda_n at j = n, scale A D**0), but
-        # J^(1)'s reach below n, where the two scales differ
-        level1 = (self.J.coeffs[1:], 24, 1)
-        assert longer.columns[level1][4] != short.columns[level1][4]
 
 
 class TestDualMoments:
