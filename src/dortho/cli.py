@@ -28,7 +28,7 @@ from .errors import (
     OutputTooLarge,
 )
 from .polycore import rational_from_json, rational_to_str
-from .report import VerificationReport
+from .report import Entries, VerificationReport
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,9 +84,7 @@ def _probe_bounds(args, d: int = 2) -> tuple:
 
 _str = encode_basestring_ascii
 _int = int.__repr__
-_INT = frozenset([int])
 _STR = frozenset([str])
-_ENTRY_KEYS = ("identity", "n", "status")
 
 
 def _block(brackets: str, parts, indent: str) -> str:
@@ -100,13 +98,37 @@ def _block(brackets: str, parts, indent: str) -> str:
     return (",\n" + inner).join(parts)
 
 
+def _run(run: tuple, indent: str) -> str:
+    """A report run (see report.py), as json.dumps(..., indent=2) writes
+    its entries as members of a list at indent: each entry is its text
+    before n, n, and its text after n.  One identity is one join over the
+    run's ns; several are one join per n, over the identities' pieces."""
+    identities, head, ns = run
+    inner = indent + "  "
+    if head is None:
+        open_n = close_n = ""
+    else:
+        deeper = inner + "  "
+        open_n = f"[\n{deeper}" + "".join(f"{_encode(h, deeper)},\n{deeper}" for h in head)
+        close_n = f"\n{inner}]"
+    sep = f",\n{indent}"
+    after = f'{close_n},\n{inner}"status": "pass"\n{indent}}}'
+    before = [
+        f'{{\n{inner}"identity": {_encode(i, inner)},\n{inner}"n": {open_n}' for i in identities
+    ]
+    if len(before) == 1:
+        return before[0] + (after + sep + before[0]).join(map(_int, ns)) + after
+    pieces = [before[0], *(after + sep + b for b in before[1:]), after]
+    return sep.join([_int(n).join(pieces) for n in ns])
+
+
 def _encode(obj, indent: str = "") -> str:
     """obj as json.dumps(obj, indent=2) writes it, for dicts with str keys,
-    lists, tuples, str, int, bool and None; anything else raises TypeError.
-    json's indented encoder is a pure-Python generator, one step per token;
-    this builds each container with one join, writes its str and int members
-    inline, and writes a report entry {"identity", "n", "status"} (keys in
-    that order, "n" an int or a tuple of ints) with one concatenation."""
+    lists, tuples, str, int, bool, None and a report's Entries; anything
+    else raises TypeError.  json's indented encoder is a pure-Python
+    generator, one step per token; this builds each container with one
+    join, writes its str and int members inline, and writes a report's runs
+    without building their entries (_run)."""
     t = type(obj)
     if t is str:
         return _str(obj)
@@ -122,19 +144,6 @@ def _encode(obj, indent: str = "") -> str:
     if t is dict:
         if not obj:
             return "{}"
-        if tuple(obj) == _ENTRY_KEYS:
-            identity, n, status = obj.values()
-            if type(identity) is str and type(status) is str:
-                if type(n) is int:
-                    n = _int(n)
-                elif type(n) is tuple and n and _INT.issuperset(map(type, n)):
-                    n = _block("[]", list(map(_int, n)), inner)
-                else:
-                    n = _encode(n, inner)
-                return (
-                    f'{{\n{inner}"identity": {_str(identity)},\n{inner}"n": {n},\n'
-                    f'{inner}"status": {_str(status)}\n{indent}}}'
-                )
         if not _STR.issuperset(map(type, obj)):
             raise TypeError("keys must be str")
         parts = [
@@ -150,6 +159,11 @@ def _encode(obj, indent: str = "") -> str:
             _int(v) if type(v) is int else _str(v) if type(v) is str else _encode(v, inner)
             for v in obj
         ]
+        return _block("[]", parts, indent)
+    if t is Entries:
+        if not obj.items:
+            return "[]"
+        parts = [_encode(v, inner) if type(v) is dict else _run(v, inner) for v in obj.items]
         return _block("[]", parts, indent)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -229,23 +243,24 @@ def _family_setup(family: str, params: list):
 
 def _tables_match_report(rt_closed, rt_oracle, N: int) -> VerificationReport:
     """beta_0..beta_N, alpha_1..alpha_N and gamma_1..gamma_(N-1) of the
-    closed-form table against the oracle's; a mismatch carries both values."""
+    closed-form table against the oracle's, the matches between mismatches
+    as runs; a mismatch carries both values."""
     rep = VerificationReport()
     for name, ns in (
         ("beta", range(N + 1)),
         ("alpha", range(1, N + 1)),
         ("gamma", range(1, N)),
     ):
+        identity = (f"{name}-match",)
+        start = ns.start
         for n in ns:
             closed, oracle = getattr(rt_closed, name)(n), getattr(rt_oracle, name)(n)
-            rep.record(
-                f"{name}-match",
-                n,
-                closed == oracle,
-                witness=None
-                if closed == oracle
-                else {"closed": rational_to_str(closed), "oracle": rational_to_str(oracle)},
-            )
+            if closed != oracle:
+                rep.record_run(identity, range(start, n))
+                witness = {"closed": rational_to_str(closed), "oracle": rational_to_str(oracle)}
+                rep.record(identity[0], n, False, witness)
+                start = n + 1
+        rep.record_run(identity, range(start, ns.stop))
     return rep
 
 
@@ -313,7 +328,7 @@ def cmd_verify(args) -> int:
         report = eigenfam.verify_expansions(J, full, N, diag)
 
         # eigen identity + the closed-form table against the oracle's
-        seq = seqkit.MonicSequence(full.x_rows[:probe_deg])
+        seq = full.prefix(probe_deg)
         eigen = [("eigen-identity", J, 0, 0, lambda n: [(n, diag.at(0, n))])]
         eigenfam.check_expansions(report, full, range(N + 1), diag.A, eigen)
         report.extend(_tables_match_report(rt, rt_oracle, N))
@@ -323,11 +338,10 @@ def cmd_verify(args) -> int:
         dseq = seqkit.derivative_sequence(seq)
         if args.family == "case1":
             same = next((k for k in range(N) if dseq.x_rows[k] != seq.x_rows[k]), N)
-            for n in range(N + 1):
-                if n <= same:  # Q's rows below n are P's, so Q_n = P_n
-                    report.record("appell", n, True)
-                else:
-                    report.check("appell", n, dseq[n], seq[n])
+            # Q's rows below n <= same are P's, so Q_n = P_n
+            report.record_run(("appell",), range(same + 1))
+            for n in range(same + 1, N + 1):
+                report.check("appell", n, dseq[n], seq[n])
         else:
             report.extend(seqkit.check_d_orthogonality(dseq, 2, M))
         out = {"mode": "family", "family": args.family, "N": N, "M": M}

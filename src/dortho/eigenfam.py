@@ -199,8 +199,7 @@ def derive_recurrence(J: DiffOperator, N: int):
             )
     check_gamma(rt, N)
     report = VerificationReport()
-    for k in range(N):
-        report.record("four-term-shape", k, True)
+    report.record_run(("four-term-shape",), range(N))
     report.record("gamma-nonvanishing", (1, N - 1), True)
     return rt, report, seq, diag
 
@@ -403,8 +402,10 @@ def check_expansions(
     n + s is A D**(n + s + e - j) times L's matrix entry, D the sequence's,
     and band(n) gives the (j, c_j) of the right-hand side at that same
     scale, each c_j an int or a Fraction; terms with j < 0 (P_(-i) = 0) or
-    c_j = 0 are left out.  Records one entry per n in ns and identity, n
-    outermost.
+    c_j = 0 are left out.  Records one entry per n in ns (ints, ascending)
+    and identity, n outermost: each maximal block of consecutive n on which
+    every identity passes as one run, and each n with a failure entry by
+    entry.
 
     Basis expansions are unique, so the identity holds exactly when the
     band, summed per j, equals the column, entries outside the band
@@ -413,24 +414,43 @@ def check_expansions(
     the witness; if the two agree, the column kernel is at fault, and that
     is a RuntimeError, not a pass.
     """
+    names = tuple(name for name, *_ in identities)
+    start = stop = 0  # the passing block not yet recorded
     for n in ns:
-        for name, L, e, s, band in identities:
-            terms = [(j, c) for j, c in band(n) if j >= 0 and c]
-            expected: dict = {}
-            for j, c in terms:
-                expected[j] = expected[j] + c if j in expected else c
-            column = operator_column(seq, (L.coeffs, A, e), n + s)
-            if column == {j: c for j, c in expected.items() if c}:
+        oks = [_band_matches(seq, A, identity, n) for identity in identities]
+        if all(oks):
+            if n != stop:
+                report.record_run(names, range(start, stop))
+                start = n
+            stop = n + 1
+            continue
+        report.record_run(names, range(start, stop))
+        start = stop = n + 1
+        for ok, (name, L, e, s, band) in zip(oks, identities):
+            if ok:
                 report.record(name, n, True)
                 continue
             D = Fraction(seq.weighted_rows[0])
             rhs = Poly.zero()
-            for j, c in terms:
-                rhs = rhs + seq[j].scale(c / (A * D ** (n + s + e - j)))
+            for j, c in band(n):
+                if j >= 0 and c:
+                    rhs = rhs + seq[j].scale(c / (A * D ** (n + s + e - j)))
             lhs = L.apply(seq[n + s])
             if lhs == rhs:
                 raise RuntimeError(f"{name} at {n}: column and band differ, polynomials agree")
             report.check(name, n, lhs, rhs)
+    report.record_run(names, range(start, stop))
+
+
+def _band_matches(seq: MonicSequence, A: int, identity: tuple, n: int) -> bool:
+    """Whether identity's band at n, summed per j, is L's column n + s."""
+    _, L, e, s, band = identity
+    expected: dict = {}
+    for j, c in band(n):
+        if j >= 0 and c:
+            expected[j] = expected[j] + c if j in expected else c
+    column = operator_column(seq, (L.coeffs, A, e), n + s)
+    return column == {j: c for j, c in expected.items() if c}
 
 
 def verify_expansions(
@@ -489,7 +509,7 @@ def verify_expansions(
     a3 = [J.acoef(i, 3) for i in range(4)]
     a3 = [c.numerator * (A // c.denominator) * D ** (3 - i) for i, c in enumerate(a3)]
     initial = _shift3_initial(t, a3)
-    ns = (0, 1) if J.order <= 3 else (0,)
+    ns = range(2 if J.order <= 3 else 1)
     check_expansions(report, seq, ns, A, [("shift3-initial", J3, 3, 0, initial.get)])
     scales = [A * D**w for w in range(6)]  # a relation's weights are 0..5
 

@@ -183,7 +183,9 @@ class MonicSequence:
     moment and pairing kernels read it.  weighted_rows is the weighted view
     the column, band and derivative kernels read, (D, rows) with row k's
     (j, c_(k,j)) as (j, D**(k + 1 - j) c_(k,j)): the x-rows of
-    D**n P_n(x/D), integers since k + 1 - j >= 1.
+    D**n P_n(x/D), integers since k + 1 - j >= 1.  A prefix takes both
+    views from its parent, sliced, at the parent's D: every kernel is exact
+    over any common multiple of the rows' denominators.
 
     columns caches operator-matrix columns over this sequence's x-rows,
     keyed by the scale key (coeffs, A, e) operator_column reads them at;
@@ -215,6 +217,14 @@ class MonicSequence:
 
     def __len__(self) -> int:
         return self.N + 1
+
+    def prefix(self, n: int) -> "MonicSequence":
+        """P_0..P_n, with this sequence's views sliced (see above)."""
+        sub = MonicSequence(self.x_rows[:n])
+        for view in ("integer_rows", "weighted_rows"):
+            D, rows = getattr(self, view)
+            sub.__dict__[view] = (D, rows[:n])
+        return sub
 
     @functools.cached_property
     def integer_rows(self) -> tuple:
@@ -495,8 +505,7 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
             if m:
                 regular[nu] = regular[nu] and any(j == n0 - d and c for j, c in rows[n0])
             report.record("regularity", (m, nu, n0), regular[nu], {"value": "0"})
-            for n in range(n0 + 1, seq.N - m + 1):
-                report.record("orthogonality", (m, nu, n), True)
+            report.record_run(("orthogonality",), range(n0 + 1, seq.N - m + 1), (m, nu))
     return report
 
 

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dortho import (
@@ -40,6 +40,7 @@ from dortho import (
     seqkit,
     verify_expansions,
 )
+from dortho.cli import _encode
 from dortho.diffop import lambda_at
 
 from conftest import operators, polys
@@ -182,6 +183,58 @@ def test_random_bands_around_the_true_expansion(rt, ops):
     reference = VerificationReport()
     reference_check_expansions(reference, seq, NS, A, identities)
     assert_same_report(engine, applied, reference)
+
+
+GROUPING_N = 5
+
+
+def corollary_calls(N):
+    """The (seq, ns, A, identities) of each check_expansions call that
+    verify_expansions makes for the corollary 4.2 family to N, where every
+    band passes."""
+    calls = []
+    seq = generate(eigenfam.corollary42_coeffs(N + 5), N + 5)
+    with mock.patch.object(eigenfam, "check_expansions", lambda *args: calls.append(args[1:])):
+        verify_expansions(eigenfam.corollary42_operator(1), seq, N)
+    return calls
+
+
+CALLS = corollary_calls(GROUPING_N)
+
+
+def failing(band, ns):
+    """band with an extra P_0 term at each n of ns: its column check fails
+    there, and so does the polynomial check."""
+    return lambda n: [*band(n), (0, 1)] if n in ns else band(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(CALLS) - 1),
+    st.sets(st.tuples(st.integers(0, GROUPING_N), st.integers(0, 2)), max_size=8),
+)
+@example(0, {(2, 0), (2, 2)})  # several failures in one n
+@example(0, {(2, 0), (2, 1), (2, 2), (3, 1)})  # every identity at one n, then the next n
+@example(0, {(0, 1), (GROUPING_N, 2)})  # at the first and at the last n
+@example(2, {(0, 0), (GROUPING_N, 1)})
+@example(1, {(1, 0)})  # the initial images' last n
+def test_runs_around_injected_failures(k, positions):
+    # check_expansions records each maximal block of passing n as one run
+    # and each n with a failure entry by entry; its printed entries must be
+    # those of the reference loop, which records every (n, identity) alone
+    seq, ns, A, identities = CALLS[k]
+    identities = [
+        (name, L, e, s, failing(band, {n for n, i in positions if i == index}))
+        for index, (name, L, e, s, band) in enumerate(identities)
+    ]
+    engine, reference = VerificationReport(), VerificationReport()
+    eigenfam.check_expansions(engine, seq, ns, A, identities)
+    reference_check_expansions(reference, seq, ns, A, identities)
+    assert _encode(engine.to_json()) == _encode(reference.to_json())
+    assert engine.to_json() == reference.to_json()
+    bad = {n for n, i in positions if i < len(identities)}
+    blocks = sum(n not in bad and (n == ns[0] or n - 1 in bad) for n in ns)
+    assert len(engine.items) == len(bad & set(ns)) * len(identities) + blocks
 
 
 def test_passing_columns_build_no_polynomial():

@@ -19,7 +19,14 @@ witnesses = st.none() | st.dictionaries(
 )
 records = st.tuples(st.just("record"), identities, indices, st.booleans(), witnesses)
 checks = st.tuples(st.just("check"), identities, indices, polys(3), polys(3), st.booleans())
-calls = records | checks
+# record_run: one identity or several, no head or a tuple head, and ranges
+# that may be empty
+heads = st.none() | st.tuples() | st.tuples(small) | st.tuples(small, small)
+ranges = st.tuples(small, st.integers(-2, 6)).map(lambda a: range(a[0], a[0] + a[1]))
+runs = st.tuples(
+    st.just("run"), st.lists(identities, min_size=1, max_size=3).map(tuple), ranges, heads
+)
+calls = records | checks | runs
 programs = st.lists(calls | st.tuples(st.just("extend"), st.lists(calls, max_size=6)), max_size=12)
 
 
@@ -43,6 +50,13 @@ def run(report, program, reference):
             _, identity, index, ok, witness = call
             report.record(identity, index, ok, witness)
             entry = reference_entry(identity, index, "pass" if ok else "fail", None if ok else witness)
+        elif call[0] == "run":
+            _, names, ns, head = call
+            report.record_run(names, ns, head)
+            for n in ns:
+                index = n if head is None else (*head, n)
+                reference += [(reference_entry(name, index, "pass"), index) for name in names]
+            continue
         elif call[0] == "check":
             _, identity, index, lhs, rhs, same = call
             rhs = lhs if same else rhs
@@ -67,7 +81,11 @@ def test_report_prints_the_reference_entries(program):
     expected = {"passed": passed, "checked": len(entries), "entries": entries}
     out = report.to_json()
     assert _encode(out) == json.dumps(expected, indent=2)
-    assert out["entries"] is report.entries
+    # the writer reads the report's own items and builds no entry
+    assert out["entries"].items is report.items
+    assert list.__len__(out["entries"]) == 0
+    assert json.dumps(out) == json.dumps(expected)
+    assert out["entries"] == [dict(e, n=index) for e, index in reference] == report.entries
     assert report.passed == passed
     failures = [(e, index) for e, index in reference if e["status"] == "fail"]
     first = report.first_failure()

@@ -275,6 +275,35 @@ class TestRowsFirst:
         assert calls == []
 
 
+class TestPrefix:
+    """A prefix holds its parent's integer and weighted views, sliced, at
+    the parent's D, a common multiple of its own rows' denominators; every
+    kernel must give what it gives on a fresh sequence over the same rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_banded_tables, st.booleans(), st.data())
+    def test_kernels_agree_with_a_fresh_sequence(self, table, derivative, data):
+        rt, N = table
+        full = generate(rt, N)
+        if derivative:  # dense rows: d-orthogonality runs the pairings
+            full = derivative_sequence(full)
+        n = data.draw(st.integers(0, full.N))
+        sub, fresh = full.prefix(n), MonicSequence(full.x_rows[:n])
+        assert sub.x_rows == fresh.x_rows
+        for view in ("integer_rows", "weighted_rows"):
+            D, rows = getattr(full, view)
+            assert getattr(sub, view) == (D, rows[:n])
+        assert dual_moments(sub, rt.d) == dual_moments(fresh, rt.d)
+        if n:
+            assert derivative_sequence(sub).x_rows == derivative_sequence(fresh).x_rows
+        for M in range(3):
+            if seqkit.probe_degree(rt.d, M) <= n:
+                assert (
+                    check_d_orthogonality(sub, rt.d, M).to_json()
+                    == check_d_orthogonality(fresh, rt.d, M).to_json()
+                )
+
+
 def reconstruct_x_times(seq, row, k):
     """P_(k+1) + sum_j c P_j over one x-row."""
     out = seq[k + 1]
