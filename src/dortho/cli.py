@@ -28,7 +28,7 @@ from .errors import (
     OutputTooLarge,
 )
 from .polycore import rational_from_json, rational_to_str
-from .report import Entries, VerificationReport
+from .report import VerificationReport, poly_witness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -122,13 +122,25 @@ def _run(run: tuple, indent: str) -> str:
     return sep.join([_int(n).join(pieces) for n in ns])
 
 
+def _entries(items: list, indent: str) -> str:
+    """A report's items (see report.py) as json.dumps(..., indent=2) writes
+    the list of their entries at indent.  The item texts are freed on
+    return, before the report's own join copies the list's text."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    parts = [_encode(v, inner) if type(v) is dict else _run(v, inner) for v in items]
+    return _block("[]", parts, indent)
+
+
 def _encode(obj, indent: str = "") -> str:
     """obj as json.dumps(obj, indent=2) writes it, for dicts with str keys,
-    lists, tuples, str, int, bool, None and a report's Entries; anything
-    else raises TypeError.  json's indented encoder is a pure-Python
-    generator, one step per token; this builds each container with one
-    join, writes its str and int members inline, and writes a report's runs
-    without building their entries (_run)."""
+    lists, tuples, str, int, bool and None, and a VerificationReport as
+    json.dumps writes its to_json(); anything else raises TypeError.
+    json's indented encoder is a pure-Python generator, one step per token;
+    this builds each container with one join, writes its str and int
+    members inline, and writes a report from its items, its runs without
+    building their entries (_run)."""
     t = type(obj)
     if t is str:
         return _str(obj)
@@ -160,28 +172,28 @@ def _encode(obj, indent: str = "") -> str:
             for v in obj
         ]
         return _block("[]", parts, indent)
-    if t is Entries:
-        if not obj.items:
-            return "[]"
-        parts = [_encode(v, inner) if type(v) is dict else _run(v, inner) for v in obj.items]
-        return _block("[]", parts, indent)
+    if t is VerificationReport:
+        parts = [f'"passed": {_encode(obj.passed)}', f'"checked": {_int(obj.checked)}']
+        parts.append('"entries": ' + _entries(obj.items, inner))
+        return _block("{}", parts, indent)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _emit(obj: dict, out_path) -> None:
     """Write obj to out_path, or to stdout without one.  The text is
-    json.dumps(obj, indent=2) + "\\n", byte for byte; _encode writes it.  An
+    json.dumps(obj, indent=2) + "\\n", byte for byte; _encode writes it, and
+    print writes it and then the newline, with no copy of the text.  An
     out_path that cannot be opened or written is an InputError (exit 2),
     and nothing goes to stdout."""
-    text = _encode(obj) + "\n"
+    text = _encode(obj)
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                print(text, file=fh)
         except OSError as exc:
             raise InputError(f"cannot write output file: {exc}")
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _load_operator(path: str) -> DiffOperator:
@@ -241,27 +253,23 @@ def _family_setup(family: str, params: list):
     return J, (lambda N: coeffs(J, N))
 
 
-def _tables_match_report(rt_closed, rt_oracle, N: int) -> VerificationReport:
+def _record_tables_match(report: VerificationReport, rt_closed, rt_oracle, N: int):
     """beta_0..beta_N, alpha_1..alpha_N and gamma_1..gamma_(N-1) of the
-    closed-form table against the oracle's, the matches between mismatches
-    as runs; a mismatch carries both values."""
-    rep = VerificationReport()
+    closed-form table against the oracle's; a mismatch carries both
+    values."""
     for name, ns in (
         ("beta", range(N + 1)),
         ("alpha", range(1, N + 1)),
         ("gamma", range(1, N)),
     ):
-        identity = (f"{name}-match",)
-        start = ns.start
-        for n in ns:
-            closed, oracle = getattr(rt_closed, name)(n), getattr(rt_oracle, name)(n)
-            if closed != oracle:
-                rep.record_run(identity, range(start, n))
-                witness = {"closed": rational_to_str(closed), "oracle": rational_to_str(oracle)}
-                rep.record(identity[0], n, False, witness)
-                start = n + 1
-        rep.record_run(identity, range(start, ns.stop))
-    return rep
+        closed, oracle = getattr(rt_closed, name), getattr(rt_oracle, name)
+
+        def failures(n):
+            a, b = closed(n), oracle(n)
+            if a != b:
+                return [{"closed": rational_to_str(a), "oracle": rational_to_str(b)}]
+
+        report.record_block((f"{name}-match",), ns, failures)
 
 
 def cmd_eigen(args) -> int:
@@ -331,24 +339,26 @@ def cmd_verify(args) -> int:
         seq = full.prefix(probe_deg)
         eigen = [("eigen-identity", J, 0, 0, lambda n: [(n, diag.at(0, n))])]
         eigenfam.check_expansions(report, full, range(N + 1), diag.A, eigen)
-        report.extend(_tables_match_report(rt, rt_oracle, N))
+        _record_tables_match(report, rt, rt_oracle, N)
 
         # d-orthogonality of the family and of its derivative sequence
         report.extend(seqkit.check_d_orthogonality(seq, 2, M))
         dseq = seqkit.derivative_sequence(seq)
         if args.family == "case1":
             same = next((k for k in range(N) if dseq.x_rows[k] != seq.x_rows[k]), N)
-            # Q's rows below n <= same are P's, so Q_n = P_n
-            report.record_run(("appell",), range(same + 1))
-            for n in range(same + 1, N + 1):
-                report.check("appell", n, dseq[n], seq[n])
+
+            def failures(n):  # Q's rows below n <= same are P's, so Q_n = P_n
+                witness = None if n <= same else poly_witness(dseq[n], seq[n])
+                return witness and [witness]
+
+            report.record_block(("appell",), range(N + 1), failures)
         else:
             report.extend(seqkit.check_d_orthogonality(dseq, 2, M))
         out = {"mode": "family", "family": args.family, "N": N, "M": M}
 
-    out["report"] = report.to_json()
+    out["report"] = report
     _emit(out, args.out)
-    if not out["report"]["passed"]:
+    if not report.passed:
         first = report.first_failure()
         sys.stderr.write(
             f"verification failure: {first['identity']} at {first['n']}\n"
@@ -398,10 +408,10 @@ def cmd_duals(args) -> int:
         "N": N,
         "M": M,
         "moments": [[rational_to_str(v) for v in row] for row in moments],
-        "report": report.to_json(),
+        "report": report,
     }
     _emit(out, args.out)
-    if not out["report"]["passed"]:
+    if not report.passed:
         first = report.first_failure()
         sys.stderr.write(
             f"orthogonality failure at (m, nu, n) = {first['n']}\n"

@@ -23,7 +23,7 @@ from .errors import (
     ZeroParameter,
 )
 from .polycore import Poly, rational_to_str, writable
-from .report import VerificationReport
+from .report import VerificationReport, poly_witness
 from .seqkit import MonicSequence, RecurrenceTable, generate, operator_column
 
 
@@ -402,44 +402,41 @@ def check_expansions(
     n + s is A D**(n + s + e - j) times L's matrix entry, D the sequence's,
     and band(n) gives the (j, c_j) of the right-hand side at that same
     scale, each c_j an int or a Fraction; terms with j < 0 (P_(-i) = 0) or
-    c_j = 0 are left out.  Records one entry per n in ns (ints, ascending)
-    and identity, n outermost: each maximal block of consecutive n on which
-    every identity passes as one run, and each n with a failure entry by
-    entry.
+    c_j = 0 are left out.  Records one entry per n in ns (a range) and
+    identity through report.record_block.
 
     Basis expansions are unique, so the identity holds exactly when the
     band, summed per j, equals the column, entries outside the band
-    included: one ==, no gcd.  Only a failing column builds L(P_(n+s)) and
-    the right-hand side as polynomials, each c_j divided by its scale, for
-    the witness; if the two agree, the column kernel is at fault, and that
-    is a RuntimeError, not a pass.
+    included: one ==, no gcd.  Only a failing column builds polynomials,
+    for its witness (_column_witness).
     """
-    names = tuple(name for name, *_ in identities)
-    start = stop = 0  # the passing block not yet recorded
-    for n in ns:
+
+    def failures(n):
         oks = [_band_matches(seq, A, identity, n) for identity in identities]
-        if all(oks):
-            if n != stop:
-                report.record_run(names, range(start, stop))
-                start = n
-            stop = n + 1
-            continue
-        report.record_run(names, range(start, stop))
-        start = stop = n + 1
-        for ok, (name, L, e, s, band) in zip(oks, identities):
-            if ok:
-                report.record(name, n, True)
-                continue
-            D = Fraction(seq.weighted_rows[0])
-            rhs = Poly.zero()
-            for j, c in band(n):
-                if j >= 0 and c:
-                    rhs = rhs + seq[j].scale(c / (A * D ** (n + s + e - j)))
-            lhs = L.apply(seq[n + s])
-            if lhs == rhs:
-                raise RuntimeError(f"{name} at {n}: column and band differ, polynomials agree")
-            report.check(name, n, lhs, rhs)
-    report.record_run(names, range(start, stop))
+        if not all(oks):
+            return [
+                None if ok else _column_witness(seq, A, identity, n)
+                for ok, identity in zip(oks, identities)
+            ]
+
+    report.record_block(tuple(name for name, *_ in identities), ns, failures)
+
+
+def _column_witness(seq: MonicSequence, A: int, identity: tuple, n: int) -> dict:
+    """The witness of identity's failing column at n: L(P_(n+s)) and the
+    band's right-hand side as polynomials, each c_j divided by its scale.
+    If the two agree, the column kernel is at fault, and that is a
+    RuntimeError, not a pass."""
+    name, L, e, s, band = identity
+    D = Fraction(seq.weighted_rows[0])
+    rhs = Poly.zero()
+    for j, c in band(n):
+        if j >= 0 and c:
+            rhs = rhs + seq[j].scale(c / (A * D ** (n + s + e - j)))
+    witness = poly_witness(L.apply(seq[n + s]), rhs)
+    if witness is None:
+        raise RuntimeError(f"{name} at {n}: column and band differ, polynomials agree")
+    return witness
 
 
 def _band_matches(seq: MonicSequence, A: int, identity: tuple, n: int) -> bool:

@@ -7,15 +7,16 @@ is a block of passing entries, held as (identities, head, ns): the entries
 "for n in ns, for identity in identities", at index head + (n,), or at n
 when head is None.  "n" is the index as the caller gave it, an int or a
 tuple such as (m, nu, n), which json writes as an array.  A run is one
-item however many entries it stands for, and cli._encode writes it with
-one join, so a report costs O(items) to hold, count and write.
+item however many entries it stands for, and cli._encode writes the report
+from its items, each run with one join, so a report costs O(items) to
+hold, count and write.  record_block is the one way a check records a
+block of identities over a range: its passing stretches as runs, each
+failing n entry by entry.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .polycore import Poly
+from typing import Callable, Optional
 
 
 def _printed(items):
@@ -31,34 +32,10 @@ def _printed(items):
                 yield {"identity": identity, "n": index, "status": "pass"}
 
 
-class Entries(list):
-    """A report's entries as to_json() hands them over: a list equal to,
-    and read as, the list of printed dicts.  Those dicts are built on the
-    first read by iteration (json reads them so), len, indexing, in, ==,
-    != or repr; cli._encode reads items, the report's singles and runs,
-    and builds none."""
-
-    def __init__(self, items: list):
-        super().__init__()
-        self.items = items
-        self._built = False
-
-    def _build(self) -> "Entries":
-        if not self._built:
-            self._built = True
-            list.extend(self, _printed(self.items))
-        return self
-
-
-def _after_build(method):
-    def read(self, *args):
-        return method(self._build(), *(a._build() if type(a) is Entries else a for a in args))
-
-    return read
-
-
-for _name in ("__iter__", "__len__", "__getitem__", "__contains__", "__eq__", "__ne__", "__repr__"):
-    setattr(Entries, _name, _after_build(getattr(list, _name)))
+def poly_witness(lhs, rhs) -> Optional[dict]:
+    """None when the polynomials lhs and rhs are equal, else the failure's
+    witness {"lhs", "rhs"}."""
+    return None if lhs == rhs else {"lhs": lhs.to_json(), "rhs": rhs.to_json()}
 
 
 class VerificationReport:
@@ -69,14 +46,6 @@ class VerificationReport:
         self.items = []
         self.checked = 0
         self.failed = 0
-
-    def check(self, identity: str, index, lhs: Poly, rhs: Poly) -> bool:
-        """Record exact polynomial equality of lhs and rhs; only a failure
-        writes them out, as its witness."""
-        ok = lhs == rhs
-        witness = None if ok else {"lhs": lhs.to_json(), "rhs": rhs.to_json()}
-        self.record(identity, index, ok, witness)
-        return ok
 
     def record(self, identity: str, index, ok: bool, witness: Optional[dict] = None):
         """One entry.  A pass drops any witness; a failure keeps one if given."""
@@ -94,6 +63,26 @@ class VerificationReport:
         if identities and ns:
             self.items.append((tuple(identities), head, ns))
             self.checked += len(identities) * len(ns)
+
+    def record_block(
+        self, identities: tuple, ns: range, failures: Callable, head: Optional[tuple] = None
+    ):
+        """Each of identities at each n of ns, n outermost, at index
+        head + (n,), or at n when head is None.  failures(n) is None when
+        every identity passes at n, and otherwise gives, per identity, None
+        for a pass or the failure's witness dict.  Each maximal stretch of
+        passing n is one run; each other n is recorded entry by entry."""
+        start = 0
+        for i, n in enumerate(ns):
+            witnesses = failures(n)
+            if witnesses is None:
+                continue
+            self.record_run(identities, ns[start:i], head)
+            index = n if head is None else (*head, n)
+            for identity, witness in zip(identities, witnesses):
+                self.record(identity, index, witness is None, witness)
+            start = i + 1
+        self.record_run(identities, ns[start:], head)
 
     def extend(self, other: "VerificationReport"):
         self.items.extend(other.items)
@@ -115,4 +104,4 @@ class VerificationReport:
         )
 
     def to_json(self) -> dict:
-        return {"passed": self.passed, "checked": self.checked, "entries": Entries(self.items)}
+        return {"passed": self.passed, "checked": self.checked, "entries": self.entries}

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -241,11 +240,13 @@ class MonicSequence:
         )
 
 
-@dataclass(frozen=True)
 class BasisExpansion:
     """Coefficients c_0..c_m of a polynomial in the monic basis."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple):
+        self.coefficients = coefficients
 
     def coeff(self, i: int) -> Fraction:
         if 0 <= i < len(self.coefficients):
@@ -530,7 +531,9 @@ def _recurrence_report(seq: MonicSequence, d: int, M: int) -> VerificationReport
     recurrence over the sequence's x-multiplication rows (see the module
     docstring), run on integers: sigma_nu(m, .) = S_m / den_m with the rows
     scaled by D, one gcd per row.  A pairing is tested for zero on S_m and
-    becomes a Fraction only as a failing witness."""
+    becomes a Fraction only as a failing witness; each (m, nu) block of
+    orthogonality entries is one record_block, so a passing block is one
+    run."""
     D, rows = seq.integer_rows
     sigmas = [_mixed_moments(D, rows, seq.N, nu, M) for nu in range(d)]
     report = VerificationReport()
@@ -538,23 +541,14 @@ def _recurrence_report(seq: MonicSequence, d: int, M: int) -> VerificationReport
         for nu in range(d):
             row, den = sigmas[nu][m]
             n0 = m * d + nu
-            val = row[n0]
-            report.record(
-                "regularity",
-                (m, nu, n0),
-                val != 0,
-                witness=None if val != 0 else {"value": "0"},
-            )
-            for n in range(n0 + 1, seq.N - m + 1):
-                val = row[n]
-                report.record(
-                    "orthogonality",
-                    (m, nu, n),
-                    val == 0,
-                    witness=None
-                    if val == 0
-                    else {"value": rational_to_str(Fraction(val, den))},
-                )
+            report.record("regularity", (m, nu, n0), row[n0] != 0, {"value": "0"})
+
+            def failures(n):
+                if row[n]:
+                    return [{"value": rational_to_str(Fraction(row[n], den))}]
+
+            ns = range(n0 + 1, seq.N - m + 1)
+            report.record_block(("orthogonality",), ns, failures, (m, nu))
     return report
 
 

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from dortho import RecurrenceTable, cli, diffop, eigenfam, lambda_at, seqkit
 from dortho.polycore import rational_to_str
 
-from conftest import GOLDEN, run_cli
+from conftest import GOLDEN, dortho_env, run_cli
 
 
 def assert_golden(result, name, code):
@@ -886,6 +888,21 @@ class TestInternalError:
         monkeypatch.setattr(eigenfam, "derive_recurrence", self.raising(exc()))
         with pytest.raises(exc):
             cli.main(self.VERIFY)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, which no part of the CLI needs, and a
+    # request's start-up pays for every module it loads; -S keeps the
+    # site-packages' own imports out of the count
+    code = "import sys, dortho.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dortho_env(),
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_one_parser_serves_every_request(capsys):
