@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from . import eigenfam, seqkit
 from .diffop import DiffOperator, classify, lambda_poly
@@ -28,7 +27,7 @@ from .errors import (
     OutputTooLarge,
 )
 from .polycore import rational_from_json, rational_to_str
-from .report import VerificationReport, poly_witness
+from .report import VerificationReport, poly_witness, write
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,118 +81,22 @@ def _probe_bounds(args, d: int = 2) -> tuple:
     return N, M
 
 
-_str = encode_basestring_ascii
-_int = int.__repr__
-_STR = frozenset([str])
-
-
-def _block(brackets: str, parts, indent: str) -> str:
-    """The non-empty list parts one to a line, indented two spaces past
-    indent, comma-separated between brackets, as json.dumps(..., indent=2)
-    lays out a container.  The brackets go onto the first and last part in
-    place, so the join is the only copy of the whole."""
-    inner = indent + "  "
-    parts[0] = f"{brackets[0]}\n{inner}{parts[0]}"
-    parts[-1] = f"{parts[-1]}\n{indent}{brackets[1]}"
-    return (",\n" + inner).join(parts)
-
-
-def _run(run: tuple, indent: str) -> str:
-    """A report run (see report.py), as json.dumps(..., indent=2) writes
-    its entries as members of a list at indent: each entry is its text
-    before n, n, and its text after n.  One identity is one join over the
-    run's ns; several are one join per n, over the identities' pieces."""
-    identities, head, ns = run
-    inner = indent + "  "
-    if head is None:
-        open_n = close_n = ""
-    else:
-        deeper = inner + "  "
-        open_n = f"[\n{deeper}" + "".join(f"{_encode(h, deeper)},\n{deeper}" for h in head)
-        close_n = f"\n{inner}]"
-    sep = f",\n{indent}"
-    after = f'{close_n},\n{inner}"status": "pass"\n{indent}}}'
-    before = [
-        f'{{\n{inner}"identity": {_encode(i, inner)},\n{inner}"n": {open_n}' for i in identities
-    ]
-    if len(before) == 1:
-        return before[0] + (after + sep + before[0]).join(map(_int, ns)) + after
-    pieces = [before[0], *(after + sep + b for b in before[1:]), after]
-    return sep.join([_int(n).join(pieces) for n in ns])
-
-
-def _entries(items: list, indent: str) -> str:
-    """A report's items (see report.py) as json.dumps(..., indent=2) writes
-    the list of their entries at indent.  The item texts are freed on
-    return, before the report's own join copies the list's text."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    parts = [_encode(v, inner) if type(v) is dict else _run(v, inner) for v in items]
-    return _block("[]", parts, indent)
-
-
-def _encode(obj, indent: str = "") -> str:
-    """obj as json.dumps(obj, indent=2) writes it, for dicts with str keys,
-    lists, tuples, str, int, bool and None, and a VerificationReport as
-    json.dumps writes its to_json(); anything else raises TypeError.
-    json's indented encoder is a pure-Python generator, one step per token;
-    this builds each container with one join, writes its str and int
-    members inline, and writes a report from its items, its runs without
-    building their entries (_run)."""
-    t = type(obj)
-    if t is str:
-        return _str(obj)
-    if t is int:
-        return _int(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    inner = indent + "  "
-    if t is dict:
-        if not obj:
-            return "{}"
-        if not _STR.issuperset(map(type, obj)):
-            raise TypeError("keys must be str")
-        parts = [
-            f"{_str(k)}: "
-            + (_str(v) if type(v) is str else _int(v) if type(v) is int else _encode(v, inner))
-            for k, v in obj.items()
-        ]
-        return _block("{}", parts, indent)
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        parts = [
-            _int(v) if type(v) is int else _str(v) if type(v) is str else _encode(v, inner)
-            for v in obj
-        ]
-        return _block("[]", parts, indent)
-    if t is VerificationReport:
-        parts = [f'"passed": {_encode(obj.passed)}', f'"checked": {_int(obj.checked)}']
-        parts.append('"entries": ' + _entries(obj.items, inner))
-        return _block("{}", parts, indent)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
 def _emit(obj: dict, out_path) -> None:
-    """Write obj to out_path, or to stdout without one.  The text is
-    json.dumps(obj, indent=2) + "\\n", byte for byte; _encode writes it, and
-    print writes it and then the newline, with no copy of the text.  An
-    out_path that cannot be opened or written is an InputError (exit 2),
-    and nothing goes to stdout."""
-    text = _encode(obj)
+    """Write obj to out_path, or to stdout without one, as json.dumps(obj,
+    indent=2) + "\\n" byte for byte: every piece of report.write first, so a
+    TypeError writes nothing, then one writelines.  An out_path that cannot
+    be opened or written is an InputError (exit 2), and stdout stays empty."""
+    pieces = []
+    write(obj, pieces)
+    pieces.append("\n")
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                print(text, file=fh)
+                fh.writelines(pieces)
         except OSError as exc:
             raise InputError(f"cannot write output file: {exc}")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_operator(path: str) -> DiffOperator:

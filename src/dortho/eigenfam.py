@@ -716,9 +716,10 @@ def _shift3_initial(t: _Tables, a3) -> dict:
 def _family_identities(J: DiffOperator) -> list:
     """The displayed differential relations of the family J belongs to, if
     J is corollary 4.2's operator or a case 1 operator (a_1 linear, a_2 and
-    a_3 constant), as check_expansions' (name, L, e, s, band) with each band
-    in Fractions.  e is the scale exponent of L's columns: L's coefficients
-    are J^(e)'s where they coincide, so the two share their columns."""
+    a_3 constant), as check_expansions' (name, L, e, s, band) with each
+    band's entries ints or Fractions.  L is J^(e), so its columns are J's
+    level e, cached at J^(e)'s own key; the lowering relation's d/dx is
+    the one other operator."""
     if J.order != 3:
         return []
     if J.a(1).degree == 1 and J.a(2).degree <= 0 and J.a(3).degree == 0:
@@ -726,7 +727,6 @@ def _family_identities(J: DiffOperator) -> list:
         a11 = J.acoef(1, 1)
         a02 = J.acoef(0, 2)
         a03 = J.acoef(0, 3)
-        L = DiffOperator([J.a(1), Poly([a02]), Poly([a03])], relaxed=True)
         D = DiffOperator([Poly.zero(), Poly.one()])
 
         def second_order(n):
@@ -737,14 +737,10 @@ def _family_identities(J: DiffOperator) -> list:
             ]
 
         return [
-            ("case1-second-order", L, 1, 0, second_order),  # L is J^(1)
+            ("case1-second-order", J.shifted(1), 1, 0, second_order),
             ("case1-appell-derivative", D, 0, 0, lambda n: [(n - 1, n)]),
         ]
     if J == corollary42_operator(J.acoef(0, 0)):
-        sq = Poly([1, -2, 1])  # (x-1)^2
-        L1 = DiffOperator([Poly([0, Fraction(1, 24)]), Poly.zero(), sq], relaxed=True)
-        L2 = DiffOperator([Poly.zero(), sq], relaxed=True)
-
         def second_order(n):
             return [
                 (n + 1, Fraction(1, 24)),
@@ -763,37 +759,25 @@ def _family_identities(J: DiffOperator) -> list:
 
         def first_order(n):
             return [
-                (n + 1, Fraction(n)),
-                (n, Fraction(-2 * n * (5 + 4 * n * (2 * n - 3)))),
-                (
-                    n - 1,
-                    Fraction(
-                        (3 - 2 * n) ** 2 * n * (24 * (n - 2) * n + 25)
-                    ),
-                ),
-                (
-                    n - 2,
-                    Fraction(
-                        -8 * (5 - 2 * n) ** 2 * (n - 1) * n * (2 * n - 3) ** 3
-                    ),
-                ),
+                (n + 1, n),
+                (n, -2 * n * (5 + 4 * n * (2 * n - 3))),
+                (n - 1, (3 - 2 * n) ** 2 * n * (24 * (n - 2) * n + 25)),
+                (n - 2, -8 * (5 - 2 * n) ** 2 * (n - 1) * n * (2 * n - 3) ** 3),
                 (
                     n - 3,
-                    Fraction(
-                        4
-                        * (3 - 2 * n) ** 2
-                        * (5 - 2 * n) ** 2
-                        * (7 - 2 * n) ** 2
-                        * (n - 2)
-                        * (n - 1)
-                        * n
-                    ),
+                    4
+                    * (3 - 2 * n) ** 2
+                    * (5 - 2 * n) ** 2
+                    * (7 - 2 * n) ** 2
+                    * (n - 2)
+                    * (n - 1)
+                    * n,
                 ),
             ]
 
         return [
-            ("corollary-second-order", L1, 1, 0, second_order),
-            ("corollary-first-order", L2, 2, 0, first_order),  # L2 is J^(2)
+            ("corollary-second-order", J.shifted(1), 1, 0, second_order),
+            ("corollary-first-order", J.shifted(2), 2, 0, first_order),
         ]
     return []
 

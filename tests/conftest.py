@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 
 import dortho
 from dortho import DiffOperator, Poly
+from dortho.report import write
 
 GOLDEN = Path(__file__).parent / "golden"
 
 # The directory that holds the ``dortho`` package this process imported: the
 # source tree's ``src`` or an install's site-packages.
 DORTHO_ROOT = str(Path(dortho.__file__).resolve().parent.parent)
+
+
+def written(obj) -> str:
+    """obj as the CLI writes it: report.write's pieces, joined."""
+    pieces = []
+    write(obj, pieces)
+    return "".join(pieces)
 
 
 def dortho_env(**overrides):

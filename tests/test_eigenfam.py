@@ -255,7 +255,8 @@ class TestSharedState:
     def test_family_mode_computes_each_column_once(self, monkeypatch, tmp_path, family, params):
         # The oracle hands over only its table; J's columns are computed on
         # the closed-form sequence alone, each once, and the eigen identity
-        # reads J's levels the shift bands filled
+        # and the family relations read J's levels the shift bands filled:
+        # the only other operator is case 1's d/dx, at its two levels
         computed = self.count_columns(monkeypatch)
         tables = self.count(monkeypatch, eigenfam, "oracle_table")
         derived = self.count(monkeypatch, eigenfam, "derive_recurrence")
@@ -270,7 +271,11 @@ class TestSharedState:
         assert derived == []
         J = cli._family_setup(family, cli._parse_params(params))[0]
         A = lcm_denominator(J)
-        assert {(J.coeffs, A, 0), (J.coeffs[1:], A, 1)} <= {key for key, _ in keys}
+        expected = {(J.coeffs[i:], A, i) for i in range(4)}
+        if family == "case1":
+            d = (Poly.zero(), Poly.one())
+            expected |= {(d, A, 0), (d[1:], A, 1)}
+        assert {key for key, _ in keys} == expected
 
     @pytest.mark.parametrize("J", FAMILY_OPERATORS)
     def test_derive_recurrence_builds_no_polynomial(self, monkeypatch, J):

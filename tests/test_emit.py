@@ -1,13 +1,16 @@
 """The CLI's JSON writer against json.dumps(obj, indent=2)."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dortho.cli import _encode
+from dortho import VerificationReport, cli
+
+from conftest import written
 
 # Quotes, backslashes, control characters, DEL, non-ASCII (Latin, the BMP's
 # line separator, an astral-plane emoji) next to plain letters.
@@ -60,7 +63,7 @@ trees = st.recursive(
 @example({"identity": "appell", "n": 3, "status": "fail", "witness": {"lhs": [], "rhs": ["1/2"]}})
 @example([[{}], {"": []}, ()])
 def test_writes_what_json_dumps_writes(obj):
-    assert _encode(obj) == json.dumps(obj, indent=2)
+    assert written(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -78,4 +81,46 @@ def test_writes_what_json_dumps_writes(obj):
 )
 def test_outside_the_emitted_subset_is_type_error(obj):
     with pytest.raises(TypeError):
-        _encode(obj)
+        written(obj)
+
+
+class Pieces:
+    """A stdout that keeps what writelines hands it, piece by piece."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def writelines(self, pieces):
+        self.pieces += pieces
+
+    def write(self, text):
+        raise AssertionError("written outside writelines")
+
+
+def test_emit_writes_the_pieces_once(monkeypatch, tmp_path):
+    # three runs and a failure between them: each run is whole in one piece,
+    # no piece holds two, and --out gets the bytes stdout gets
+    report = VerificationReport()
+    report.record_run(("run-a",), range(4))
+    report.record("orthogonality", (1, 0, 4), False, {"value": "7"})
+    report.record_run(("run-b", "run-c"), range(2, 5), (3, 1))
+    report.record_run(("run-d",), range(6, 9), (0,))
+    obj = {"mode": "family", "moments": [["1", "-1/2"], []], "report": report}
+    stdout = Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._emit(obj, None)
+    text = json.dumps({**obj, "report": report.to_json()}, indent=2) + "\n"
+    assert "".join(stdout.pieces) == text
+    # each identity's run, and its number of entries
+    runs = {"run-a": (0, 4), "run-b": (1, 3), "run-c": (1, 3), "run-d": (2, 3)}
+    for piece in stdout.pieces:
+        held = [name for name in runs if f'"{name}"' in piece]
+        assert len({runs[name][0] for name in held}) <= 1
+        assert all(piece.count(f'"{name}"') == runs[name][1] for name in held)
+    cli._emit(obj, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_bytes() == text.encode()
+    # a value outside the emitted subset stops the writer before it writes
+    stdout.pieces.clear()
+    with pytest.raises(TypeError):
+        cli._emit({"report": report, "ratio": 0.5}, None)
+    assert stdout.pieces == []

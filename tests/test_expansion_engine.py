@@ -40,11 +40,10 @@ from dortho import (
     seqkit,
     verify_expansions,
 )
-from dortho.cli import _encode
 from dortho.diffop import lambda_at
 from dortho.report import poly_witness
 
-from conftest import operators, polys
+from conftest import operators, polys, written
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -232,7 +231,7 @@ def test_runs_around_injected_failures(k, positions):
     engine, reference = VerificationReport(), VerificationReport()
     eigenfam.check_expansions(engine, seq, ns, A, identities)
     reference_check_expansions(reference, seq, ns, A, identities)
-    assert _encode(engine.to_json()) == _encode(reference.to_json())
+    assert written(engine.to_json()) == written(reference.to_json())
     assert engine.to_json() == reference.to_json()
     bad = {n for n, i in positions if i < len(identities)}
     blocks = sum(n not in bad and (n == ns[0] or n - 1 in bad) for n in ns)

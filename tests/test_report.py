@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dortho import VerificationReport, report as report_module
-from dortho.cli import _encode
 from dortho.report import poly_witness
 
-from conftest import polys
+from conftest import polys, written
 
 identities = st.sampled_from(["shift1-expansion", "regularity", "orthogonality", "beta-match"])
 small = st.integers(-3, 40)
@@ -117,10 +116,10 @@ def test_report_prints_the_reference_entries(program):
     expected = {"passed": passed, "checked": len(entries), "entries": entries}
     # the writer reads the report's own items and builds no entry
     with mock.patch.object(report_module, "_printed", side_effect=AssertionError("built")):
-        assert _encode(report) == json.dumps(expected, indent=2)
-        assert _encode({"report": report}) == json.dumps({"report": expected}, indent=2)
+        assert written(report) == json.dumps(expected, indent=2)
+        assert written({"report": report}) == json.dumps({"report": expected}, indent=2)
     out = report.to_json()
-    assert _encode(out) == json.dumps(expected, indent=2)
+    assert written(out) == json.dumps(expected, indent=2)
     assert json.dumps(out) == json.dumps(expected)
     assert out["entries"] == [dict(e, n=index) for e, index in reference] == report.entries
     assert report.passed == passed
