@@ -122,7 +122,7 @@ def _parse_params(raw) -> list:
     if isinstance(raw, str):
         try:
             raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise InputError(f"malformed params JSON: {exc}")
     if not isinstance(raw, list):
         raise InputError("params must be a JSON array")

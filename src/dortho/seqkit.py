@@ -505,9 +505,19 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
             n0 = m * d + nu
             if m:
                 regular[nu] = regular[nu] and any(j == n0 - d and c for j, c in rows[n0])
-            report.record("regularity", (m, nu, n0), regular[nu], {"value": "0"})
+            _record_regularity(report, m, nu, n0, regular[nu])
             report.record_run(("orthogonality",), range(n0 + 1, seq.N - m + 1), (m, nu))
     return report
+
+
+def _record_regularity(report: VerificationReport, m: int, nu: int, n0: int, ok: bool):
+    """The regularity entry at (m, nu, n0): a pass is a run of one n at head
+    (m, nu), which the writer prints as one piece; a failure keeps its
+    witness "0"."""
+    if ok:
+        report.record_run(("regularity",), range(n0, n0 + 1), (m, nu))
+    else:
+        report.record("regularity", (m, nu, n0), False, {"value": "0"})
 
 
 def _probe_reach(seq: MonicSequence, d: int, M: int) -> None:
@@ -541,7 +551,7 @@ def _recurrence_report(seq: MonicSequence, d: int, M: int) -> VerificationReport
         for nu in range(d):
             row, den = sigmas[nu][m]
             n0 = m * d + nu
-            report.record("regularity", (m, nu, n0), row[n0] != 0, {"value": "0"})
+            _record_regularity(report, m, nu, n0, row[n0] != 0)
 
             def failures(n):
                 if row[n]:

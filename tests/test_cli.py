@@ -487,6 +487,16 @@ class TestBadRanges:
             b"input error: bad rational in params: rational with an exponent: '1e999999'\n"
         )
 
+    @pytest.mark.parametrize("command", ["verify", "duals"])
+    def test_params_int_past_the_digit_limit_is_input_error(self, command):
+        # json.loads refuses a 5000-digit int with a plain ValueError, not
+        # a JSONDecodeError
+        params = "[" + "1" * 5000 + "]"
+        r = run_cli(command, "--family", "corollary42", "--params", params, "-N", "2", "-M", "1")
+        assert r.returncode == 2, r.stderr.decode()
+        assert r.stderr.startswith(b"input error: malformed params JSON: Exceeds the limit")
+        assert r.stdout == b""
+
     @pytest.mark.parametrize(
         "data, argv",
         [

@@ -160,6 +160,60 @@ class TestJson:
             rational_to_str(Fraction(10**4300))
         assert rational_to_str(Fraction(1, 10**4299)) == "1/1" + "0" * 4299
 
+    def test_rational_to_str_of_int_and_fraction(self):
+        # a Fraction is printed as it is, anything else through Fraction(r)
+        assert rational_to_str(-7) == "-7"
+        assert rational_to_str(Fraction(-35, 12)) == "-35/12"
+        for r in (10**4300, Fraction(1, 10**4300)):
+            with pytest.raises(OutputTooLarge, match="more than 4300 digits"):
+                rational_to_str(r)
+
+    # numerator and denominator are each up to three of these, so a
+    # string near dortho's own spelling is likely
+    SPELLING_PIECES = ["1", "0", "25", "\u0663", "-", "+", "_", ".", " ", "e", "E"]
+
+    @staticmethod
+    def parsed(read, v):
+        """read(v), or the type and message of the error it raises."""
+        try:
+            r = read(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+        assert type(r) is Fraction
+        return r
+
+    @staticmethod
+    def fraction_route(v):
+        """rational_from_json's reading of a str through Fraction's parser
+        alone: the exponent screen, then Fraction(str(v))."""
+        if "e" in v.lower():
+            raise ValueError(f"rational with an exponent: {v!r}")
+        return Fraction(str(v))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789\u0663-+/._ eE", max_size=12),
+            st.builds(
+                lambda p, slash, q: p + slash + q,
+                st.lists(st.sampled_from(SPELLING_PIECES), max_size=3).map("".join),
+                st.sampled_from(["", "/"]),
+                st.lists(st.sampled_from(SPELLING_PIECES), max_size=3).map("".join),
+            ),
+        )
+    )
+    @example("1" * 4301)
+    @example("-1/" + "1" * 4301)
+    @example("5/0")
+    @example("-0/7")
+    @example("007/0100")
+    @example("\u0663/4")
+    @example("1_000/3")
+    def test_rational_from_json_matches_fractions_parser(self, v):
+        # int() reads dortho's own "p" and "p/q"; any other string, and any
+        # error, must be exactly Fraction's
+        assert self.parsed(rational_from_json, v) == self.parsed(self.fraction_route, v)
+
     @pytest.mark.parametrize("data", ["12", 12, {"a": [1]}, None])
     def test_poly_from_json_needs_an_array(self, data):
         with pytest.raises(ValueError, match="array"):
