@@ -1,31 +1,31 @@
 """Batch CLI with JSON input/output and stable, exact-rational output.
 
-Subcommands: eigen, verify, classify, duals.  Exit codes: 0 on pass,
-1 on verification failure, 2 on input/validation error, 3 on an internal
-error (an unexpected exception, reported on stderr as
-"internal error: <Type>: <message>").  All numbers
-are emitted as canonical rational strings, never floats, so outputs are
-byte-stable across runs.
+Subcommands: eigen, verify, classify, duals.  Each cmd_* returns the JSON
+object it answers with; main alone writes it and maps every outcome to an
+exit code and at most one stderr line: 0 when any report in it passed;
+1 on a failed report (its first failure named) or a VerificationFailure;
+2 on an InputError ("input error: ..."), output that cannot be written (a
+closed stdout too) and arguments argparse rejects (its usage and error
+text; --help returns 0); 3 on anything else ("internal error: <Type>:
+<message>").  errors.py sorts the library's exceptions into the two kinds.
+Numbers are written as canonical rational strings, never floats, so
+outputs are byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import eigenfam, seqkit
 from .diffop import DiffOperator, classify, lambda_poly
-from .errors import (
-    DegreeViolation,
-    DorthoError,
-    EigenvalueCollision,
-    NotIsomorphism,
-    NotTwoOrthogonal,
-    OutputTooLarge,
-)
+from .errors import DegreeViolation, InputError, VerificationFailure
 from .polycore import rational_from_json, rational_to_str
 from .report import VerificationReport, poly_witness, write
 
@@ -58,10 +58,6 @@ MAX_DEGREE = 400
 MAX_ORDER = 32
 
 
-class InputError(Exception):
-    pass
-
-
 def _probe_bounds(args, d: int = 2) -> tuple:
     """(N, M) from the flags or their defaults, both required >= 0 and
     within MAX_DEGREE for a d-orthogonality probe.  The probe to M = 0
@@ -84,8 +80,10 @@ def _probe_bounds(args, d: int = 2) -> tuple:
 def _emit(obj: dict, out_path) -> None:
     """Write obj to out_path, or to stdout without one, as json.dumps(obj,
     indent=2) + "\\n" byte for byte: every piece of report.write first, so a
-    TypeError writes nothing, then one writelines.  An out_path that cannot
-    be opened or written is an InputError (exit 2), and stdout stays empty."""
+    TypeError writes nothing, then one writelines.  An out_path or stdout
+    that cannot be written is an InputError (exit 2); a failed stdout's
+    descriptor, if it has one, then points at devnull, so that the flush at
+    interpreter exit cannot fail too."""
     pieces = []
     write(obj, pieces)
     pieces.append("\n")
@@ -95,8 +93,16 @@ def _emit(obj: dict, out_path) -> None:
                 fh.writelines(pieces)
         except OSError as exc:
             raise InputError(f"cannot write output file: {exc}")
-    else:
+        return
+    if sys.stdout is None:  # the process started with its stdout closed
+        raise InputError("cannot write output: stdout is closed")
+    try:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except OSError as exc:
+        with open(os.devnull, "w") as null, contextlib.suppress(io.UnsupportedOperation):
+            os.dup2(null.fileno(), sys.stdout.fileno())  # if stdout has a descriptor
+        raise InputError(f"cannot write output: {exc}")
 
 
 def _load_operator(path: str) -> DiffOperator:
@@ -149,10 +155,7 @@ def _family_setup(family: str, params: list):
         return J, (lambda N: eigenfam.corollary42_coeffs(N))
     else:
         raise InputError(f"unknown family: {family}")
-    try:
-        J = build(*params)
-    except DorthoError as exc:
-        raise InputError(str(exc))
+    J = build(*params)
     return J, (lambda N: coeffs(J, N))
 
 
@@ -175,30 +178,22 @@ def _record_tables_match(report: VerificationReport, rt_closed, rt_oracle, N: in
         report.record_block((f"{name}-match",), ns, failures)
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> dict:
     J = _load_operator(args.operator)
     n = args.n
     if n < 0:
         raise InputError("n must be >= 0")
     if n > MAX_DEGREE:
         raise InputError(f"n must be <= {MAX_DEGREE}")
-    try:
-        p = eigenfam.eigenpoly(J, n)
-    except (EigenvalueCollision, NotIsomorphism) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAIL
-    _emit(
-        {
-            "n": n,
-            "lambda": rational_to_str(lambda_poly(J, 0).values((n,))[0]),
-            "poly": p.to_json(),
-        },
-        args.out,
-    )
-    return EXIT_OK
+    p = eigenfam.eigenpoly(J, n)
+    return {
+        "n": n,
+        "lambda": rational_to_str(lambda_poly(J, 0).values((n,))[0]),
+        "poly": p.to_json(),
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     N, M = _probe_bounds(args)
 
     if args.operator and args.family:
@@ -211,13 +206,7 @@ def cmd_verify(args) -> int:
     if args.operator:
         # derive mode: recover the tables from the eigen-oracle first
         J = _load_operator(args.operator)
-        try:
-            rt, shape_report, seq, diag = eigenfam.derive_recurrence(J, N + 5)
-        except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
-            sys.stderr.write(f"verification failure: {exc}\n")
-            return EXIT_FAIL
-        report = VerificationReport()
-        report.extend(shape_report)
+        rt, report, seq, diag = eigenfam.derive_recurrence(J, N + 5)
         report.extend(eigenfam.verify_expansions(J, seq, N, diag))
         out = {"mode": "derive", "N": N, "tables": rt.to_json()}
     else:
@@ -225,12 +214,8 @@ def cmd_verify(args) -> int:
             raise InputError("verify needs --family or --operator")
         J, table_factory = _family_setup(args.family, _parse_params(args.params))
         # the independent oracle's table first, tied to the closed form's below
-        try:
-            rt_oracle, diag = eigenfam.oracle_table(J, N)
-            eigenfam.check_gamma(rt_oracle, N)
-        except (NotTwoOrthogonal, EigenvalueCollision, NotIsomorphism) as exc:
-            sys.stderr.write(f"verification failure: {exc}\n")
-            return EXIT_FAIL
+        rt_oracle, diag = eigenfam.oracle_table(J, N)
+        eigenfam.check_gamma(rt_oracle, N)
         # the derivative sequence is one degree shorter than seq, so seq
         # reaches one past the d-orthogonality probe's degree
         probe_deg = max(N + 1, seqkit.probe_degree(2, M) + 1)
@@ -260,26 +245,18 @@ def cmd_verify(args) -> int:
         out = {"mode": "family", "family": args.family, "N": N, "M": M}
 
     out["report"] = report
-    _emit(out, args.out)
-    if not report.passed:
-        first = report.first_failure()
-        sys.stderr.write(
-            f"verification failure: {first['identity']} at {first['n']}\n"
-        )
-        return EXIT_FAIL
-    return EXIT_OK
+    return out
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     J = _load_operator(args.operator)
     out = classify(J)
     if out["class"] == "isomorphism" and J.order <= 3:
         out.update(eigenfam.classify_solvability(J))
-    _emit(out, args.out)
-    return EXIT_OK
+    return out
 
 
-def cmd_duals(args) -> int:
+def cmd_duals(args) -> dict:
     if args.tables and args.family:
         raise InputError("give either --tables or --family, not both")
     if args.params is not None and not args.family:
@@ -298,29 +275,15 @@ def cmd_duals(args) -> int:
     else:
         raise InputError("duals needs --family or --tables")
     d = rt.d
-
-    top = max(N, seqkit.probe_degree(d, M))
-    try:
-        seq = seqkit.generate(rt, top)
-    except DorthoError as exc:
-        raise InputError(str(exc))
+    seq = seqkit.generate(rt, max(N, seqkit.probe_degree(d, M)))
     moments = seqkit.dual_moments(seq, d)
-    report = seqkit.check_d_orthogonality(seq, d, M)
-    out = {
+    return {
         "d": d,
         "N": N,
         "M": M,
         "moments": [[rational_to_str(v) for v in row] for row in moments],
-        "report": report,
+        "report": seqkit.check_d_orthogonality(seq, d, M),
     }
-    _emit(out, args.out)
-    if not report.passed:
-        first = report.first_failure()
-        sys.stderr.write(
-            f"orthogonality failure at (m, nu, n) = {first['n']}\n"
-        )
-        return EXIT_FAIL
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
         "2-orthogonal polynomial sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # stderr lines for a VerificationFailure and a failed report's first failure
+    failure = "verification failure: {}"
 
     p = sub.add_parser("eigen", help="monic eigenpolynomial of an operator")
     p.add_argument("--operator", required=True, help="operator JSON file")
     p.add_argument("-n", type=int, required=True, help="degree")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eigen)
+    p.set_defaults(func=cmd_eigen, failure="error: {}")
 
     p = sub.add_parser("verify", help="verify all identities for a family")
     p.add_argument("--family", choices=["case1", "case2", "corollary42"])
@@ -344,12 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=int, default=None)
     p.add_argument("-M", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(
+        func=cmd_verify,
+        failure=failure,
+        report_failure="verification failure: {identity} at {n}",
+    )
 
     p = sub.add_parser("classify", help="classify an operator")
     p.add_argument("--operator", required=True, help="operator JSON file")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, failure=failure)
 
     p = sub.add_parser("duals", help="dual moments and d-orthogonality probe")
     p.add_argument("--family", choices=["case1", "case2", "corollary42"])
@@ -358,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=int, default=None)
     p.add_argument("-M", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_duals)
+    p.set_defaults(
+        func=cmd_duals,
+        failure=failure,
+        report_failure="orthogonality failure at (m, nu, n) = {n}",
+    )
 
     return parser
 
@@ -371,12 +344,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, DegreeViolation, OutputTooLarge) as exc:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse wrote its usage, or --help
+        return exc.code
+    try:
+        out = args.func(args)
+        _emit(out, args.out)
+        report = out.get("report")
+        if report is not None and not report.passed:
+            line = args.report_failure.format_map(report.first_failure())
+            sys.stderr.write(line + "\n")
+            return EXIT_FAIL
+        return EXIT_OK
+    except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except VerificationFailure as exc:
+        sys.stderr.write(args.failure.format(exc) + "\n")
+        return EXIT_FAIL
     except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL

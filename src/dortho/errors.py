@@ -1,11 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Only cli.main maps them to
+exit codes: an InputError subclass to 2, a VerificationFailure subclass to
+1, and DegreeTooLarge and InsufficientDegree (library misuse), like any
+other exception, to 3.  A closed stdout is an InputError; arguments that
+argparse rejects exit 2 before any command runs."""
 
 
 class DorthoError(Exception):
     """Base class for all library errors."""
 
 
-class DegreeViolation(DorthoError):
+class InputError(DorthoError):
+    """The input cannot be used as given: exit 2."""
+
+
+class VerificationFailure(DorthoError):
+    """The input fails an identity it was expected to satisfy: exit 1."""
+
+
+class DegreeViolation(InputError):
     """An operator coefficient or prescribed image exceeds its degree bound."""
 
     def __init__(self, index, degree, bound):
@@ -17,11 +29,11 @@ class DegreeViolation(DorthoError):
         )
 
 
-class MissingCoefficient(DorthoError):
+class MissingCoefficient(InputError):
     """A recurrence table entry required by the recursion is absent."""
 
 
-class OutputTooLarge(DorthoError):
+class OutputTooLarge(InputError):
     """An exact result is too long to write as a decimal string."""
 
 
@@ -33,7 +45,7 @@ class InsufficientDegree(DorthoError):
     """Sequence too short for the requested orthogonality probe."""
 
 
-class EigenvalueCollision(DorthoError):
+class EigenvalueCollision(VerificationFailure):
     """Two eigenvalues coincide, so the monic eigenpolynomial is not unique."""
 
     def __init__(self, k, n):
@@ -42,11 +54,11 @@ class EigenvalueCollision(DorthoError):
         super().__init__(f"eigenvalue at index {k} equals eigenvalue at index {n}")
 
 
-class NotIsomorphism(DorthoError):
+class NotIsomorphism(VerificationFailure):
     """Operator is not invertible on polynomials, eigenproblem rejected."""
 
 
-class NotTwoOrthogonal(DorthoError):
+class NotTwoOrthogonal(VerificationFailure):
     """Eigenfamily does not have the four-term recurrence shape."""
 
     def __init__(self, message, n=None, nu=None):
@@ -55,9 +67,9 @@ class NotTwoOrthogonal(DorthoError):
         super().__init__(message)
 
 
-class ZeroParameter(DorthoError):
+class ZeroParameter(InputError):
     """A parameter required to be nonzero is zero."""
 
 
-class DiscriminantNonzero(DorthoError):
+class DiscriminantNonzero(InputError):
     """Quadratic leading-coefficient constraint violated."""

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dortho import RecurrenceTable, cli, diffop, eigenfam, lambda_at, seqkit
+from dortho import RecurrenceTable, cli, diffop, eigenfam, errors, lambda_at, seqkit
 from dortho.polycore import rational_to_str
 
 from conftest import GOLDEN, dortho_env, run_cli
@@ -900,6 +900,113 @@ class TestInternalError:
             cli.main(self.VERIFY)
 
 
+def test_every_library_error_has_one_outcome():
+    """Each DorthoError class ends the CLI in one exit code: an InputError
+    in 2, a VerificationFailure in 1, and the two library-misuse classes,
+    like any other exception, in 3."""
+    internal = {errors.DegreeTooLarge, errors.InsufficientDegree}
+    classes = {
+        c
+        for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.DorthoError)
+    } - {errors.DorthoError}
+    assert internal < classes and cli.InputError is errors.InputError
+    for c in classes:
+        kinds = [k for k in (errors.InputError, errors.VerificationFailure) if issubclass(c, k)]
+        assert len(kinds) == (c not in internal), c
+
+
+class TestExitContract:
+    """cli.main alone maps an exception to an exit code and its one stderr
+    line; each subcommand's first call into the library raises each kind
+    in turn, and stdout stays empty."""
+
+    OPERATOR = ["--operator", str(GOLDEN / "corollary_operator.json")]
+    FAMILY = ["--family", "corollary42", "-N", "4", "-M", "2"]
+    FIRST_CALL = {
+        "eigen": ([*OPERATOR, "-n", "3"], diffop.DiffOperator, "from_json"),
+        "verify": (FAMILY, eigenfam, "corollary42_operator"),
+        "classify": (OPERATOR, diffop.DiffOperator, "from_json"),
+        "duals": (FAMILY, eigenfam, "corollary42_operator"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FIRST_CALL))
+    @pytest.mark.parametrize(
+        "exc, code, line",
+        [
+            (errors.MissingCoefficient("boom"), cli.EXIT_INPUT, "input error: boom"),
+            (errors.NotIsomorphism("boom"), cli.EXIT_FAIL, "verification failure: boom"),
+            (
+                errors.DegreeTooLarge("boom"),
+                cli.EXIT_INTERNAL,
+                "internal error: DegreeTooLarge: boom",
+            ),
+        ],
+    )
+    def test_exception_kind_sets_the_outcome(
+        self, monkeypatch, capsys, command, exc, code, line
+    ):
+        argv, owner, name = self.FIRST_CALL[command]
+
+        def first_call(*args):
+            raise exc
+
+        monkeypatch.setattr(owner, name, first_call)
+        assert cli.main([command, *argv]) == code
+        if command == "eigen":  # eigen names its failures "error:"
+            line = line.replace("verification failure: ", "error: ")
+        assert capsys.readouterr() == ("", line + "\n")
+
+    def test_argparse_outcomes_are_returned(self, capsys):
+        assert cli.main(["verify", "-M", "two"]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: dortho verify ")
+        assert err.endswith("dortho verify: error: argument -M: invalid int value: 'two'\n")
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: dortho ")
+
+    @pytest.mark.parametrize("command", sorted(FIRST_CALL))
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_an_output_error(self, command, unbuffered):
+        # the reader is gone before the CLI starts, so its write (unbuffered)
+        # or its flush (buffered) fails with EPIPE; the one stderr line is the
+        # whole of stderr, and nothing is reported at interpreter exit
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "dortho", command, *self.FIRST_CALL[command][0]],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=dortho_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write)
+        assert r.returncode == cli.EXIT_INPUT
+        assert r.stderr == b"input error: cannot write output: [Errno 32] Broken pipe\n"
+
+    def test_stdout_closed_at_start_is_an_output_error(self):
+        r = subprocess.run(
+            [sys.executable, "-m", "dortho", "classify", *self.OPERATOR],
+            stderr=subprocess.PIPE,
+            env=dortho_env(),
+            preexec_fn=lambda: os.close(1),
+        )
+        assert r.returncode == cli.EXIT_INPUT
+        assert r.stderr == b"input error: cannot write output: stdout is closed\n"
+
+    def test_failed_stream_without_a_descriptor(self, monkeypatch, capsys):
+        # an in-process stdout such as io.StringIO has no descriptor to park
+        class Gone(io.StringIO):
+            def writelines(self, pieces):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        assert cli.main(["classify", *self.OPERATOR]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "input error: cannot write output: [Errno 32] Broken pipe\n"
+
+
 def test_cli_import_loads_no_dataclasses():
     # dataclasses pulls in inspect, which no part of the CLI needs, and a
     # request's start-up pays for every module it loads; -S keeps the
@@ -926,11 +1033,7 @@ def test_one_parser_serves_every_request(capsys):
     ]
 
     def answer(argv):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
-        return (code, *capsys.readouterr())
+        return (cli.main(argv), *capsys.readouterr())
 
     fresh = []
     for argv in requests:

@@ -96,6 +96,9 @@ class Pieces:
     def write(self, text):
         raise AssertionError("written outside writelines")
 
+    def flush(self):  # _emit flushes stdout, so a closed reader shows there
+        pass
+
 
 def test_emit_writes_the_pieces_once(monkeypatch, tmp_path):
     # three runs and a failure between them: each run is whole in one piece,
