@@ -7,7 +7,8 @@ exit code and at most one stderr line: 0 when any report in it passed;
 2 on an InputError ("input error: ..."), output that cannot be written (a
 closed stdout too) and arguments argparse rejects (its usage and error
 text; --help returns 0); 3 on anything else ("internal error: <Type>:
-<message>").  errors.py sorts the library's exceptions into the two kinds.
+<message>").  A stderr that is closed drops the line, not the code.
+errors.py sorts the library's exceptions into the two kinds.
 Numbers are written as canonical rational strings, never floats, so
 outputs are byte-stable across runs.
 """
@@ -26,7 +27,7 @@ from fractions import Fraction
 from . import eigenfam, seqkit
 from .diffop import DiffOperator, classify, lambda_poly
 from .errors import DegreeViolation, InputError, VerificationFailure
-from .polycore import rational_from_json, rational_to_str
+from .polycore import pair_to_str, rational_from_json, rational_to_str
 from .report import VerificationReport, poly_witness, write
 
 EXIT_OK = 0
@@ -161,19 +162,18 @@ def _family_setup(family: str, params: list):
 
 def _record_tables_match(report: VerificationReport, rt_closed, rt_oracle, N: int):
     """beta_0..beta_N, alpha_1..alpha_N and gamma_1..gamma_(N-1) of the
-    closed-form table against the oracle's; a mismatch carries both
-    values."""
-    for name, ns in (
-        ("beta", range(N + 1)),
-        ("alpha", range(1, N + 1)),
-        ("gamma", range(1, N)),
+    closed-form table against the oracle's, compared as reduced pairs; a
+    mismatch carries both values."""
+    for name, ns, read in (
+        ("beta", range(N + 1), lambda rt, n: rt.beta_pair(n)),
+        ("alpha", range(1, N + 1), lambda rt, n: rt.level_pair(1, n)),
+        ("gamma", range(1, N), lambda rt, n: rt.level_pair(0, n)),
     ):
-        closed, oracle = getattr(rt_closed, name), getattr(rt_oracle, name)
 
         def failures(n):
-            a, b = closed(n), oracle(n)
+            a, b = read(rt_closed, n), read(rt_oracle, n)
             if a != b:
-                return [{"closed": rational_to_str(a), "oracle": rational_to_str(b)}]
+                return [{"closed": pair_to_str(*a), "oracle": pair_to_str(*b)}]
 
         report.record_block((f"{name}-match",), ns, failures)
 
@@ -233,7 +233,7 @@ def cmd_verify(args) -> dict:
         report.extend(seqkit.check_d_orthogonality(seq, 2, M))
         dseq = seqkit.derivative_sequence(seq)
         if args.family == "case1":
-            same = next((k for k in range(N) if dseq.x_rows[k] != seq.x_rows[k]), N)
+            same = next((k for k in range(N) if dseq.pair_rows[k] != seq.pair_rows[k]), N)
 
             def failures(n):  # Q's rows below n <= same are P's, so Q_n = P_n
                 witness = None if n <= same else poly_witness(dseq[n], seq[n])
@@ -343,6 +343,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _say(line: str) -> None:
+    """Write line to stderr.  A stderr closed at start (None) or failing on
+    write drops the line, so the exit code still tells the outcome."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(line + "\n")
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -353,18 +361,17 @@ def main(argv=None) -> int:
         _emit(out, args.out)
         report = out.get("report")
         if report is not None and not report.passed:
-            line = args.report_failure.format_map(report.first_failure())
-            sys.stderr.write(line + "\n")
+            _say(args.report_failure.format_map(report.first_failure()))
             return EXIT_FAIL
         return EXIT_OK
     except InputError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
+        _say(f"input error: {exc}")
         return EXIT_INPUT
     except VerificationFailure as exc:
-        sys.stderr.write(args.failure.format(exc) + "\n")
+        _say(args.failure.format(exc))
         return EXIT_FAIL
     except Exception as exc:
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        _say(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NotTwoOrthogonal,
     ZeroParameter,
 )
-from .polycore import Poly, rational_to_str, writable
+from .polycore import Poly, rational_to_str, reduced_pair, writable
 from .report import VerificationReport, poly_witness
 from .seqkit import MonicSequence, RecurrenceTable, generate, operator_column
 
@@ -123,7 +123,8 @@ def oracle_table(J: DiffOperator, N: int) -> tuple:
         alpha_k     = T_k(2) - T_(k+1)(2) - beta_k T_k(1)
         gamma_(k-1) = T_k(3) - T_(k+1)(3) - beta_k T_k(2) - alpha_k T_(k-1)(1).
     With T_n as ints over one denominator q_n and L = lcm(q_k, q_(k+1)), the
-    three are ints over L, L q_k and L q_k q_(k-1): one Fraction each.  The
+    three are ints over L, L q_k and L q_k q_(k-1), each handed to the table
+    as its reduced pair (RecurrenceTable.of_pairs): one gcd, no Fraction.  The
     table is P's if P is four-term to degree N + 1, which derive_recurrence
     proves.  diag is J's diagonals at -4 <= n <= N + 5 (diffop.diagonals),
     the one build that classify, the solver and verify_expansions to N read.
@@ -142,21 +143,33 @@ def oracle_table(J: DiffOperator, N: int) -> tuple:
         s, s1 = L // q, L // q1
         bn = a * s - a1 * s1  # beta_k L
         an = (b * s - b1 * s1) * q - bn * a  # alpha_k L q_k
-        beta.append(Fraction(bn, L))
+        beta.append(reduced_pair(bn, L))
         if k:
-            alpha.append(Fraction(an, L * q))
+            alpha.append(reduced_pair(an, L * q))
         if k > 1:
             q0, a0 = T[k - 1][:2]
             gn = ((c * s - c1 * s1) * q - bn * b) * q0 - an * a0  # gamma_(k-1) L q_k q_(k-1)
-            gamma.append(Fraction(gn, L * q * q0))
-    return RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma), diag
+            gamma.append(reduced_pair(gn, L * q * q0))
+    return _table(beta, alpha, gamma), diag
+
+
+def _table(beta: list, alpha: list, gamma: list) -> RecurrenceTable:
+    """The d=2 table of the reduced pairs beta_0.., alpha_1.. and gamma_1..."""
+    return RecurrenceTable.of_pairs(2, beta, [gamma, alpha])
+
+
+def _pair_values(p: Poly, ns) -> list:
+    """p(n) for each integer n of ns as a reduced pair, off Poly.int_values."""
+    ints, den = p.int_values(ns)
+    return [reduced_pair(v, den) for v in ints]
 
 
 def check_gamma(rt: RecurrenceTable, N: int) -> None:
     """Raise NotTwoOrthogonal("gamma_m = 0") at the first m < N with
-    gamma_m = 0 in rt: the regularity a 2-orthogonal sequence needs."""
+    gamma_m = 0 in rt (a zero numerator): the regularity a 2-orthogonal
+    sequence needs."""
     for m in range(1, N):
-        if rt.gamma(m) == 0:
+        if rt.level_pair(0, m)[0] == 0:
             raise NotTwoOrthogonal(f"gamma_{m} = 0", n=m)
 
 
@@ -239,13 +252,13 @@ def _discriminant(J: DiffOperator) -> Fraction:
 
 def case1_coeffs(J: DiffOperator, N: int) -> RecurrenceTable:
     """The table of a case 1 operator J: beta_n constant, alpha_n linear and
-    gamma_n quadratic in n, each evaluated by Poly.values."""
+    gamma_n quadratic in n, each evaluated on integers (_pair_values)."""
     a01, a11, a02, a03 = J.acoef(0, 1), J.acoef(1, 1), J.acoef(0, 2), J.acoef(0, 3)
     g = -a03 / (6 * a11)  # gamma_n = g n (n + 1)
-    return RecurrenceTable.two_orthogonal(
-        beta=Poly([-a01 / a11]).values(range(N + 1)),
-        alpha=Poly([0, -a02 / (2 * a11)]).values(range(1, N + 1)),
-        gamma=Poly([0, g, g]).values(range(1, N + 1)),
+    return _table(
+        beta=_pair_values(Poly([-a01 / a11]), range(N + 1)),
+        alpha=_pair_values(Poly([0, -a02 / (2 * a11)]), range(1, N + 1)),
+        gamma=_pair_values(Poly([0, g, g]), range(1, N + 1)),
     )
 
 
@@ -280,7 +293,7 @@ def case2_coeffs(J: DiffOperator, N: int) -> RecurrenceTable:
     """The table of a case 2 operator J.  beta_n is quadratic in n, alpha_n
     quartic in m = n - 2 and gamma_n sextic in m = n - 1.  Their
     coefficients do not depend on n, so each is one Poly in n or m,
-    evaluated by Poly.values."""
+    evaluated on integers (_pair_values)."""
     a01, a11 = J.acoef(0, 1), J.acoef(1, 1)
     a03, a13, a23 = J.acoef(0, 3), J.acoef(1, 3), J.acoef(2, 3)
     b, f = case2_constants(J)
@@ -296,10 +309,10 @@ def case2_coeffs(J: DiffOperator, N: int) -> RecurrenceTable:
         -(a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3),
         *f,
     )
-    return RecurrenceTable.two_orthogonal(
-        beta=Poly(beta_c).values(range(N + 1)),
-        alpha=Poly(alpha_c).values(range(-1, N - 1)),
-        gamma=Poly(gamma_c).values(range(N)),
+    return _table(
+        beta=_pair_values(Poly(beta_c), range(N + 1)),
+        alpha=_pair_values(Poly(alpha_c), range(-1, N - 1)),
+        gamma=_pair_values(Poly(gamma_c), range(N)),
     )
 
 
@@ -309,13 +322,12 @@ def corollary42_operator(a00) -> DiffOperator:
 
 
 def corollary42_coeffs(N: int) -> RecurrenceTable:
-    return RecurrenceTable.two_orthogonal(
-        beta=[Fraction(-12 * (n - 1) * n) for n in range(N + 1)],
-        alpha=[
-            Fraction(12 * (n - 1) * n * (2 * n - 3) ** 2) for n in range(1, N + 1)
-        ],
+    """Corollary 4.2's table, integers in n."""
+    return _table(
+        beta=[(-12 * (n - 1) * n, 1) for n in range(N + 1)],
+        alpha=[(12 * (n - 1) * n * (2 * n - 3) ** 2, 1) for n in range(1, N + 1)],
         gamma=[
-            Fraction(-4 * n * (n + 1) * (2 * n - 3) ** 2 * (2 * n - 1) ** 2)
+            (-4 * n * (n + 1) * (2 * n - 3) ** 2 * (2 * n - 1) ** 2, 1)
             for n in range(1, N + 1)
         ],
     )
@@ -480,10 +492,13 @@ def verify_expansions(
     column m at the key (J.coeffs[k:], A, k).  The initial images are
     linear in a_3 instead; read with a_i^[3] as A D**(3 - i) a_i^[3],
     entry j of J^(3)(P_n) is A D**(n + 3 - j) times its value, the same
-    scale.  So each band is compared with its column as it comes out.  The
-    family relations' bands are Fractions; each entry is multiplied by its
-    scale, one product.  J^(3)(P_1) has a_4's term too, so its displayed
-    image is checked for J.order <= 3 only.
+    scale.  So each band is compared with its column as it comes out.  A
+    family relation's entry is an integer m in n times a constant num/den
+    (_family_identities); m num times its scale is divided by den exactly.
+    The column is an integer, so an entry that does not divide cannot equal
+    it: it is kept as its Fraction, which fails the comparison and gives
+    the witness.  J^(3)(P_1) has a_4's term too, so its displayed image is
+    checked for J.order <= 3 only.
     """
     if seq.N < N + 5:
         raise ValueError(
@@ -509,13 +524,28 @@ def verify_expansions(
     ns = range(2 if J.order <= 3 else 1)
     check_expansions(report, seq, ns, A, [("shift3-initial", J3, 3, 0, initial.get)])
     scales = [A * D**w for w in range(6)]  # a relation's weights are 0..5
-
-    def scaled(band, e):  # band's entry j at n has weight n + e - j
-        return lambda n: [(j, c * scales[n + e - j]) for j, c in band(n)]
-
-    family = [(name, L, e, s, scaled(band, e)) for name, L, e, s, band in _family_identities(J)]
+    family = [
+        (name, L, e, s, _scaled(band, e, scales))
+        for name, L, e, s, band in _family_identities(J)
+    ]
     check_expansions(report, seq, range(N + 1), A, family)
     return report
+
+
+def _scaled(band, e: int, scales: list):
+    """A family relation's band (_family_identities) at its columns' scale:
+    n -> the (j, c_j), c_j = m num scales[w] / den at entry j's weight
+    w = n + e - j, an int when den divides it and its Fraction otherwise."""
+
+    def entries(n):
+        out = []
+        for j, m, (num, den) in band(n):
+            v = m * num * scales[n + e - j]
+            q, r = divmod(v, den)
+            out.append((j, Fraction(v, den) if r else q))
+        return out
+
+    return entries
 
 
 def _shift_bands(t: _Tables) -> tuple:
@@ -716,10 +746,11 @@ def _shift3_initial(t: _Tables, a3) -> dict:
 def _family_identities(J: DiffOperator) -> list:
     """The displayed differential relations of the family J belongs to, if
     J is corollary 4.2's operator or a case 1 operator (a_1 linear, a_2 and
-    a_3 constant), as check_expansions' (name, L, e, s, band) with each
-    band's entries ints or Fractions.  L is J^(e), so its columns are J's
-    level e, cached at J^(e)'s own key; the lowering relation's d/dx is
-    the one other operator."""
+    a_3 constant), as check_expansions' (name, L, e, s, band), each entry
+    of a band an int triple (j, m, (num, den)) for the value m num / den,
+    den > 0: m an integer in n, num/den a constant of J.  L is J^(e), so
+    its columns are J's level e, cached at J^(e)'s own key; the lowering
+    relation's d/dx is the one other operator."""
     if J.order != 3:
         return []
     if J.a(1).degree == 1 and J.a(2).degree <= 0 and J.a(3).degree == 0:
@@ -728,41 +759,35 @@ def _family_identities(J: DiffOperator) -> list:
         a02 = J.acoef(0, 2)
         a03 = J.acoef(0, 3)
         D = DiffOperator([Poly.zero(), Poly.one()])
+        c11 = (a11.numerator, a11.denominator)
+        c02 = (a02.numerator, 2 * a02.denominator)  # a02 / 2
+        c03 = (a03.numerator, 3 * a03.denominator)  # a03 / 3
 
         def second_order(n):
             return [
-                (n + 1, a11),
-                (n - 1, Fraction(n, 2) * a02),
-                (n - 2, Fraction((n - 1) * n, 3) * a03),
+                (n + 1, 1, c11),
+                (n - 1, n, c02),
+                (n - 2, (n - 1) * n, c03),
             ]
 
         return [
             ("case1-second-order", J.shifted(1), 1, 0, second_order),
-            ("case1-appell-derivative", D, 0, 0, lambda n: [(n - 1, n)]),
+            ("case1-appell-derivative", D, 0, 0, lambda n: [(n - 1, n, (1, 1))]),
         ]
     if J == corollary42_operator(J.acoef(0, 0)):
         def second_order(n):
             return [
-                (n + 1, Fraction(1, 24)),
-                (
-                    n - 1,
-                    -Fraction(1, 2) * (3 - 2 * n) ** 2 * (n - 1) * n,
-                ),
-                (
-                    n - 2,
-                    Fraction(1, 3)
-                    * (n - 1)
-                    * n
-                    * (15 - 16 * n + 4 * n**2) ** 2,
-                ),
+                (n + 1, 1, (1, 24)),
+                (n - 1, -((3 - 2 * n) ** 2) * (n - 1) * n, (1, 2)),
+                (n - 2, (n - 1) * n * (15 - 16 * n + 4 * n**2) ** 2, (1, 3)),
             ]
 
         def first_order(n):
             return [
-                (n + 1, n),
-                (n, -2 * n * (5 + 4 * n * (2 * n - 3))),
-                (n - 1, (3 - 2 * n) ** 2 * n * (24 * (n - 2) * n + 25)),
-                (n - 2, -8 * (5 - 2 * n) ** 2 * (n - 1) * n * (2 * n - 3) ** 3),
+                (n + 1, n, (1, 1)),
+                (n, -2 * n * (5 + 4 * n * (2 * n - 3)), (1, 1)),
+                (n - 1, (3 - 2 * n) ** 2 * n * (24 * (n - 2) * n + 25), (1, 1)),
+                (n - 2, -8 * (5 - 2 * n) ** 2 * (n - 1) * n * (2 * n - 3) ** 3, (1, 1)),
                 (
                     n - 3,
                     4
@@ -772,6 +797,7 @@ def _family_identities(J: DiffOperator) -> list:
                     * (n - 2)
                     * (n - 1)
                     * n,
+                    (1, 1),
                 ),
             ]
 

@@ -24,25 +24,36 @@ from .errors import OutputTooLarge
 Scalar = Union[Fraction, int, str]
 
 
+def _own_spelling(v):
+    """(p, q) of the spelling rational_to_str writes, an ASCII "[-]digits"
+    or "[-]digits/digits" with q != 0, read by int(); None for any other
+    value, or for such a string past the digit limit."""
+    if type(v) is str and v.isascii():
+        num, slash, den = v.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:
+                return None
+            if q:
+                return p, q
+    return None
+
+
 def rational_from_json(v) -> Fraction:
     """A rational from a JSON value: an int (not a bool), a finite float
     (read through its str, so 0.5 is 1/2), or a string "p", "p/q" or a
     decimal.  A string with an exponent is refused: "1e1000000000" would
     need a 415 MB integer.
 
-    The spelling rational_to_str writes, an ASCII "[-]digits" or
-    "[-]digits/digits", is read by int(), in about half the time of
-    Fraction's parser.  Every other value, and such a string that int() or
-    Fraction refuses (past the digit limit, or q = 0), takes the checks
-    and Fraction(str(v)) below, so what is accepted, and every error
-    raised, is as if they alone ran."""
-    if type(v) is str and v.isascii():
-        num, slash, den = v.partition("/")
-        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            try:
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            except (ValueError, ZeroDivisionError):
-                pass
+    The spelling rational_to_str writes is read by int() (_own_spelling),
+    in about half the time of Fraction's parser.  Every other value, and
+    such a string that int() refuses (past the digit limit) or with q = 0,
+    takes the checks and Fraction(str(v)) below, so what is accepted, and
+    every error raised, is as if they alone ran."""
+    pq = _own_spelling(v)
+    if pq:
+        return Fraction(*pq)
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"not a rational: {v!r}")
     if isinstance(v, str) and "e" in v.lower():
@@ -50,16 +61,40 @@ def rational_from_json(v) -> Fraction:
     return Fraction(str(v))  # ValueError for NaN and infinities
 
 
-def rational_to_str(r) -> str:
-    """Canonical string form: "p/q" with q > 1, otherwise "p".
+def pair_from_json(v) -> tuple:
+    """rational_from_json(v) as its reduced pair (num, den): dortho's own
+    spelling with one gcd and no Fraction, every other value through
+    rational_from_json, with its errors."""
+    pq = _own_spelling(v)
+    if pq:
+        return reduced_pair(*pq)
+    r = rational_from_json(v)
+    return r.numerator, r.denominator
 
-    Raises OutputTooLarge when a numerator or denominator passes Python's
-    limit on the digits of an int converted to str.
-    """
+
+def reduced_pair(num: int, den: int) -> tuple:
+    """num / den, den > 0, as the pair (num, den) in lowest terms: one gcd,
+    and 0 as (0, 1).  Equal rationals have equal pairs."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def rational_to_str(r) -> str:
+    """Canonical string form: "p/q" with q > 1, otherwise "p" (pair_to_str)."""
     if type(r) is not Fraction:
         r = Fraction(r)
+    return pair_to_str(r.numerator, r.denominator)
+
+
+def pair_to_str(num: int, den: int) -> str:
+    """The canonical string of a reduced pair (reduced_pair): "num/den"
+    with den > 1, otherwise "num", as str() writes a Fraction.
+
+    Raises OutputTooLarge when num or den passes Python's limit on the
+    digits of an int converted to str.
+    """
     try:
-        return str(r)
+        return f"{num}/{den}" if den != 1 else str(num)
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise OutputTooLarge(

@@ -3,12 +3,13 @@
 Covers sequence generation, the x-multiplication rows, an operator's
 matrix columns over them, the derivative sequence, canonical
 dual-functional moments, and the d-orthogonality check.  A
-sequence is its x-rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j:
-RecurrenceTable.x_row's for a generated sequence, derivative_sequence's
-for a derivative sequence.  It builds each polynomial on its first read,
-so a reader of the rows alone builds none.  expand_in_basis and structure_coeffs reduce polynomials in a
-basis of polynomials; no command calls them, and the tests keep them as the
-polynomial reference.
+sequence is its x-rows x*P_k = P_(k+1) + sum_j c_(k,j) P_j, each c_(k,j)
+held as a reduced integer pair: RecurrenceTable.pair_row's for a generated
+sequence, derivative_sequence's for a derivative sequence, so a table
+travels to the kernels with no Fraction.  It builds each polynomial on its
+first read, so a reader of the rows alone builds none.  expand_in_basis
+and structure_coeffs reduce polynomials in a basis of polynomials; no
+command calls them, and the tests keep them as the polynomial reference.
 
 Moments and pairings come from the sparse x-rows.  The dual moments follow
 by applying the rows to the basis expansion of x**n.  The pairings
@@ -55,7 +56,15 @@ from .errors import (
     InsufficientDegree,
     MissingCoefficient,
 )
-from .polycore import Poly, _coerce, rational_from_json, rational_to_str, writable
+from .polycore import (
+    Poly,
+    _coerce,
+    pair_from_json,
+    pair_to_str,
+    rational_to_str,
+    reduced_pair,
+    writable,
+)
 from .report import VerificationReport
 
 
@@ -67,47 +76,92 @@ class RecurrenceTable:
     d=2 level 1 is the alpha sequence and level 0 the gamma sequence.
     Out-of-convention reads (index <= 0 for alpha/gamma, negative for
     beta) return 0, matching the P_(-i) = 0 convention.
+
+    Each entry is held as its reduced pair (num, den) (polycore.reduced_pair):
+    beta_pairs and level_pairs, read through beta_pair, level_pair and
+    pair_row.  of_pairs takes the pairs as they are, so the eigen-oracle and
+    the closed forms hand over the integers they compute with no Fraction;
+    the constructor takes any rationals.  beta, level, alpha, gamma and
+    x_row give Fractions, built on the first such read (_fractions);
+    __eq__ and to_json read the pairs.
     """
 
     def __init__(self, d: int, beta: Sequence, levels: Sequence[Sequence]):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if len(levels) != d:
-            raise ValueError(f"expected {d} gamma levels, got {len(levels)}")
+        _check_shape(d, levels)
         self.d = d
-        self._beta = tuple(map(_coerce, beta))
-        self._levels = tuple(tuple(map(_coerce, lv)) for lv in levels)
+        self.beta_pairs = _pairs(beta)
+        self.level_pairs = tuple(_pairs(lv) for lv in levels)
+
+    @classmethod
+    def of_pairs(cls, d: int, beta: Sequence, levels: Sequence[Sequence]) -> "RecurrenceTable":
+        """The table whose entries are the reduced pairs beta and levels,
+        held as they are."""
+        _check_shape(d, levels)
+        rt = cls.__new__(cls)
+        rt.d = d
+        rt.beta_pairs = tuple(beta)
+        rt.level_pairs = tuple(map(tuple, levels))
+        return rt
 
     @staticmethod
     def two_orthogonal(beta: Sequence, alpha: Sequence, gamma: Sequence) -> "RecurrenceTable":
         """d=2 table; alpha[i] is alpha_(i+1), gamma[i] is gamma_(i+1)."""
         return RecurrenceTable(2, beta, [gamma, alpha])
 
+    def beta_pair(self, n: int) -> tuple:
+        if n < 0:
+            return (0, 1)
+        if n >= len(self.beta_pairs):
+            raise MissingCoefficient(f"beta_{n} not tabulated")
+        return self.beta_pairs[n]
+
+    def level_pair(self, s: int, m: int) -> tuple:
+        """gamma^s_m's pair with 1-based m; (0, 1) for m <= 0."""
+        if m <= 0:
+            return (0, 1)
+        lv = self.level_pairs[s]
+        if m > len(lv):
+            raise MissingCoefficient(f"gamma^{s}_{m} not tabulated")
+        return lv[m - 1]
+
+    def pair_row(self, k: int) -> tuple:
+        """Nonzero (j, pair) of x*P_k = P_(k+1) + sum_j c P_j by ascending j:
+        beta_k at j = k, gamma^(j+d-k)_(j+1) for max(k-d, 0) <= j < k.  Read
+        beta_k first, then by descending j, as the recursion needs them, so
+        the first MissingCoefficient names the entry the recursion stops at."""
+        entries = [(k, self.beta_pair(k))]
+        for j in range(k - 1, max(k - self.d, 0) - 1, -1):
+            entries.append((j, self.level_pair(j + self.d - k, j + 1)))
+        return tuple((j, c) for j, c in reversed(entries) if c[0])
+
+    @functools.cached_property
+    def _fractions(self) -> tuple:
+        """(beta, levels) as tuples of Fractions."""
+        return (
+            tuple(Fraction(*c) for c in self.beta_pairs),
+            tuple(tuple(Fraction(*c) for c in lv) for lv in self.level_pairs),
+        )
+
     def beta(self, n: int) -> Fraction:
         if n < 0:
             return Fraction(0)
-        if n >= len(self._beta):
-            raise MissingCoefficient(f"beta_{n} not tabulated")
-        return self._beta[n]
+        self.beta_pair(n)  # MissingCoefficient past the table
+        return self._fractions[0][n]
 
     def level(self, s: int, m: int) -> Fraction:
         """gamma^s_m with 1-based m; 0 for m <= 0."""
         if m <= 0:
             return Fraction(0)
-        lv = self._levels[s]
-        if m > len(lv):
-            raise MissingCoefficient(f"gamma^{s}_{m} not tabulated")
-        return lv[m - 1]
+        self.level_pair(s, m)  # MissingCoefficient past the table
+        return self._fractions[1][s][m - 1]
 
     def x_row(self, k: int) -> tuple:
-        """Nonzero (j, c) of x*P_k = P_(k+1) + sum_j c P_j by ascending j: beta_k
-        at j = k, gamma^(j+d-k)_(j+1) for max(k-d, 0) <= j < k.  Read beta_k
-        first, then by descending j, as the recursion needs them, so the first
-        MissingCoefficient names the entry the recursion stops at."""
-        entries = [(k, self.beta(k))]
-        for j in range(k - 1, max(k - self.d, 0) - 1, -1):
-            entries.append((j, self.level(j + self.d - k, j + 1)))
-        return tuple((j, c) for j, c in reversed(entries) if c)
+        """pair_row(k) with each entry read as a Fraction (beta, level)."""
+        d = self.d
+        return tuple(
+            (j, self.beta(k) if j == k else self.level(j + d - k, j + 1))
+            for j, _ in self.pair_row(k)
+        )
 
     def alpha(self, n: int) -> Fraction:
         if self.d != 2:
@@ -124,67 +178,93 @@ class RecurrenceTable:
             return NotImplemented
         return (
             self.d == other.d
-            and self._beta == other._beta
-            and self._levels == other._levels
+            and self.beta_pairs == other.beta_pairs
+            and self.level_pairs == other.level_pairs
         )
 
     def to_json(self) -> dict:
-        out = {"d": self.d, "beta": [rational_to_str(b) for b in self._beta]}
+        out = {"d": self.d, "beta": _strings(self.beta_pairs)}
         if self.d == 2:
-            out["alpha"] = [rational_to_str(a) for a in self._levels[1]]
-            out["gamma"] = [rational_to_str(g) for g in self._levels[0]]
+            out["alpha"] = _strings(self.level_pairs[1])
+            out["gamma"] = _strings(self.level_pairs[0])
         else:
-            out["levels"] = [
-                [rational_to_str(g) for g in lv] for lv in self._levels
-            ]
+            out["levels"] = [_strings(lv) for lv in self.level_pairs]
         return out
 
     @staticmethod
     def from_json(data: dict) -> "RecurrenceTable":
-        """Parse a table: an int d (not a bool) and arrays of rationals."""
+        """Parse a table: an int d (not a bool) and arrays of rationals, each
+        read straight into its pair (polycore.pair_from_json)."""
         if not isinstance(data, dict):
             raise ValueError("tables JSON must be an object")
         d = data.get("d")
         if not isinstance(d, int) or isinstance(d, bool):
             raise ValueError(f"d must be an integer, got {d!r}")
         if d == 2:
-            return RecurrenceTable.two_orthogonal(
-                *(_rationals(data.get(key), key) for key in ("beta", "alpha", "gamma"))
+            beta, alpha, gamma = (
+                _json_pairs(data.get(key), key) for key in ("beta", "alpha", "gamma")
             )
+            return RecurrenceTable.of_pairs(2, beta, [gamma, alpha])
         levels = data.get("levels")
         if not isinstance(levels, list):
             raise ValueError("levels must be an array")
-        return RecurrenceTable(
+        return RecurrenceTable.of_pairs(
             d,
-            _rationals(data.get("beta"), "beta"),
-            [_rationals(lv, f"levels[{s}]") for s, lv in enumerate(levels)],
+            _json_pairs(data.get("beta"), "beta"),
+            [_json_pairs(lv, f"levels[{s}]") for s, lv in enumerate(levels)],
         )
 
 
-def _rationals(values, name: str) -> list:
-    """A JSON array of rationals as Fractions."""
+def _check_shape(d: int, levels) -> None:
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if len(levels) != d:
+        raise ValueError(f"expected {d} gamma levels, got {len(levels)}")
+
+
+def _pairs(values) -> tuple:
+    """Rationals (anything Fraction takes) as reduced pairs."""
+    return tuple((c.numerator, c.denominator) for c in map(_coerce, values))
+
+
+def _strings(pairs) -> list:
+    return [pair_to_str(*c) for c in pairs]
+
+
+def _json_pairs(values, name: str) -> list:
+    """A JSON array of rationals as reduced pairs."""
     if not isinstance(values, list):
         raise ValueError(f"{name} must be an array")
-    return [rational_from_json(v) for v in values]
+    return [pair_from_json(v) for v in values]
 
 
 class MonicSequence:
     """P_0..P_N of a monic sequence, given by its x-rows.
 
-    Row k (k < N) of x_rows lists the nonzero (j, c_(k,j)) with
-    x*P_k = P_(k+1) + sum_j c_(k,j) P_j, by ascending j, so N = len(x_rows).
-    P_n, and every P below it, is built on the first read of seq[n] by the
-    recurrence P_(k+1) = x*P_k - sum_j c_(k,j) P_j; N, len and x_rows build
+    Row k (k < N) of the x-rows lists the nonzero (j, c_(k,j)) with
+    x*P_k = P_(k+1) + sum_j c_(k,j) P_j, by ascending j, so N is their
+    number.  MonicSequence(x_rows) takes them as rationals; of_pairs takes
+    each c_(k,j) as its reduced pair (polycore.reduced_pair), as generate
+    and derivative_sequence make them, and builds no Fraction.  P_n, and
+    every P below it, is built on the first read of seq[n] by the
+    recurrence P_(k+1) = x*P_k - sum_j c_(k,j) P_j; N and len build
     nothing.
 
-    integer_rows is the integer view of the x-rows, (D, rows) as
-    _integer_rows gives it, computed on its first read and kept; the
-    moment and pairing kernels read it.  weighted_rows is the weighted view
-    the column, band and derivative kernels read, (D, rows) with row k's
-    (j, c_(k,j)) as (j, D**(k + 1 - j) c_(k,j)): the x-rows of
-    D**n P_n(x/D), integers since k + 1 - j >= 1.  A prefix takes both
-    views from its parent, sliced, at the parent's D: every kernel is exact
-    over any common multiple of the rows' denominators.
+    pair_rows holds the rows as reduced pairs, and every other view is
+    read off it on its first read and kept:
+
+    - x_rows, the rows as Fractions, which only the polynomials and the
+      tests read;
+    - integer_rows, (D, rows) with D the lcm of the pairs' denominators and
+      row k's (j, c_(k,j)) as (j, c_(k,j) D), which the band test and the
+      moment and pairing kernels read;
+    - weighted_rows, which the column, band and derivative kernels read,
+      (D, rows) with row k's (j, c_(k,j)) as (j, D**(k + 1 - j) c_(k,j)):
+      the x-rows of D**n P_n(x/D), integers since k + 1 - j >= 1.
+
+    A prefix takes pair_rows and both integer views from its parent,
+    sliced, at the parent's D: every kernel is exact over any common
+    multiple of the rows' denominators.
 
     columns caches operator-matrix columns over this sequence's x-rows,
     keyed by the scale key (coeffs, A, e) operator_column reads them at;
@@ -194,7 +274,24 @@ class MonicSequence:
 
     def __init__(self, x_rows: Sequence):
         self.x_rows = tuple(x_rows)
-        self.N = len(self.x_rows)
+        self._hold(
+            tuple(
+                tuple((j, (c.numerator, c.denominator)) for j, c in row)
+                for row in self.x_rows
+            )
+        )
+
+    @classmethod
+    def of_pairs(cls, pair_rows: Sequence) -> "MonicSequence":
+        """The sequence whose row k lists (j, (num, den)) by ascending j,
+        each pair reduced and nonzero."""
+        seq = cls.__new__(cls)
+        seq._hold(tuple(pair_rows))
+        return seq
+
+    def _hold(self, pair_rows: tuple) -> None:
+        self.pair_rows = pair_rows
+        self.N = len(pair_rows)
         self._polys = [Poly.one()]
         self.columns: dict = {}
 
@@ -219,15 +316,25 @@ class MonicSequence:
 
     def prefix(self, n: int) -> "MonicSequence":
         """P_0..P_n, with this sequence's views sliced (see above)."""
-        sub = MonicSequence(self.x_rows[:n])
+        sub = MonicSequence.of_pairs(self.pair_rows[:n])
         for view in ("integer_rows", "weighted_rows"):
             D, rows = getattr(self, view)
             sub.__dict__[view] = (D, rows[:n])
         return sub
 
     @functools.cached_property
+    def x_rows(self) -> tuple:
+        return tuple(
+            tuple((j, Fraction(*c)) for j, c in row) for row in self.pair_rows
+        )
+
+    @functools.cached_property
     def integer_rows(self) -> tuple:
-        return _integer_rows(self.x_rows)
+        rows = self.pair_rows
+        D = math.lcm(*(den for row in rows for _, (_, den) in row))
+        return D, tuple(
+            tuple((j, num * (D // den)) for j, (num, den) in row) for row in rows
+        )
 
     @functools.cached_property
     def weighted_rows(self) -> tuple:
@@ -256,12 +363,14 @@ class BasisExpansion:
 
 def generate(rt: RecurrenceTable, N: int) -> MonicSequence:
     """The sequence of the (d+1)-term recurrence P_(k+1) = x*P_k - sum_j c P_j
-    over the table's x-rows up to degree N.  The rows are read now, so a
-    short table raises MissingCoefficient here; each P_n is built on its
-    first read (see MonicSequence)."""
+    over the table's x-rows up to degree N, taken as the table's pairs
+    (RecurrenceTable.pair_row), so its integer_rows have D the lcm of the
+    reduced denominators and no Fraction is built.  The rows are read now,
+    so a short table raises MissingCoefficient here; each P_n is built on
+    its first read (see MonicSequence)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return MonicSequence([rt.x_row(k) for k in range(N)])
+    return MonicSequence.of_pairs([rt.pair_row(k) for k in range(N)])
 
 
 def expand_in_basis(p: Poly, basis) -> BasisExpansion:
@@ -292,16 +401,6 @@ def structure_coeffs(basis) -> tuple:
         exp = expand_in_basis(Poly((0, *basis[k].coeffs)), basis)  # x * P_k
         rows.append(tuple((j, c) for j in range(k + 1) if (c := exp.coeff(j))))
     return tuple(rows)
-
-
-def _integer_rows(x_rows) -> tuple:
-    """(D, rows): D the lcm of the denominators in x_rows, and each row's
-    (j, c) as the integer pair (j, c*D)."""
-    D = math.lcm(*(c.denominator for row in x_rows for _, c in row))
-    return D, tuple(
-        tuple((j, c.numerator * (D // c.denominator)) for j, c in row)
-        for row in x_rows
-    )
 
 
 def operator_column(seq: MonicSequence, key: tuple, n: int) -> dict:
@@ -391,7 +490,7 @@ def dual_moments(seq: MonicSequence, d: int) -> list:
     d - 1 + (N - n) w at step n never reaches a moment and is not kept.
 
     The expansion is one integer vector over one denominator den, and the
-    rows are scaled by D (see _integer_rows), so a step multiplies den by
+    rows are scaled by D (integer_rows), so a step multiplies den by
     D and then divides den and the vector by their one gcd.  A moment
     becomes a Fraction only when it is output.
 
@@ -431,7 +530,7 @@ def dual_moments(seq: MonicSequence, d: int) -> list:
 def _mixed_moments(D: int, rows: tuple, N: int, nu: int, M: int) -> list:
     """Rows m <= M of sigma_nu as pairs (S_m, den_m) of an integer list and
     its denominator: sigma_nu(m, n) = <u_nu, P_m P_n> = S_m[n] / den_m for
-    n <= N - m, over integer rows scaled by D (see _integer_rows).  Row
+    n <= N - m, over integer rows scaled by D (integer_rows).  Row
     m + 1 is built over D * lcm(den_m, den_k for each k in rows[m]) and
     reduced by one gcd."""
     sigma = [([int(n == nu) for n in range(N + 1)], 1)]
@@ -474,7 +573,8 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
     n = m*d + nu (regularity, witness "0" on a failure).
 
     A banded sequence, where no row k has an entry below k - d, is settled
-    by its lowest entries c_(k,k-d) alone, with no pairing computed:
+    by its lowest entries c_(k,k-d) alone, read as the numerators of the
+    sequence's pair_rows, with no pairing computed:
 
     - x*P_n lies in the span of P_j, j >= n - d, so x**k P_n lies in that
       of j >= n - k d, and its coefficient at nu is 0 when n - k d > nu.
@@ -495,7 +595,7 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
     the last pairing raises InsufficientDegree, before either route.
     """
     _probe_reach(seq, d, M)
-    rows = seq.x_rows
+    rows = seq.pair_rows
     if any(j < k - d for k, row in enumerate(rows) for j, _ in row):
         return _recurrence_report(seq, d, M)
     report = VerificationReport()
@@ -504,7 +604,7 @@ def check_d_orthogonality(seq: MonicSequence, d: int, M: int) -> VerificationRep
         for nu in range(d):
             n0 = m * d + nu
             if m:
-                regular[nu] = regular[nu] and any(j == n0 - d and c for j, c in rows[n0])
+                regular[nu] = regular[nu] and any(j == n0 - d and c[0] for j, c in rows[n0])
             _record_regularity(report, m, nu, n0, regular[nu])
             report.record_run(("orthogonality",), range(n0 + 1, seq.N - m + 1), (m, nu))
     return report
@@ -578,10 +678,11 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
         x Q_(k-1) - Q_k = (S_k - A_k) / (k+1),   F_k = (S_k + k A_k) / (k+1).
 
     It runs on seq.weighted_rows, the integer rows of D**n P_n(x/D), whose
-    derivative sequence is D**n Q_n(x/D): the recursion reads no D, and
-    Q's Fractions divide row k's entry at j by D**(k + 1 - j).  Each F_k
-    and scaled row of Q is an int dict over one denominator, the lcm M of
-    those it reads, reduced by one gcd (_reduced).
+    derivative sequence is D**n Q_n(x/D): the recursion reads no D.  Each
+    F_k and scaled row of Q is an int dict over one denominator, the lcm M
+    of those it reads, reduced by one gcd (_reduced).  Q is returned rows
+    first (MonicSequence.of_pairs), row k's entry at j as the reduced pair
+    of v / (den D**(k + 1 - j)), with no Fraction.
     """
     if seq.N < 1:
         raise ValueError("need at least P_1")
@@ -611,7 +712,7 @@ def derivative_sequence(seq: MonicSequence) -> MonicSequence:
         keys = a.keys() | s.keys()
         qrows.append(_reduced({j: s.get(j, 0) - a.get(j, 0) for j in keys}, M * (k + 1)))
         tails.append(_reduced({j: s.get(j, 0) + k * a.get(j, 0) for j in keys}, M * (k + 1)))
-    return MonicSequence(
-        tuple((j, Fraction(v, den * D ** (k + 1 - j))) for j, v in sorted(vec.items()))
+    return MonicSequence.of_pairs(
+        tuple((j, reduced_pair(v, den * D ** (k + 1 - j))) for j, v in sorted(vec.items()))
         for k, (vec, den) in enumerate(qrows)
     )

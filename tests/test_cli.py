@@ -874,6 +874,63 @@ class TestAppell:
         assert [e["status"] for e in expected].count("pass") in range(1, 9)
 
 
+def record_builds(monkeypatch, reads: list, owner, name) -> None:
+    """Replace owner's cached property name by one that appends each read
+    that builds it to reads, then builds it as before."""
+    original = owner.__dict__[name]
+
+    class Recorded:
+        def __get__(self, obj, objtype=None):
+            if obj is None:
+                return self
+            reads.append(f"{objtype.__name__}.{name}")
+            return original.__get__(obj, objtype)
+
+    monkeypatch.setattr(owner, name, Recorded())
+
+
+class TestNoFractionTables:
+    """Tables travel as integers from the oracle and the closed forms to the
+    kernels: a passing verify, in either mode, and a duals run on a table
+    file never build a sequence's Fraction x-rows or a table's Fractions."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "--family", "corollary42"], cli.EXIT_OK),
+            (
+                ["verify", "--family", "case1", "--params", '["1/3","1/2","-2/3","3/4","5/4"]'],
+                cli.EXIT_OK,
+            ),
+            (
+                ["verify", "--family", "case2", "--params", '["1/3","1/2","-2/3","3/4","-3/2","3/4"]'],
+                cli.EXIT_OK,
+            ),
+            (["verify", "--operator", str(GOLDEN / "corollary_operator.json")], cli.EXIT_OK),
+            (["duals", "--tables", str(GOLDEN / "mutated_tables.json")], cli.EXIT_FAIL),
+        ],
+        ids=["corollary42", "case1", "case2", "derive", "duals-tables"],
+    )
+    def test_no_fraction_view_is_built(self, monkeypatch, tmp_path, argv, code):
+        reads = []
+        record_builds(monkeypatch, reads, seqkit.MonicSequence, "x_rows")
+        record_builds(monkeypatch, reads, seqkit.RecurrenceTable, "_fractions")
+        out = str(tmp_path / "out.json")
+        assert cli.main([*argv, "-N", "10", "--out", out]) == code
+        assert reads == []
+
+    def test_the_record_sees_a_fraction_view(self, monkeypatch):
+        # the recorder itself: a sequence's x-rows and a table's entries read
+        # as Fractions are recorded
+        reads = []
+        record_builds(monkeypatch, reads, seqkit.MonicSequence, "x_rows")
+        record_builds(monkeypatch, reads, seqkit.RecurrenceTable, "_fractions")
+        rt = eigenfam.corollary42_coeffs(4)
+        seqkit.generate(rt, 4).x_rows
+        rt.beta(1)
+        assert reads == ["MonicSequence.x_rows", "RecurrenceTable._fractions"]
+
+
 class TestInternalError:
     VERIFY = ["verify", "--operator", str(GOLDEN / "corollary_operator.json"), "-N", "3"]
 
@@ -994,6 +1051,46 @@ class TestExitContract:
         )
         assert r.returncode == cli.EXIT_INPUT
         assert r.stderr == b"input error: cannot write output: stdout is closed\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, golden",
+        [
+            (
+                ["eigen", "--operator", "malformed.json", "-n", "3"],
+                cli.EXIT_INPUT,
+                "eigen_malformed.out",
+            ),
+            (
+                ["verify", "--operator", "linear_cubic.json", "-N", "8"],
+                cli.EXIT_FAIL,
+                "verify_linear_cubic.out",
+            ),
+        ],
+        ids=["bad-input", "failing-verify"],
+    )
+    def test_stderr_closed_at_start_keeps_the_exit_code(self, argv, code, golden):
+        # with descriptor 2 closed the interpreter starts with sys.stderr None;
+        # the stderr line is dropped, and the exit code and stdout stand
+        r = subprocess.run(
+            [sys.executable, "-m", "dortho", *argv],
+            stdout=subprocess.PIPE,
+            cwd=GOLDEN,
+            env=dortho_env(),
+            preexec_fn=lambda: os.close(2),
+        )
+        assert r.returncode == code
+        assert r.stdout == (GOLDEN / golden).read_bytes()
+
+    def test_failing_stderr_drops_the_line(self, monkeypatch, capsys):
+        # a stderr whose write fails (a descriptor reused for reading, say)
+        class Gone(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        monkeypatch.setattr(sys, "stderr", Gone())
+        argv = ["verify", "--operator", str(GOLDEN / "linear_cubic.json"), "-N", "8"]
+        assert cli.main(argv) == cli.EXIT_FAIL
+        assert capsys.readouterr().out == (GOLDEN / "verify_linear_cubic.out").read_text()
 
     def test_failed_stream_without_a_descriptor(self, monkeypatch, capsys):
         # an in-process stdout such as io.StringIO has no descriptor to park

@@ -482,8 +482,10 @@ def reference_solver(J, N):
     return solve, lam
 
 
-def reference_fraction_derive(J, N):
-    """derive_recurrence's (table, report, sequence, lam) by the Fraction route."""
+def reference_fraction_table(J, N):
+    """oracle_table's (beta, alpha, gamma) as lists of Fractions, read off
+    the top coefficients T_n(m) of the Fraction solver's P_n by oracle_table's
+    formulas, in Fractions; and lam."""
     solve, lam = reference_solver(J, N + 1)
     T = [solve(n, 3) + [Fraction(0)] * (3 - min(n, 3)) for n in range(N + 2)]
     beta = [T[k][1] - T[k + 1][1] for k in range(N + 1)]
@@ -492,6 +494,22 @@ def reference_fraction_derive(J, N):
         T[k][3] - T[k + 1][3] - beta[k] * T[k][2] - alpha[k - 1] * T[k - 1][1]
         for k in range(2, N + 1)
     ]
+    return (beta, alpha, gamma), lam
+
+
+def pairs(values) -> tuple:
+    """Rationals as their (numerator, denominator) pairs."""
+    return tuple((Fraction(c).numerator, Fraction(c).denominator) for c in values)
+
+
+def table_pairs(rt) -> tuple:
+    """A d = 2 table's (beta, alpha, gamma) as the pairs it holds."""
+    return rt.beta_pairs, rt.level_pairs[1], rt.level_pairs[0]
+
+
+def reference_fraction_derive(J, N):
+    """derive_recurrence's (table, report, sequence, lam) by the Fraction route."""
+    (beta, alpha, gamma), lam = reference_fraction_table(J, N)
     rt = RecurrenceTable.two_orthogonal(beta=beta, alpha=alpha, gamma=gamma)
     seq = generate(rt, N + 1)
     A, D = lcm_denominator(J), seq.weighted_rows[0]
@@ -570,6 +588,22 @@ class TestIntegerOracle:
             diag = derive_recurrence(J, N)[3]
             assert derived_lambdas(diag, N) == reference_fraction_derive(J, N)[3]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(operators(max_order=4), family_operators()), st.integers(0, 10))
+    @example(HUGE, 6)
+    def test_oracle_pairs_match_fraction_formulas(self, J, N):
+        # oracle_table hands the table its integers as reduced pairs, with no
+        # Fraction: they are the pairs of the formulas evaluated in Fractions
+        def integer():
+            rt = eigenfam.oracle_table(J, N)[0]
+            assert "_fractions" not in vars(rt)
+            return table_pairs(rt)
+
+        def reference():
+            return tuple(map(pairs, reference_fraction_table(J, N)[0]))
+
+        assert eigen_outcome(integer) == eigen_outcome(reference)
+
     def test_huge_entries(self):
         # entries of hundreds of digits: the window's and the table's
         # denominators are reduced by gcds of that size
@@ -638,25 +672,71 @@ class TestCase2Coeffs:
         # the n-independent coefficients are computed once; every entry must
         # still equal the formulas as displayed, evaluated term by term
         J = case2_operator(*map(Fraction, values))
-        a01, a11, a03, a13, a23 = map(Fraction, values[1:])
-        (b0, b1, b2), (f0, f1, f2, f3, f4) = case2_constants(J)
-        N = 40
-        beta = [-a23 * (n - 1) * n / (2 * a11) - a01 / a11 for n in range(N + 1)]
-        alpha = [
-            -a13 / (2 * a11)
-            + a01 * a23 / a11**2
-            + m * (-3 * a13 / (4 * a11) + a23 * (9 * a01 + a23) / (6 * a11**2))
-            + m**2 * (b0 + b1 * m + b2 * m**2)
-            for m in range(-1, N - 1)
-        ]
-        gamma = [
-            -Fraction(1, 3) / a11 * (a03 + a01 * (-a11 * a13 + a01 * a23) / a11**2)
-            - m * (a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3)
-            + m**2 * (f0 + f1 * m + f2 * m**2 + f3 * m**3 + f4 * m**4)
-            for m in range(N)
-        ]
-        expected = RecurrenceTable.two_orthogonal(beta, alpha, gamma)
-        assert case2_coeffs(J, N) == expected
+        expected = RecurrenceTable.two_orthogonal(*displayed_case2(J, 40))
+        assert case2_coeffs(J, 40) == expected
+
+
+# The closed forms as displayed, each entry evaluated term by term in
+# Fractions: the references for the tables' integer route.
+
+
+def displayed_case1(J, N):
+    """(beta, alpha, gamma) of a case 1 operator, beta_0.., alpha_1.., gamma_1.."""
+    a01, a11, a02, a03 = J.acoef(0, 1), J.acoef(1, 1), J.acoef(0, 2), J.acoef(0, 3)
+    return (
+        [-a01 / a11 for n in range(N + 1)],
+        [-a02 * n / (2 * a11) for n in range(1, N + 1)],
+        [-a03 * n * (n + 1) / (6 * a11) for n in range(1, N + 1)],
+    )
+
+
+def displayed_case2(J, N):
+    """(beta, alpha, gamma) of a case 2 operator, beta_0.., alpha_1.., gamma_1..;
+    alpha_n is quartic in m = n - 2 and gamma_n sextic in m = n - 1."""
+    a01, a11 = J.acoef(0, 1), J.acoef(1, 1)
+    a03, a13, a23 = J.acoef(0, 3), J.acoef(1, 3), J.acoef(2, 3)
+    (b0, b1, b2), (f0, f1, f2, f3, f4) = case2_constants(J)
+    beta = [-a23 * (n - 1) * n / (2 * a11) - a01 / a11 for n in range(N + 1)]
+    alpha = [
+        -a13 / (2 * a11)
+        + a01 * a23 / a11**2
+        + m * (-3 * a13 / (4 * a11) + a23 * (9 * a01 + a23) / (6 * a11**2))
+        + m**2 * (b0 + b1 * m + b2 * m**2)
+        for m in range(-1, N - 1)
+    ]
+    gamma = [
+        -Fraction(1, 3) / a11 * (a03 + a01 * (-a11 * a13 + a01 * a23) / a11**2)
+        - m * (a11**2 * a03 - a01 * a11 * a13 + a01**2 * a23) / (2 * a11**3)
+        + m**2 * (f0 + f1 * m + f2 * m**2 + f3 * m**3 + f4 * m**4)
+        for m in range(N)
+    ]
+    return beta, alpha, gamma
+
+
+def displayed_corollary42(N):
+    """(beta, alpha, gamma) of corollary 4.2, beta_0.., alpha_1.., gamma_1.."""
+    return (
+        [Fraction(-12 * (n - 1) * n) for n in range(N + 1)],
+        [Fraction(12 * (n - 1) * n * (2 * n - 3) ** 2) for n in range(1, N + 1)],
+        [
+            Fraction(-4 * n * (n + 1) * (2 * n - 3) ** 2 * (2 * n - 1) ** 2)
+            for n in range(1, N + 1)
+        ],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_operators(), st.integers(0, 30))
+def test_closed_form_pairs_match_the_displayed_formulas(J, N):
+    # each closed form hands its table the reduced pairs of Poly.int_values,
+    # with no Fraction: they are the pairs of the displayed formulas
+    if J.a(3).degree == 0:
+        rt, expected = case1_coeffs(J, N), displayed_case1(J, N)
+    else:
+        rt, expected = case2_coeffs(J, N), displayed_case2(J, N)
+    assert table_pairs(rt) == tuple(map(pairs, expected))
+    assert "_fractions" not in vars(rt)
+    assert table_pairs(corollary42_coeffs(N)) == tuple(map(pairs, displayed_corollary42(N)))
 
 
 @pytest.mark.parametrize(
@@ -870,6 +950,117 @@ class TestVerifyExpansions:
         dseq = derivative_sequence(seq)
         for n in range(20):
             assert dseq[n] == seq[n]
+
+
+# Reference for the family relations' bands: the Fraction route they
+# replaced, each entry a Fraction, or an int, multiplied by its scale.
+
+
+def reference_family_bands(J) -> dict:
+    """name -> band(n), the (j, c_j) of the displayed relation as rationals,
+    for corollary 4.2's operator or a case 1 operator; {} otherwise."""
+    if J.order != 3:
+        return {}
+    if J.a(1).degree == 1 and J.a(2).degree <= 0 and J.a(3).degree == 0:
+        a11, a02, a03 = J.acoef(1, 1), J.acoef(0, 2), J.acoef(0, 3)
+        return {
+            "case1-second-order": lambda n: [
+                (n + 1, a11),
+                (n - 1, Fraction(n, 2) * a02),
+                (n - 2, Fraction((n - 1) * n, 3) * a03),
+            ],
+            "case1-appell-derivative": lambda n: [(n - 1, n)],
+        }
+    if J == corollary42_operator(J.acoef(0, 0)):
+        return {
+            "corollary-second-order": lambda n: [
+                (n + 1, Fraction(1, 24)),
+                (n - 1, -Fraction(1, 2) * (3 - 2 * n) ** 2 * (n - 1) * n),
+                (n - 2, Fraction(1, 3) * (n - 1) * n * (15 - 16 * n + 4 * n**2) ** 2),
+            ],
+            "corollary-first-order": lambda n: [
+                (n + 1, n),
+                (n, -2 * n * (5 + 4 * n * (2 * n - 3))),
+                (n - 1, (3 - 2 * n) ** 2 * n * (24 * (n - 2) * n + 25)),
+                (n - 2, -8 * (5 - 2 * n) ** 2 * (n - 1) * n * (2 * n - 3) ** 3),
+                (
+                    n - 3,
+                    4 * (3 - 2 * n) ** 2 * (5 - 2 * n) ** 2 * (7 - 2 * n) ** 2
+                    * (n - 2) * (n - 1) * n,
+                ),
+            ],
+        }
+    return {}
+
+
+def reference_family_report(J, seq, N):
+    """verify_expansions' family entries by the Fraction route: each band's
+    Fractions times their scale A D**(n + e - j), through check_expansions."""
+    A, D = lcm_denominator(J), seq.weighted_rows[0]
+    bands = reference_family_bands(J)
+
+    def scaled(band, e):
+        return lambda n: [(j, c * A * D ** (n + e - j)) for j, c in band(n)]
+
+    identities = [
+        (name, L, e, s, scaled(bands[name], e))
+        for name, L, e, s, _ in eigenfam._family_identities(J)
+    ]
+    report = VerificationReport()
+    eigenfam.check_expansions(report, seq, range(N + 1), A, identities)
+    return report.entries
+
+
+class TestFamilyBands:
+    """The family relations' integer bands against the Fraction route: an
+    integer m in n times a constant num/den, times its scale, divided
+    exactly; an entry that does not divide is its Fraction and fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(family_operators(), st.just(CASE1)),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 12),
+    )
+    def test_entries_are_the_fraction_entries_times_the_scale(self, J, A, D, n):
+        bands = reference_family_bands(J)
+        identities = eigenfam._family_identities(J)
+        assert [name for name, *_ in identities] == list(bands)
+        scales = [A * D**w for w in range(6)]
+        for name, _, e, _, band in identities:
+            got = eigenfam._scaled(band, e, scales)(n)
+            expected = [(j, c * scales[n + e - j]) for j, c in bands[name](n)]
+            assert got == expected
+            for (_, v), (_, c) in zip(got, expected):
+                assert type(v) is (int if Fraction(c).denominator == 1 else Fraction)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_operators(), family_operators(), st.integers(0, 5))
+    def test_reports_match_the_fraction_route(self, J, other, N):
+        # other's sequence: J's relations pass when it is J's, and fail with
+        # the Fraction route's witnesses otherwise
+        closed = (case1_coeffs if other.a(3).degree == 0 else case2_coeffs)(other, N + 5)
+        seq = generate(closed, N + 5)
+        names = set(reference_family_bands(J))
+        got = [e for e in verify_expansions(J, seq, N).entries if e["identity"] in names]
+        assert got == reference_family_report(J, generate(closed, N + 5), N)
+
+    def test_a_non_dividing_entry_fails_with_its_witness(self):
+        # a_0^[2] = 1: entry n - 1 of the second-order band is n/2 at
+        # A D**2 = 1 on an integer table, so every odd n does not divide
+        J = case1_operator(1, 0, 1, 1, -6)
+        seq = generate(case1_coeffs(CASE1, 12), 12)
+        assert lcm_denominator(J) == 1 and seq.weighted_rows[0] == 1
+        name, _, e, _, band = eigenfam._family_identities(J)[0]
+        assert name == "case1-second-order"
+        entries = eigenfam._scaled(band, e, [1] * 6)(3)
+        assert entries[1] == (2, Fraction(3, 2))
+        got = verify_expansions(J, seq, 6).entries
+        got = [e for e in got if e["identity"].startswith("case1")]
+        assert got == reference_family_report(J, generate(case1_coeffs(CASE1, 12), 12), 6)
+        entry = next(e for e in got if e["identity"] == "case1-second-order" and e["n"] == 3)
+        assert entry["status"] == "fail" and "witness" in entry
 
 
 class TestDifferenceEquations:

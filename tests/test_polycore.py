@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dortho import Poly, binomial, rational_from_json, rational_to_str
+from dortho.polycore import pair_from_json, pair_to_str, reduced_pair
 from dortho.errors import OutputTooLarge
 
 from conftest import polys, rand_poly, rand_rational, small_rationals
@@ -213,6 +214,31 @@ class TestJson:
         # int() reads dortho's own "p" and "p/q"; any other string, and any
         # error, must be exactly Fraction's
         assert self.parsed(rational_from_json, v) == self.parsed(self.fraction_route, v)
+        # a table's entries are read straight into reduced pairs, with the
+        # same errors
+        expected = self.parsed(self.fraction_route, v)
+        if type(expected) is Fraction:
+            expected = (expected.numerator, expected.denominator)
+        try:
+            got = pair_from_json(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            got = type(exc), str(exc)
+        assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    def test_pairs_are_reduced_and_printed_as_fractions(self, num, den):
+        r = Fraction(num, den)
+        assert reduced_pair(num, den) == (r.numerator, r.denominator)
+        assert pair_to_str(*reduced_pair(num, den)) == str(r) == rational_to_str(r)
+        assert pair_from_json(str(r)) == reduced_pair(num, den)
+        assert pair_from_json(f"{num}/{den}") == reduced_pair(num, den)
+
+    def test_pair_past_the_digit_limit(self):
+        with pytest.raises(OutputTooLarge, match="more than 4300 digits"):
+            pair_to_str(10**4300, 1)
+        with pytest.raises(OutputTooLarge, match="more than 4300 digits"):
+            pair_to_str(1, 10**4300)
 
     @pytest.mark.parametrize("data", ["12", 12, {"a": [1]}, None])
     def test_poly_from_json_needs_an_array(self, data):

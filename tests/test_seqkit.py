@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -527,7 +528,7 @@ class TestAgainstReference:
             for size in (top + 1, top, top)
         )
         seq = generate(RecurrenceTable.two_orthogonal(beta, alpha, gamma), top)
-        assert seqkit._integer_rows(seq.x_rows)[0].bit_length() > 900
+        assert seq.integer_rows[0].bit_length() > 900
         assert check_d_orthogonality(seq, 2, M).passed
         assert_matches_reference(seq, 2, M)
 
@@ -538,7 +539,7 @@ class TestAgainstReference:
         rows = [(), ((0, Fraction(1, 3)),)]
         rows += [tuple((j, 3 if j == 1 else 1) for j in range(k + 1)) for k in range(2, 8)]
         seq = MonicSequence(rows)
-        sigma = seqkit._mixed_moments(*seqkit._integer_rows(rows), 8, 0, 3)
+        sigma = seqkit._mixed_moments(*seq.integer_rows, 8, 0, 3)
         assert [den for _, den in sigma] == [1, 3, 1, 1]
         assert_matches_reference(seq, 1, 3)
         assert_matches_reference(seq, 2, 2)
@@ -783,6 +784,10 @@ class TestIntegerDerivativeRows:
         assert derivative_rows(lambda s: derivative_sequence(s).x_rows, seq) == (
             derivative_rows(reference_fraction_derivative_rows, seq)
         )
+        if seq.N >= 1:  # Q's rows come out as the reduced pairs of the Fractions
+            dseq = derivative_sequence(seq)
+            assert "x_rows" not in vars(dseq)
+            assert dseq.pair_rows == as_pairs(reference_fraction_derivative_rows(seq))
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(banded_tables(), banded_tables(wide=True)))
@@ -818,6 +823,81 @@ class TestIntegerDerivativeRows:
         gamma = [Fraction(2**1000 + k, 10**300 + 3 * k) for k in range(N)]
         seq = generate(RecurrenceTable.two_orthogonal(beta, alpha, gamma), N)
         self.assert_matches(seq)
+
+
+def as_pairs(x_rows) -> tuple:
+    """Rows of (j, rational) as rows of (j, (numerator, denominator))."""
+    return tuple(
+        tuple((j, (Fraction(c).numerator, Fraction(c).denominator)) for j, c in row)
+        for row in x_rows
+    )
+
+
+# Reference for the table's integer route to the kernels: the Fraction route
+# it replaced.  A table's x-rows are read entry by entry through its
+# Fraction accessors, then scaled by the lcm D of their denominators.
+
+
+def reference_x_rows(rt, N) -> tuple:
+    """Rows 0..N-1 of rt's x-rows as Fractions, read through beta and level."""
+    rows = []
+    for k in range(N):
+        entries = [(j, rt.level(j + rt.d - k, j + 1)) for j in range(max(k - rt.d, 0), k)]
+        entries.append((k, rt.beta(k)))
+        rows.append(tuple((j, c) for j, c in entries if c))
+    return tuple(rows)
+
+
+def reference_integer_rows(x_rows) -> tuple:
+    """(D, rows): D the lcm of the denominators in x_rows, and each row's
+    (j, c) as the integer pair (j, c*D)."""
+    D = math.lcm(*(c.denominator for row in x_rows for _, c in row))
+    return D, tuple(
+        tuple((j, c.numerator * (D // c.denominator)) for j, c in row)
+        for row in x_rows
+    )
+
+
+class TestIntegerRows:
+    """generate's rows, made from the table's pairs with no Fraction, against
+    the Fraction x-rows they replace: the same D and the same integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(banded_tables(), banded_tables(wide=True)))
+    def test_generate_matches_the_fraction_rows(self, table):
+        # d = 1..3, with zero entries in every level
+        rt, N = table
+        seq = generate(rt, N)
+        assert "x_rows" not in vars(seq) and "_fractions" not in vars(rt)
+        x_rows = reference_x_rows(rt, N)
+        assert seq.integer_rows == reference_integer_rows(x_rows)
+        assert seq.pair_rows == as_pairs(x_rows)
+        assert seq.x_rows == x_rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            banded_tables().map(lambda table: reference_x_rows(*table)),
+            dense_sequences().map(structure_coeffs),
+        )
+    )
+    def test_rational_rows_give_the_same_views(self, rows):
+        # MonicSequence(x_rows) reads its rationals into pairs once
+        seq = MonicSequence(rows)
+        assert seq.pair_rows == as_pairs(rows)
+        assert seq.integer_rows == reference_integer_rows(rows)
+
+    def test_table_entries_are_reduced_pairs(self):
+        rt = RecurrenceTable(2, [Fraction(6, 4), 0, -3], [[Fraction(-10, 15), 2], ["1/2", 7]])
+        assert rt.beta_pairs == ((3, 2), (0, 1), (-3, 1))
+        assert rt.level_pairs == (((-2, 3), (2, 1)), ((1, 2), (7, 1)))
+        assert rt.pair_row(2) == ((0, (-2, 3)), (1, (7, 1)), (2, (-3, 1)))
+        assert "_fractions" not in vars(rt)
+        assert rt.x_row(2) == ((0, Fraction(-2, 3)), (1, Fraction(7)), (2, Fraction(-3)))
+        assert rt.to_json() == {
+            "d": 2, "beta": ["3/2", "0", "-3"], "alpha": ["1/2", "7"], "gamma": ["-2/3", "2"]
+        }
+        assert RecurrenceTable.of_pairs(2, rt.beta_pairs, rt.level_pairs) == rt
 
 
 class TestTableJson:
