@@ -281,7 +281,7 @@ def cmd_duals(args) -> dict:
         "d": d,
         "N": N,
         "M": M,
-        "moments": [[rational_to_str(v) for v in row] for row in moments],
+        "moments": [[pair_to_str(*v) for v in row] for row in moments],
         "report": seqkit.check_d_orthogonality(seq, d, M),
     }
 

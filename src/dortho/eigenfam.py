@@ -1,8 +1,10 @@
 """Eigenfamilies of third-order degree-preserving operators.
 
 Two independent routes to the same recurrence tables are kept apart on
-purpose: the brute-force eigen-solver (triangular linear solve per
-degree) and the closed-form coefficient families.  Every displayed
+purpose: the eigen-oracle, which reads each eigenpolynomial's top three
+coefficients off the operator's diagonals in one pass over the degrees
+(the per-degree triangular solve, unrolled; eigen runs that solve in
+full), and the closed-form coefficient families.  Every displayed
 basis expansion of the shifted operators is verified exactly, as a
 column of the operator's matrix in the recurrence basis.
 """
@@ -30,49 +32,57 @@ from .seqkit import MonicSequence, RecurrenceTable, generate, operator_column
 # -- eigen-oracle ----------------------------------------------------------
 
 
-def _eigen_solver(J: DiffOperator, N: int, diag: Optional[Diagonals] = None):
-    """Set up the eigen-oracle for degrees up to N; return (solve, lam, A).
+def _monomial_rows(J: DiffOperator, N: int, diag: Optional[Diagonals] = None) -> tuple:
+    """Classify J and read the diagonals of its matrix on the monomials;
+    return (rows, A).
 
-    The setup runs once: it classifies J (the classification screens the
-    diagonal sum for integer roots, so it settles every degree at once)
-    and reads the diagonals of J's matrix on the monomials,
+    classify screens the diagonal sum for integer roots, so it settles
+    every degree at once, and raises NotIsomorphism.  The diagonals are
 
-        [x**i] J(x**(i + t)) = lambda_(i+t)^[t],
+        rows[t][i] = A [x**i] J(x**(i + t)) = A lambda_(i+t)^[t],
 
-    for t = 0..order and i = 0..N, as ints over A (diffop.diagonals), from
-    diag or from a build of its own; classify reads the same build.  lam
-    is diagonal 0, A lambda_0..A lambda_N.  solve(n, depth) raises
-    EigenvalueCollision(k, n) on its first read for the first k < n with
-    lambda_k = lambda_n; otherwise it yields [x**(n - m)] P_n for
-    m = 0..min(depth, n), top down (all n + 1 by default), as int pairs
-    (num, den), den > 0, from row i of A J(P) = A lambda_n P,
-
-        (A lambda_n - A lambda_i) c_i = sum_(t >= 1) A [x**i] J(x**(i + t)) * c_(i+t),
-
-    over t <= order only, since [x**i] J(x**j) = 0 for j > i + order
-    when deg a_v <= v.  Row i reads only the coefficients above it, so the
-    top depth coefficients cost depth rows whatever n is.  The last order
-    coefficients are ints over one den, times row i's pivot, then one gcd.
+    for t = 0..order and i = 0..N at least, as ints over A
+    (diffop.diagonals), from diag or from a build of its own; classify
+    reads the same build.  rows[0] is A lambda_0, A lambda_1, ...
     """
     if diag is None:
         diag = diagonals(J, 0, N + 1)
     tag = classify(J, diag)["class"]
     if tag != "isomorphism":
         raise NotIsomorphism(f"operator classified as {tag}")
-    order = J.order
-    rows = [row[-diag.lo :] for row in diag.rows]  # from i = 0
-    lam = rows[0][: N + 1]
-    first: dict = {}
-    for j, value in enumerate(lam):
-        first.setdefault(value, j)
+    return [row[-diag.lo :] for row in diag.rows], diag.A
 
-    def solve(n: int, depth: Optional[int] = None):
-        k = first[lam[n]]
+
+def _eigen_solver(J: DiffOperator, N: int):
+    """Set up the per-degree eigen-solve for degrees up to N; return
+    (solve, lam, A).
+
+    The setup runs once (_monomial_rows, on a build of J's diagonals at
+    0..N).  lam is diagonal 0, A lambda_0..A lambda_N.  solve(n) raises
+    EigenvalueCollision(k, n) on its first read for the first k < n with
+    lambda_k = lambda_n; otherwise it yields every coefficient
+    [x**(n - m)] P_n, m = 0..n, top down, as int pairs (num, den), den > 0,
+    from row i of A J(P) = A lambda_n P,
+
+        (A lambda_n - A lambda_i) c_i = sum_(t >= 1) A [x**i] J(x**(i + t)) * c_(i+t),
+
+    over t <= order only, since [x**i] J(x**j) = 0 for j > i + order
+    when deg a_v <= v.  Row i reads only the coefficients above it.  The
+    last order coefficients are ints over one den, times row i's pivot,
+    then one gcd, so each coefficient comes out reduced against the others
+    as it is produced, and a caller can stop a solve early (eigenpoly).
+    """
+    rows, A = _monomial_rows(J, N)
+    order = J.order
+    lam = rows[0][: N + 1]
+
+    def solve(n: int):
+        k = lam.index(lam[n])
         if k < n:
             raise EigenvalueCollision(k, n)
         window, den = [1], 1  # the last order coefficients over den
         yield 1, 1
-        for m in range(1, (n if depth is None else min(n, depth)) + 1):
+        for m in range(1, n + 1):
             i = n - m
             num = 0
             for t in range(1, min(m, order) + 1):
@@ -88,7 +98,7 @@ def _eigen_solver(J: DiffOperator, N: int, diag: Optional[Diagonals] = None):
                 window = [v // g for v in window]
             yield window[-1], den
 
-    return solve, lam, diag.A
+    return solve, lam, A
 
 
 def eigenpoly(J: DiffOperator, n: int) -> Poly:
@@ -107,35 +117,82 @@ def eigenpoly(J: DiffOperator, n: int) -> Poly:
     if n < 0:
         raise ValueError("n must be >= 0")
     solve, _, _ = _eigen_solver(J, n)
-    return Poly(reversed([writable(Fraction(*c)) for c in solve(n)]))
+    coeffs = []
+    for c in solve(n):
+        r = Fraction(*c)
+        writable(r.numerator, r.denominator)
+        coeffs.append(r)
+    return Poly(reversed(coeffs))
+
+
+def _top_coefficients(J: DiffOperator, N: int, diag: Diagonals) -> list:
+    """The top coefficients T_n(m) = [x**(n-m)] P_n, m = 1..3, of J's monic
+    eigenpolynomials P_0..P_N, in one pass over n with no per-degree solve:
+    T[n] = (q_n, q_n T_n(1), q_n T_n(2), q_n T_n(3)), ints over the least
+    common denominator q_n > 0 of the three.
+
+    After the setup (_monomial_rows on diag, which raises NotIsomorphism),
+    each lambda_n is screened against the earlier ones, raising
+    EigenvalueCollision(k, n) at the first n with lambda_k = lambda_n,
+    k < n.  Rows m = 1..3 of the per-degree solve (_eigen_solver) are then
+    unrolled in closed form.  With Delta_i = A lambda_n - A lambda_(n-i)
+    and r_t diagonal t over A (zero past the order),
+
+        N1 = r1(n-1)
+        N2 = r1(n-2) N1 + r2(n-2) Delta1
+        N3 = r1(n-3) N2 + r2(n-3) N1 Delta2 + r3(n-3) Delta1 Delta2,
+
+    T_n(m) = N_m / (Delta1...Deltam), and T_n(m) = 0 for m > n.  Over the
+    denominator Delta1 Delta2 Delta3, made positive, the four ints are
+    reduced by one gcd, which leaves q_n.
+    """
+    rows, _ = _monomial_rows(J, N, diag)
+    lam = rows[0]
+    zero = [0] * len(lam)
+    r1, r2, r3 = (rows[1:] + [zero] * 3)[:3]
+    T = []
+    for n in range(N + 1):
+        ln = lam[n]
+        k = lam.index(ln)
+        if k < n:
+            raise EigenvalueCollision(k, n)
+        d1 = ln - lam[n - 1] if n > 0 else 1
+        d2 = ln - lam[n - 2] if n > 1 else 1
+        d3 = ln - lam[n - 3] if n > 2 else 1
+        n1 = r1[n - 1] if n > 0 else 0
+        n2 = r1[n - 2] * n1 + r2[n - 2] * d1 if n > 1 else 0
+        n3 = r1[n - 3] * n2 + (r2[n - 3] * n1 + r3[n - 3] * d1) * d2 if n > 2 else 0
+        q, a, b, c = d1 * d2 * d3, n1 * d2 * d3, n2 * d3, n3
+        if q < 0:
+            q, a, b, c = -q, -a, -b, -c
+        g = math.gcd(q, a, b, c)
+        if g > 1:
+            q, a, b, c = q // g, a // g, b // g, c // g
+        T.append((q, a, b, c))
+    return T
 
 
 def oracle_table(J: DiffOperator, N: int) -> tuple:
     """The eigen-oracle's d=2 table of J's monic eigenpolynomials P_n,
     read with no P_n built, and the diagonals it read: (RecurrenceTable, diag).
 
-    The solver (_eigen_solver, which raises NotIsomorphism and
-    EigenvalueCollision) gives only the top coefficients T_n(m) =
-    [x**(n-m)] P_n, m <= 3 (T_n(m) = 0 for m > n), and comparing x^k,
-    x^(k-1), x^(k-2) in the four-term row of x*P_k gives, for k <= N,
+    The top coefficients T_n(m) of P_0..P_(N+1) come in one pass over n
+    (_top_coefficients, which raises NotIsomorphism and
+    EigenvalueCollision), as ints over q_n.  Comparing x^k, x^(k-1),
+    x^(k-2) in the four-term row of x*P_k gives, for k <= N,
 
         beta_k      = T_k(1) - T_(k+1)(1)
         alpha_k     = T_k(2) - T_(k+1)(2) - beta_k T_k(1)
         gamma_(k-1) = T_k(3) - T_(k+1)(3) - beta_k T_k(2) - alpha_k T_(k-1)(1).
-    With T_n as ints over one denominator q_n and L = lcm(q_k, q_(k+1)), the
-    three are ints over L, L q_k and L q_k q_(k-1), each handed to the table
-    as its reduced pair (RecurrenceTable.of_pairs): one gcd, no Fraction.  The
-    table is P's if P is four-term to degree N + 1, which derive_recurrence
-    proves.  diag is J's diagonals at -4 <= n <= N + 5 (diffop.diagonals),
-    the one build that classify, the solver and verify_expansions to N read.
+    With L = lcm(q_k, q_(k+1)), the three are ints over L, L q_k and
+    L q_k q_(k-1), each handed to the table as its reduced pair
+    (RecurrenceTable.of_pairs): one gcd, no Fraction.  The table is P's if
+    P is four-term to degree N + 1, which derive_recurrence proves.  diag is
+    J's diagonals at -4 <= n <= N + 5 (diffop.diagonals), the one build that
+    classify, the oracle and verify_expansions to N read.
     """
     diag = diagonals(J, -4, N + 6)
-    solve, _, _ = _eigen_solver(J, N + 1, diag)
-    T = []  # T[n] = (q_n, q_n T_n(1), q_n T_n(2), q_n T_n(3))
-    for n in range(N + 2):
-        top = list(solve(n, 3))[1:]
-        q = math.lcm(*(den for _, den in top))
-        T.append((q, *(num * (q // den) for num, den in top), 0, 0, 0)[:4])
+    T = _top_coefficients(J, N + 1, diag)
     beta, alpha, gamma = [], [], []
     for k in range(N + 1):
         (q, a, b, c), (q1, a1, b1, c1) = T[k], T[k + 1]
@@ -316,9 +373,14 @@ def case2_coeffs(J: DiffOperator, N: int) -> RecurrenceTable:
     )
 
 
+# corollary 4.2's a_1 = x/24, a_2 = 0 and a_3 = (x - 1)^2; a_0 is any constant
+_COROLLARY42_A = (Poly([0, Fraction(1, 24)]), Poly.zero(), Poly([1, -2, 1]))
+
+
 def corollary42_operator(a00) -> DiffOperator:
-    """Corollary 4.2's operator: case 2 with a_1 = x/24 and a_3 = (x - 1)^2."""
-    return case2_operator(a00, 0, Fraction(1, 24), 1, -2, 1)
+    """Corollary 4.2's operator: case 2 with a_1 = x/24 and a_3 = (x - 1)^2,
+    whose discriminant vanishes."""
+    return DiffOperator([Poly([a00]), *_COROLLARY42_A])
 
 
 def corollary42_coeffs(N: int) -> RecurrenceTable:
@@ -343,8 +405,8 @@ class _Tables:
 
     The formulas only add and multiply what the accessors return, so they
     run in any ring: on a table's Fractions or on its integer view
-    (_integer_view).  The accessors read 0 below the first tabulated index
-    (the P_(-i) = 0 convention).
+    (_integer_view).  beta, alpha and gamma read 0 below the first
+    tabulated index (the P_(-i) = 0 convention).
     """
 
     def __init__(self, beta, alpha, gamma, lam):
@@ -553,108 +615,105 @@ def _shift_bands(t: _Tables) -> tuple:
     n -> the (j, c_j) of J^(1)(P_n), J^(2)(P_n) and J^(3)(P_(n+2)), in the
     ring t reads from.  The shift-3 top entry is the third difference of
     lambda, A(n + 5) - A(n + 4), which is J's a_3^[3] when J.order <= 3."""
-    lam = t.lam
+    beta, alpha, gamma, lam = t.beta, t.alpha, t.gamma, t.lam
+    A, B, C, D, F, G, H = t.A, t.B, t.C, t.D, t.F, t.G, t.H
 
     def shift1(n):
         return [
             (n + 1, lam(n + 1) - lam(n)),
-            (n - 1, t.alpha(n) * (lam(n - 1) - lam(n))),
-            (n - 2, t.gamma(n - 1) * (lam(n - 2) - lam(n))),
+            (n - 1, alpha(n) * (lam(n - 1) - lam(n))),
+            (n - 2, gamma(n - 1) * (lam(n - 2) - lam(n))),
         ]
 
     def shift2(n):
         return [
-            (n + 2, t.A(n + 2)),
-            (n + 1, t.B(n + 1)),
-            (n, t.C(n)),
-            (n - 1, t.D(n - 1)),
-            (n - 2, t.F(n - 2)),
-            (n - 3, t.G(n - 3)),
-            (n - 4, t.H(n - 4)),
+            (n + 2, A(n + 2)),
+            (n + 1, B(n + 1)),
+            (n, C(n)),
+            (n - 1, D(n - 1)),
+            (n - 2, F(n - 2)),
+            (n - 3, G(n - 3)),
+            (n - 4, H(n - 4)),
         ]
 
     def shift3(n):  # applied to P_(n+2)
         return [
-            (n + 5, t.A(n + 5) - t.A(n + 4)),
+            (n + 5, A(n + 5) - A(n + 4)),
             (
                 n + 4,
-                t.A(n + 4) * t.beta(n + 2)
-                - t.A(n + 4) * t.beta(n + 4)
-                - t.B(n + 3)
-                + t.B(n + 4),
+                A(n + 4) * beta(n + 2)
+                - A(n + 4) * beta(n + 4)
+                - B(n + 3)
+                + B(n + 4),
             ),
             (
                 n + 3,
-                t.A(n + 3) * t.alpha(n + 2)
-                - t.A(n + 4) * t.alpha(n + 4)
-                + t.B(n + 3) * t.beta(n + 2)
-                - t.B(n + 3) * t.beta(n + 3)
-                - t.C(n + 2)
-                + t.C(n + 3),
+                A(n + 3) * alpha(n + 2)
+                - A(n + 4) * alpha(n + 4)
+                + B(n + 3) * beta(n + 2)
+                - B(n + 3) * beta(n + 3)
+                - C(n + 2)
+                + C(n + 3),
             ),
             (
                 n + 2,
-                t.A(n + 2) * t.gamma(n + 1)
-                - t.A(n + 4) * t.gamma(n + 3)
-                + t.B(n + 2) * t.alpha(n + 2)
-                - t.B(n + 3) * t.alpha(n + 3)
-                - t.D(n + 1)
-                + t.D(n + 2),
+                A(n + 2) * gamma(n + 1)
+                - A(n + 4) * gamma(n + 3)
+                + B(n + 2) * alpha(n + 2)
+                - B(n + 3) * alpha(n + 3)
+                - D(n + 1)
+                + D(n + 2),
             ),
             (
                 n + 1,
-                t.B(n + 1) * t.gamma(n + 1)
-                - t.B(n + 3) * t.gamma(n + 2)
-                + t.C(n + 1) * t.alpha(n + 2)
-                - t.C(n + 2) * t.alpha(n + 2)
-                - t.D(n + 1) * t.beta(n + 1)
-                + t.D(n + 1) * t.beta(n + 2)
-                - t.F(n)
-                + t.F(n + 1),
+                B(n + 1) * gamma(n + 1)
+                - B(n + 3) * gamma(n + 2)
+                + C(n + 1) * alpha(n + 2)
+                - C(n + 2) * alpha(n + 2)
+                - D(n + 1) * beta(n + 1)
+                + D(n + 1) * beta(n + 2)
+                - F(n)
+                + F(n + 1),
             ),
             (
                 n,
-                t.C(n) * t.gamma(n + 1)
-                - t.C(n + 2) * t.gamma(n + 1)
-                - t.D(n + 1) * t.alpha(n + 1)
-                + t.D(n) * t.alpha(n + 2)
-                - t.F(n) * t.beta(n)
-                + t.F(n) * t.beta(n + 2)
-                - t.G(n - 1)
-                + t.G(n),
+                C(n) * gamma(n + 1)
+                - C(n + 2) * gamma(n + 1)
+                - D(n + 1) * alpha(n + 1)
+                + D(n) * alpha(n + 2)
+                - F(n) * beta(n)
+                + F(n) * beta(n + 2)
+                - G(n - 1)
+                + G(n),
             ),
             (
                 n - 1,
-                -t.D(n + 1) * t.gamma(n)
-                + t.D(n - 1) * t.gamma(n + 1)
-                - t.F(n) * t.alpha(n)
-                + t.F(n - 1) * t.alpha(n + 2)
-                - t.G(n - 1) * t.beta(n - 1)
-                + t.G(n - 1) * t.beta(n + 2)
-                - t.H(n - 2)
-                + t.H(n - 1),
+                -D(n + 1) * gamma(n)
+                + D(n - 1) * gamma(n + 1)
+                - F(n) * alpha(n)
+                + F(n - 1) * alpha(n + 2)
+                - G(n - 1) * beta(n - 1)
+                + G(n - 1) * beta(n + 2)
+                - H(n - 2)
+                + H(n - 1),
             ),
             (
                 n - 2,
-                -t.F(n) * t.gamma(n - 1)
-                + t.F(n - 2) * t.gamma(n + 1)
-                - t.G(n - 1) * t.alpha(n - 1)
-                + t.G(n - 2) * t.alpha(n + 2)
-                - t.H(n - 2) * t.beta(n - 2)
-                + t.H(n - 2) * t.beta(n + 2),
+                -F(n) * gamma(n - 1)
+                + F(n - 2) * gamma(n + 1)
+                - G(n - 1) * alpha(n - 1)
+                + G(n - 2) * alpha(n + 2)
+                - H(n - 2) * beta(n - 2)
+                + H(n - 2) * beta(n + 2),
             ),
             (
                 n - 3,
-                -t.G(n - 1) * t.gamma(n - 2)
-                + t.G(n - 3) * t.gamma(n + 1)
-                - t.H(n - 2) * t.alpha(n - 2)
-                + t.H(n - 3) * t.alpha(n + 2),
+                -G(n - 1) * gamma(n - 2)
+                + G(n - 3) * gamma(n + 1)
+                - H(n - 2) * alpha(n - 2)
+                + H(n - 3) * alpha(n + 2),
             ),
-            (
-                n - 4,
-                t.H(n - 4) * t.gamma(n + 1)
-                - t.H(n - 2) * t.gamma(n - 3),
-            ),
+            (n - 4, H(n - 4) * gamma(n + 1) - H(n - 2) * gamma(n - 3)),
         ]
 
     return shift1, shift2, shift3
@@ -670,24 +729,25 @@ def _integer_view(seq: MonicSequence, diag: Diagonals, N: int) -> tuple:
 
     with (D, rows) = seq.weighted_rows, beta~_k row k's entry at k,
     alpha~_k row k's at k - 1 and gamma~_k row k + 1's at k - 1, and
-    lambda~ diagonal 0 of diag, J's diagonals over A.  Each accessor reads
-    0 below the first index (the P_(-i) = 0 convention).  A row with an
-    entry below k - 2 is a ValueError: the bands are d = 2's.
+    lambda~ diagonal 0 of diag, J's diagonals over A.  Each accessor is a
+    list's __getitem__, and the bands read no index below -4: beta~, alpha~
+    and gamma~ hold four zeros at their tail, so a negative index reads 0
+    (the P_(-i) = 0 convention), and lambda~ holds lambda~_0..lambda~_(N+5)
+    and then lambda~_(-4)..lambda~_(-1) at its tail, so a negative index n
+    reads lambda~_n.  A row with an entry below k - 2 is a ValueError: the
+    bands are d = 2's.
     """
     D, rows = seq.weighted_rows
     rows = [dict(row) for row in rows[: N + 5]]
     for k, row in enumerate(rows):
         if min(row, default=k) < k - 2:
             raise ValueError(f"x*P_{k} reaches P_{min(row)}: the bands are d = 2's")
-    beta = [row.get(k, 0) for k, row in enumerate(rows)]
-    alpha = [row.get(k - 1, 0) for k, row in enumerate(rows)]
-    gamma = [rows[k + 1].get(k - 1, 0) for k in range(len(rows) - 1)]
-
-    def reader(values):
-        return lambda k: values[k] if k >= 0 else 0
-
-    lam = {n: diag.at(0, n) for n in range(-4, N + 6)}.__getitem__
-    return _Tables(reader(beta), reader(alpha), reader(gamma), lam), D
+    zeros = [0] * 4  # read at -4..-1: P_(-i) = 0
+    beta = [row.get(k, 0) for k, row in enumerate(rows)] + zeros
+    alpha = [row.get(k - 1, 0) for k, row in enumerate(rows)] + zeros
+    gamma = [rows[k + 1].get(k - 1, 0) for k in range(len(rows) - 1)] + zeros
+    lam = [diag.at(0, n) for n in (*range(N + 6), *range(-4, 0))]
+    return _Tables(beta.__getitem__, alpha.__getitem__, gamma.__getitem__, lam.__getitem__), D
 
 
 def _shift3_initial(t: _Tables, a3) -> dict:
@@ -774,7 +834,7 @@ def _family_identities(J: DiffOperator) -> list:
             ("case1-second-order", J.shifted(1), 1, 0, second_order),
             ("case1-appell-derivative", D, 0, 0, lambda n: [(n - 1, n, (1, 1))]),
         ]
-    if J == corollary42_operator(J.acoef(0, 0)):
+    if J.a(0).degree <= 0 and J.coeffs[1:] == _COROLLARY42_A:
         def second_order(n):
             return [
                 (n + 1, 1, (1, 24)),

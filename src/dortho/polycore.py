@@ -102,13 +102,14 @@ def pair_to_str(num: int, den: int) -> str:
         ) from exc
 
 
-def writable(r: Fraction) -> Fraction:
-    """r, unless it is too long to write (rational_to_str raises); an int
-    below 8**k has at most k digits, so only r past 3k bits is tried."""
+def writable(num: int, den: int) -> tuple:
+    """The reduced pair (num, den) as given, unless it is too long to
+    write (pair_to_str raises); an int below 8**k has at most k digits, so
+    only a pair past 3k bits is tried."""
     screen = 3 * sys.get_int_max_str_digits()  # 0: no limit
-    if screen and max(r.numerator.bit_length(), r.denominator.bit_length()) > screen:
-        rational_to_str(r)
-    return r
+    if screen and max(num.bit_length(), den.bit_length()) > screen:
+        pair_to_str(num, den)
+    return num, den
 
 
 _ZERO = Fraction(0)

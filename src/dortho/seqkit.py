@@ -482,7 +482,7 @@ def _reduced(out: dict, den: int) -> tuple:
 
 def dual_moments(seq: MonicSequence, d: int) -> list:
     """Moments (u_i)_n = coefficient of P_i in the expansion of x**n, as d
-    lists of Fractions: row i holds (u_i)_0..(u_i)_N.
+    lists of reduced pairs (num, den): row i holds (u_i)_0..(u_i)_N.
 
     The expansion of x**(n+1) is x times that of x**n, with each x*P_j
     replaced by its x-multiplication row.  A step lowers a basis index by
@@ -491,8 +491,9 @@ def dual_moments(seq: MonicSequence, d: int) -> list:
 
     The expansion is one integer vector over one denominator den, and the
     rows are scaled by D (integer_rows), so a step multiplies den by
-    D and then divides den and the vector by their one gcd.  A moment
-    becomes a Fraction only when it is output.
+    D and then divides den and the vector by their one gcd.  Each moment
+    is its entry over den, reduced by one more gcd (reduced_pair); no
+    Fraction is formed.
 
     A moment too long to write out raises OutputTooLarge (writable) as it
     is produced, so a caller that writes the moments does no further work
@@ -523,7 +524,7 @@ def dual_moments(seq: MonicSequence, d: int) -> list:
                 nxt = [v // g for v in nxt]
             vec = nxt
         for i in range(d):
-            moments[i].append(writable(Fraction(vec[i] if i < len(vec) else 0, den)))
+            moments[i].append(writable(*reduced_pair(vec[i] if i < len(vec) else 0, den)))
     return moments
 
 

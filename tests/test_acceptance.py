@@ -182,7 +182,7 @@ def test_criterion_08_duals():
                 assert exp.coeff(nu) != 0
                 for n in range(n0 + 1, 27 - m):
                     assert expand_in_basis(seq[m] * seq[n], seq).coeff(nu) == 0
-        assert dm[0][0] == 1
+        assert dm[0][0] == (1, 1)
         # the mutated table must fail exactly where the zeroed gamma sits
         gamma = [rt.gamma(n) for n in range(1, 40)]
         gamma[2] = Fraction(0)

@@ -596,8 +596,8 @@ class TestBadRanges:
         def counted(J, N):
             solve, lam, E = setup(J, N)
 
-            def counting(n, depth=None):
-                for c in solve(n, depth):
+            def counting(n):
+                for c in solve(n):
                     solved.append(c)
                     yield c
 

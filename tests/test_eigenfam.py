@@ -42,7 +42,7 @@ from dortho.errors import (
 from dortho import diffop
 from dortho.diffop import classify, from_action, lambda_at, lambda_poly
 
-from conftest import operators, small_rationals
+from conftest import GOLDEN, operators, small_rationals
 
 CASE1 = case1_operator(1, 0, 1, -2, -6)
 # corollary 4.2's operator as a case 2 one: a_1 = x/24, a_3 = (x - 1)^2
@@ -55,6 +55,12 @@ LINEAR_CUBIC = DiffOperator([Poly.one(), Poly([0, 1]), Poly.zero(), Poly([0, 1])
 TWO_CHI = DiffOperator([Poly.one(), Poly([2, 1]), Poly([0, -2]), Poly([1, 1])])
 # operators whose eigenpolynomials are 2-orthogonal: derive_recurrence passes
 FAMILY_OPERATORS = [CASE1, CASE2, corollary42_operator(1)]
+# lambda_n = 1 + n(3-n)/2: lambda_0 = lambda_3 and lambda_1 = lambda_2
+COLLIDING = DiffOperator([Poly.one(), Poly([0, 1]), Poly([0, 0, -1])])
+# the fourth power of case 1 [1, 0, 1, -2, -6], order 12
+CASE1_FOURTH_POWER = DiffOperator.from_json(
+    json.loads((GOLDEN / "case1_fourth_power_operator.json").read_text())
+)
 
 
 def lcm_denominator(J):
@@ -150,11 +156,12 @@ class TestAgainstReference:
         )
 
     def test_collision_is_reported_at_the_first_degree(self):
-        # lambda_n = 1 + n(3-n)/2: lambda_0 = lambda_3 and lambda_1 = lambda_2
-        J = DiffOperator([Poly.one(), Poly([0, 1]), Poly([0, 0, -1])])
-        with pytest.raises(EigenvalueCollision) as ei:
-            derive_recurrence(J, 5)
-        assert (ei.value.k, ei.value.n) == (1, 2)
+        # lambda_n = 1 + n(3-n)/2: lambda_0 = lambda_3 and lambda_1 = lambda_2;
+        # the oracle's one pass over n screens as the per-degree solve did
+        for derive in (derive_recurrence, eigenfam.oracle_table):
+            with pytest.raises(EigenvalueCollision) as ei:
+                derive(COLLIDING, 5)
+            assert (ei.value.k, ei.value.n) == (1, 2)
 
     def test_fourth_order_band(self):
         # a_4 = x**4 reaches four degrees down; lambda_n = 2 + n + C(n, 4)
@@ -539,11 +546,11 @@ def derived_lambdas(diag, N):
     return [Fraction(diag.at(0, n), diag.A) for n in range(N + 2)]
 
 
-def integer_solved(J, N, depth):
+def integer_solved(J, N):
     """The integer solver's coefficients of P_0..P_N as Fractions, with its
     eigenvalues E lambda_n over E."""
     solve, lam, E = eigenfam._eigen_solver(J, N)
-    return [[Fraction(*c) for c in solve(n, depth)] for n in range(N + 1)], [
+    return [[Fraction(*c) for c in solve(n)] for n in range(N + 1)], [
         Fraction(v, E) for v in lam
     ]
 
@@ -561,13 +568,15 @@ class TestIntegerOracle:
     """The integer solver and table against the Fraction route they replace."""
 
     @settings(max_examples=150, deadline=None)
-    @given(operators(max_order=4), st.integers(0, 12), st.sampled_from([None, 0, 1, 3]))
-    def test_solver_matches_fraction_route(self, J, N, depth):
+    @given(operators(max_order=4), st.integers(0, 12))
+    def test_solver_matches_fraction_route(self, J, N):
+        # the full per-degree solve; the top coefficients at depths 0, 1
+        # and 3 are the oracle's (test_oracle_pairs_match_fraction_formulas)
         def reference():
             solve, lam = reference_solver(J, N)
-            return [solve(n, depth) for n in range(N + 1)], lam
+            return [solve(n) for n in range(N + 1)], lam
 
-        assert eigen_outcome(lambda: integer_solved(J, N, depth)) == eigen_outcome(reference)
+        assert eigen_outcome(lambda: integer_solved(J, N)) == eigen_outcome(reference)
 
     @settings(max_examples=150, deadline=None)
     @given(operators(max_order=4), st.integers(0, 12))
@@ -591,24 +600,65 @@ class TestIntegerOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(operators(max_order=4), family_operators()), st.integers(0, 10))
     @example(HUGE, 6)
+    @example(DiffOperator([Poly([3])]), 4)  # order 0: lambda_1 = lambda_0
+    @example(DiffOperator([Poly.one(), Poly([2, 1])]), 8)  # order 1: no r2, r3
+    @example(DiffOperator([Poly.one(), Poly([0, 1]), Poly([1, 1, 1])]), 8)  # no r3
+    @example(COLLIDING, 5)  # lambda_1 = lambda_2: (k, n) = (1, 2)
+    @example(CASE1_FOURTH_POWER, 10)  # order 12
     def test_oracle_pairs_match_fraction_formulas(self, J, N):
         # oracle_table hands the table its integers as reduced pairs, with no
-        # Fraction: they are the pairs of the formulas evaluated in Fractions
+        # Fraction: they are the pairs of the formulas evaluated in Fractions.
+        # Its top coefficients, read in one pass over n, are the Fraction
+        # solve's at depths 0, 1 and 3, each over its least common denominator
         def integer():
-            rt = eigenfam.oracle_table(J, N)[0]
+            rt, diag = eigenfam.oracle_table(J, N)
             assert "_fractions" not in vars(rt)
-            return table_pairs(rt)
+            tops = []
+            for q, *top in eigenfam._top_coefficients(J, N + 1, diag):
+                top = [Fraction(v, q) for v in top]
+                assert q == math.lcm(*(c.denominator for c in top))
+                tops.append([Fraction(1), *top])
+            return table_pairs(rt), [
+                [top[: min(n, depth) + 1] for n, top in enumerate(tops)] for depth in (0, 1, 3)
+            ]
 
         def reference():
-            return tuple(map(pairs, reference_fraction_table(J, N)[0]))
+            solve = reference_solver(J, N + 1)[0]
+            return tuple(map(pairs, reference_fraction_table(J, N)[0])), [
+                [solve(n, depth) for n in range(N + 2)] for depth in (0, 1, 3)
+            ]
 
         assert eigen_outcome(integer) == eigen_outcome(reference)
+
+    @pytest.mark.parametrize("J", FAMILY_OPERATORS + [CASE1_FOURTH_POWER])
+    def test_oracle_runs_no_per_degree_solve(self, monkeypatch, capsys, J):
+        # the oracle reads the top coefficients in closed form, so it and
+        # derive mode pass with the per-degree solve made to raise; eigen
+        # still runs that solve
+        setup = eigenfam._eigen_solver
+
+        def raising(*args):
+            def solve(n):
+                raise RuntimeError("per-degree solve")
+                yield
+
+            return solve, *setup(*args)[1:]
+
+        monkeypatch.setattr(eigenfam, "_eigen_solver", raising)
+        rt, report, _, _ = derive_recurrence(J, 20)
+        assert report.passed
+        assert rt == eigenfam.oracle_table(J, 20)[0]
+        with pytest.raises(RuntimeError, match="per-degree solve"):
+            eigenpoly(J, 5)
+        argv = ["eigen", "--operator", str(GOLDEN / "corollary_operator.json"), "-n", "3"]
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        assert "per-degree solve" in capsys.readouterr().err
 
     def test_huge_entries(self):
         # entries of hundreds of digits: the window's and the table's
         # denominators are reduced by gcds of that size
         assert min(len(str(c.denominator)) for c in HUGE.a(3).coeffs) >= 300
-        assert integer_solved(HUGE, 9, None) == (
+        assert integer_solved(HUGE, 9) == (
             [reference_solver(HUGE, 9)[0](n) for n in range(10)],
             reference_solver(HUGE, 9)[1],
         )

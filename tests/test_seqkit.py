@@ -90,8 +90,16 @@ def coeff(rows, k, j):
 
 
 def reference_dual_moments(seq, d):
+    """The moments by basis expansion of each x**n, as the reduced pairs
+    (numerator, denominator) that dual_moments returns."""
     expansions = [expand_in_basis(Poly.monomial(n), seq) for n in range(len(seq))]
-    return [[e.coeff(i) for e in expansions] for i in range(d)]
+    return [[pair(e.coeff(i)) for e in expansions] for i in range(d)]
+
+
+def pair(r) -> tuple:
+    """A rational as its reduced pair (numerator, denominator)."""
+    r = Fraction(r)
+    return r.numerator, r.denominator
 
 
 def recurrence_route(seq, d, M):
@@ -437,26 +445,28 @@ class TestStructureCoeffs:
 class TestDualMoments:
     def test_first_moments(self, coro_seq):
         dm = dual_moments(coro_seq, 2)
-        # d rows of N + 1 Fractions each
+        # d rows of N + 1 reduced int pairs each
         assert [len(row) for row in dm] == [coro_seq.N + 1] * 2
-        assert all(type(v) is Fraction for row in dm for v in row)
-        assert dm[0][0] == 1
-        assert dm[1][0] == 0
-        assert dm[1][1] == 1
+        for v in (v for row in dm for v in row):
+            assert type(v) is tuple and list(map(type, v)) == [int, int]
+            assert v == pair(Fraction(*v))
+        assert dm[0][0] == (1, 1)
+        assert dm[1][0] == (0, 1)
+        assert dm[1][1] == (1, 1)
         # beta_0 = 0 for the explicit family
-        assert dm[0][1] == 0
+        assert dm[0][1] == (0, 1)
 
     def test_beta0_moment(self):
         rt = RecurrenceTable.two_orthogonal([5, 0, 0, 0], [0, 0, 0], [0, 0, 0])
         dm = dual_moments(generate(rt, 3), 2)
-        assert dm[0][1] == 5
+        assert dm[0][1] == (5, 1)
 
     def test_matches_expansion(self, coro_seq):
         dm = dual_moments(coro_seq, 2)
         for n in range(10):
             exp = expand_in_basis(Poly.monomial(n), coro_seq)
-            assert dm[0][n] == exp.coeff(0)
-            assert dm[1][n] == exp.coeff(1)
+            assert dm[0][n] == pair(exp.coeff(0))
+            assert dm[1][n] == pair(exp.coeff(1))
 
     @settings(max_examples=100, deadline=None)
     @given(any_banded_tables, st.integers(1, 4))
@@ -642,12 +652,12 @@ class TestEdgeCases:
         ]
         with pytest.raises(InsufficientDegree):
             check_d_orthogonality(seq, 2, 0)
-        assert dual_moments(seq, 3) == [[1], [0], [0]]
+        assert dual_moments(seq, 3) == [[(1, 1)], [(0, 1)], [(0, 1)]]
 
     def test_degree_one_sequence(self):
         polys = [Poly.one(), Poly([-2, 1])]
         seq = MonicSequence(structure_coeffs(polys))
-        assert dual_moments(seq, 2) == [[1, 2], [0, 1]]
+        assert dual_moments(seq, 2) == [[(1, 1), (2, 1)], [(0, 1), (1, 1)]]
         for d, M in ((1, 0), (2, 0), (1, 1)):
             assert outcome(check_d_orthogonality, seq, d, M) == outcome(
                 reference_d_orthogonality, polys, d, M
@@ -657,7 +667,7 @@ class TestEdgeCases:
         seq = generate(coro_rt, 4)
         dm = dual_moments(seq, 8)
         assert dm == reference_dual_moments(seq, 8)
-        assert all(dm[i][n] == 0 for i in range(5, 8) for n in range(5))
+        assert all(dm[i][n] == (0, 1) for i in range(5, 8) for n in range(5))
 
     def test_insufficient_degree_message(self, coro_rt):
         seq = generate(coro_rt, 10)
